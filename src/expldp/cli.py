@@ -12,17 +12,26 @@ import click
 import numpy as np
 
 from . import acceptance, legendre, rates, scenarios
-from .errors import ExpLdpError, MeanOutsideDomain, UnknownScenario
+from .errors import ExpLdpError, UnknownScenario
 from .families import builtin, builtin_names
 from .models import builtin_model, model_names, uniform_prior
 from .tables import Table
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(text: str, size: int | None = None) -> np.ndarray:
+    """Comma-separated floats; NaN and, when ``size`` is given, any other
+    count of entries are usage errors."""
     try:
-        return np.array([float(v) for v in text.split(",")])
+        arr = np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise click.UsageError(f"could not parse vector {text!r}") from None
+    if np.isnan(arr).any():
+        raise click.UsageError(f"vector {text!r} has a NaN entry")
+    if size is not None and arr.size != size:
+        raise click.UsageError(
+            f"expected {size} comma-separated values, got {text!r}"
+        )
+    return arr
 
 
 @click.group()
@@ -70,7 +79,7 @@ def scenario_run(name, outdir, fmt):
 def legendre_cmd(family_name, t_text, constraint_name, as_json):
     """Convex conjugate (optionally constrained) at a mean point."""
     family = builtin(family_name)
-    t = _parse_vector(t_text)
+    t = _parse_vector(t_text, family.dim)
     try:
         if constraint_name is None:
             res = legendre.conjugate(family, t)
@@ -79,7 +88,7 @@ def legendre_cmd(family_name, t_text, constraint_name, as_json):
             res = legendre.conjugate_constrained(
                 family, legendre.ConstraintSet.curve(model), t
             )
-    except MeanOutsideDomain as exc:
+    except ExpLdpError as exc:
         raise click.UsageError(str(exc))
     if as_json:
         click.echo(json.dumps(res.to_json(), sort_keys=True))
@@ -106,9 +115,9 @@ def rate():
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 def rate_posterior(model_name, mu0_text, support_text, grid_text, out_path):
     model = builtin_model(model_name)
-    mu0 = _parse_vector(mu0_text)
-    lo, hi = _parse_vector(support_text)
-    g_lo, g_hi, g_n = _parse_vector(grid_text)
+    mu0 = _parse_vector(mu0_text, model.family.dim)
+    lo, hi = _parse_vector(support_text, 2)
+    g_lo, g_hi, g_n = _parse_vector(grid_text, 3)
     prior = uniform_prior(model, float(lo), float(hi))
     try:
         table = rates.posterior_rate(
@@ -132,7 +141,7 @@ def rate_posterior(model_name, mu0_text, support_text, grid_text, out_path):
 def rate_mle(model_name, theta0_coord, grid_text, method, out_path):
     model = builtin_model(model_name)
     theta0 = model.map(theta0_coord)
-    g_lo, g_hi, g_n = _parse_vector(grid_text)
+    g_lo, g_hi, g_n = _parse_vector(grid_text, 3)
     rows = []
     try:
         for coord in np.linspace(g_lo, g_hi, int(g_n)):
@@ -157,7 +166,8 @@ def rate_cramer(family_name, theta0_text, t_text):
     family = builtin(family_name)
     try:
         value = rates.cramer_rate(
-            family, _parse_vector(theta0_text), _parse_vector(t_text)
+            family, _parse_vector(theta0_text, family.dim),
+            _parse_vector(t_text, family.dim),
         )
     except ExpLdpError as exc:
         raise click.UsageError(str(exc))

@@ -20,7 +20,7 @@ class MeanOutsideDomain(ExpLdpError):
 
 
 class QuadratureFailure(ExpLdpError):
-    """Adaptive integration did not reach the requested tolerance."""
+    """Numerical integration did not reach the requested tolerance."""
 
 
 class OscillatoryDivergence(ExpLdpError):

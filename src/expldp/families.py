@@ -5,7 +5,10 @@ for its cumulant generating function kappa(theta) = log ∫ exp(theta.x) dλ,
 the mean map ∇kappa, the Hessian, and domain predicates.  Three payload
 kinds are supported: finite discrete measures (stabilized log-sum-exp),
 closed-form analytic families, and 1-D quadrature-reduced measures whose
-kappa is computed by adaptive integration of a reduced integrand.
+kappa, ∇kappa and Hess kappa come from one composite Gauss-Legendre node
+set over the reduced integrand, graded around its located peak and around
+the origin; a lower-order companion rule on the same panels estimates the
+error, and an estimate above 1e4 * rel_tol raises QuadratureFailure.
 
 Natural points and mean points are plain float vectors; ``as_point``
 enforces finiteness and dimension at the API boundary.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -31,7 +34,6 @@ from .quadrature import (
     QuadraturePolicy,
     gauss_legendre,
     locate_peak,
-    log_integral_peaked,
 )
 
 DISCRETE = "discrete"
@@ -118,6 +120,15 @@ class Quadrature1DPayload:
     ``width_floor`` is a lower bound on the integration half-width scale,
     for near-boundary thetas where the local curvature at the peak
     understates how slowly the integrand decays.
+
+    At interior thetas all three come from one array evaluation of
+    ``log_integrand`` on a shared node set: composite Gauss-Legendre on
+    panels graded around the located peak and, geometrically, around
+    x = 0 (where a factor such as 1/(1+x^2) has a mode of unit width),
+    clipped to the window of ``window_halfwidth`` widths about the peak.
+    The companion rule's disagreement on the same panels must stay within
+    1e4 * rel_tol of the mass.  Listed boundary points take QUADPACK's
+    infinite-interval path instead.
     """
 
     log_integrand: Callable
@@ -157,7 +168,9 @@ def cumulant(family: GeneratingFamily, theta) -> float:
         return val
     if not family.domain.contains(th):
         return INF
-    return _quad_cumulant(family, th)
+    if family.domain.is_boundary(th):
+        return _boundary_cumulant(family, th)
+    return _tilted_moments(family, th, 0).kappa
 
 
 def cumulant_many(family: GeneratingFamily, thetas) -> np.ndarray:
@@ -186,8 +199,7 @@ def mean_map(family: GeneratingFamily, theta) -> np.ndarray:
         return p.atoms.T @ w
     if family.kind == ANALYTIC:
         return np.asarray(family.payload.grad(th), dtype=float)
-    grad, _ = _quad_grad_hess(family, th, need_hess=False)
-    return grad
+    return _tilted_moments(family, th, 1).grad
 
 
 def hessian(family: GeneratingFamily, theta) -> np.ndarray:
@@ -206,8 +218,7 @@ def hessian(family: GeneratingFamily, theta) -> np.ndarray:
         return (centered * w[:, None]).T @ centered
     if family.kind == ANALYTIC:
         return np.asarray(family.payload.hess(th), dtype=float)
-    _, hess = _quad_grad_hess(family, th, need_hess=True)
-    return hess
+    return _tilted_moments(family, th, 2).hess
 
 
 def log_likelihood(family: GeneratingFamily, theta, t) -> float:
@@ -234,7 +245,7 @@ def in_mean_domain(family: GeneratingFamily, t) -> bool:
 def _quad_window(family, th):
     p = family.payload
     x_star = locate_peak(
-        lambda x: float(p.log_integrand(x, th)),
+        lambda x: p.log_integrand(x, th),
         lambda x: p.dlog_integrand(x, th),
         lambda x: p.d2log_integrand(x, th),
         p.peak_guess(th),
@@ -250,63 +261,104 @@ def _quad_window(family, th):
     return x_star, width, x_star - half, x_star + half
 
 
-def _quad_cumulant(family, th):
+def _boundary_cumulant(family, th):
+    # boundary integrands decay only algebraically; use the infinite-
+    # interval transform instead of a peak window
     p = family.payload
-    if family.domain.is_boundary(th):
-        # boundary integrands decay only algebraically; use the infinite-
-        # interval transform instead of a peak window
-        def shifted(x):
-            return math.exp(p.log_integrand(x, th))
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            val, err = quad(
-                shifted, -np.inf, np.inf,
-                limit=family.quad_policy.quad_limit,
-                epsabs=0.0, epsrel=max(family.quad_policy.rel_tol, 1e-13),
-            )
-        if val <= 0.0 or err > 1e4 * family.quad_policy.rel_tol * val:
-            raise QuadratureFailure(
-                f"{family.name}: boundary cumulant did not converge at {th}"
-            )
-        return math.log(val)
+    def shifted(x):
+        return math.exp(p.log_integrand(x, th))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        val, err = quad(
+            shifted, -np.inf, np.inf,
+            limit=family.quad_policy.quad_limit,
+            epsabs=0.0, epsrel=max(family.quad_policy.rel_tol, 1e-13),
+        )
+    if val <= 0.0 or err > 1e4 * family.quad_policy.rel_tol * val:
+        raise QuadratureFailure(
+            f"{family.name}: boundary cumulant did not converge at {th}"
+        )
+    return math.log(val)
+
+
+# Gauss-Legendre orders of the rule and of its error-estimating companion,
+# and the panel edges about the peak in multiples of its width
+_RULE_ORDER = 20
+_COMPANION_ORDER = 10
+_PEAK_OFFSETS = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0])
+# no sum of doubles is relatively accurate beyond a few dozen ulps
+_ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
+
+
+class TiltedMoments(NamedTuple):
+    kappa: float
+    grad: np.ndarray | None
+    hess: np.ndarray | None
+    rel_err: float          # estimated relative error of exp(kappa)
+
+
+def _panel_edges(x_star, width, a, b):
+    """Panel edges on the window [a, b]: graded around the peak and,
+    geometrically from a half unit, around the origin."""
+    reach = max(abs(a), abs(b), 1.0)
+    octaves = 2.0 ** np.arange(-1.0, math.ceil(math.log2(reach)) + 1.0)
+    edges = np.concatenate([
+        x_star - _PEAK_OFFSETS * width, x_star + _PEAK_OFFSETS * width,
+        -octaves, [0.0], octaves, [a, b],
+    ])
+    return np.unique(np.clip(edges, a, b))
+
+
+def _panel_rule(edges, order):
+    nodes, weights = gauss_legendre(order)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    w = (half[:, None] * weights[None, :]).ravel()
+    return x, w
+
+
+def _tilted_moments(family, th, derivatives) -> TiltedMoments:
+    """kappa, plus ∇kappa when ``derivatives`` >= 1 and Hess kappa when it
+    is 2, at an interior theta (see ``Quadrature1DPayload``).  Grading the
+    panels around the origin as well as the located peak resolves both
+    modes of a bimodal tilt."""
+    p = family.payload
     x_star, width, a, b = _quad_window(family, th)
-    return log_integral_peaked(
-        lambda x: p.log_integrand(x, th), a, b, x_star, width,
-        family.quad_policy,
-    )
-
-
-def _quad_grad_hess(family, th, need_hess):
-    """Tilted moments by composite Gauss-Legendre over the peak window."""
-    p = family.payload
-    x_star, width, _, _ = _quad_window(family, th)
-    offsets = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0]) * width
-    edges = np.unique(np.concatenate([x_star - offsets, x_star + offsets]))
-    nodes_x, nodes_w = gauss_legendre(32)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xs.append(mid + half * nodes_x)
-        ws.append(half * nodes_w)
-    x = np.concatenate(xs)
-    w = np.concatenate(ws)
-    logf = p.log_integrand(x, th)
-    weights = w * np.exp(logf - logf.max())
-    total = weights.sum()
-    if not math.isfinite(total) or total <= 0.0:
+    edges = _panel_edges(x_star, width, a, b)
+    x, w = _panel_rule(edges, _RULE_ORDER)
+    x_c, w_c = _panel_rule(edges, _COMPANION_ORDER)
+    logf = p.log_integrand(np.concatenate([x, x_c]), th)
+    top = float(np.max(logf))
+    if math.isnan(top):
+        raise NumericsError(f"{family.name}: NaN log-integrand at theta={th}")
+    shifted = np.exp(logf - top)
+    e, e_c = shifted[: x.size], shifted[x.size:]
+    mass = float(w @ e)
+    if not math.isfinite(mass) or mass <= 0.0:
         raise QuadratureFailure(f"{family.name}: degenerate tilt at {th}")
-    weights /= total
+    rel_err = max(abs(mass - float(w_c @ e_c)) / mass, _ROUNDOFF_FLOOR)
+    if rel_err > 1e4 * family.quad_policy.rel_tol:
+        raise QuadratureFailure(
+            f"{family.name}: tilted-moment error {rel_err:.3e} exceeds "
+            f"tolerance at theta={th} (window [{a:.3g}, {b:.3g}])"
+        )
+    kappa = top + math.log(mass)
+    if derivatives < 1:
+        return TiltedMoments(kappa, None, None, rel_err)
+    weights = w * e / mass
     dh = p.tilt_gradient(x, th)            # (n, d)
     grad = dh.T @ weights
-    if not need_hess:
-        return grad, None
+    if derivatives < 2:
+        return TiltedMoments(kappa, grad, None, rel_err)
     d2h = p.tilt_curvature(x, th)          # (n, d, d)
     e_d2h = np.einsum("n,nij->ij", weights, d2h)
     centered = dh - grad[None, :]
     cov = (centered * weights[:, None]).T @ centered
     hess = e_d2h + cov
-    return grad, 0.5 * (hess + hess.T)
+    return TiltedMoments(kappa, grad, 0.5 * (hess + hess.T), rel_err)
 
 
 # ---------------------------------------------------------------------------
@@ -493,26 +545,29 @@ def _make_strip_measure():
     # finite on {|t2| < 1} plus the two boundary points (0, +-1)
     # the quadratic coefficient 1 - t2^2 is factored once: the naive form
     # x^2 - t2^2 x^2 cancels catastrophically for the huge peak abscissas
-    # that occur as t2 approaches the strip boundary
+    # that occur as t2 approaches the strip boundary, and the product
+    # (1 - t2)(1 + t2) keeps it to an ulp where 1 - t2*t2 would lose digits
+    def quad_coef(t2):
+        return (1.0 - t2) * (1.0 + t2)
+
     def logf(x, th):
         x = np.asarray(x, dtype=float)
         t1, t2 = th
-        a2 = 1.0 - t2 * t2
+        a2 = quad_coef(t2)
         return t1 * x - a2 * x * x + t2 * t2 - np.log1p(x * x)
 
     def dlogf(x, th):
         t1, t2 = th
-        a2 = 1.0 - t2 * t2
+        a2 = quad_coef(t2)
         return t1 - 2.0 * a2 * x - 2.0 * x / (1.0 + x * x)
 
     def d2logf(x, th):
-        t2 = th[1]
-        a2 = 1.0 - t2 * t2
+        a2 = quad_coef(th[1])
         return -2.0 * a2 - 2.0 * (1.0 - x * x) / (1.0 + x * x) ** 2
 
     def peak_guess(th):
         t1, t2 = th
-        return t1 / (2.0 * max(1.0 - t2 * t2, 1e-12))
+        return t1 / (2.0 * max(quad_coef(t2), 1e-12))
 
     def tilt_gradient(x, th):
         t2 = th[1]
@@ -525,7 +580,7 @@ def _make_strip_measure():
         return out
 
     def width_floor(th):
-        return 1.0 / math.sqrt(2.0 * max(1.0 - th[1] * th[1], 1e-12))
+        return 1.0 / math.sqrt(2.0 * max(quad_coef(th[1]), 1e-12))
 
     boundary = (np.array([0.0, 1.0]), np.array([0.0, -1.0]))
     domain = DomainSpec(

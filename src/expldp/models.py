@@ -331,9 +331,13 @@ def _piece_peak(l_of, a, b, n_scan=33):
     i = int(np.nanargmax(np.where(np.isfinite(vals), vals, -INF)))
     lo = zs[max(i - 1, 0)]
     hi = zs[min(i + 1, n_scan - 1)]
+
+    def negated(z):
+        v = l_of(z)
+        return -v if math.isfinite(v) else 1e300
+
     res = minimize_scalar(
-        lambda z: -l_of(z) if math.isfinite(l_of(z)) else 1e300,
-        bounds=(lo, hi), method="bounded", options={"xatol": 1e-12},
+        negated, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12},
     )
     return float(res.x) if math.isfinite(res.fun) else float(zs[i])
 

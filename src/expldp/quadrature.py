@@ -1,10 +1,10 @@
 """Log-domain quadrature helpers for sharply peaked integrands.
 
-Both the reduced strip-measure cumulant and the posterior normalizing
-integrals are of the form log ∫ exp(g(x)) w(x) dx with a single dominant
-peak whose location can be far from the origin and whose width shrinks
-like n^(-1/2).  Everything here subtracts the peak value before
-exponentiating and reports results on the log scale.
+The posterior normalizing integrals are of the form log ∫ exp(g(x)) dx
+with a dominant peak whose width shrinks like n^(-1/2); the reduced
+strip-measure integrand has a peak whose location can be far from the
+origin.  Everything here subtracts the peak value before exponentiating
+and reports results on the log scale.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from .errors import NumericsError, QuadratureFailure
 
@@ -54,6 +55,7 @@ def locate_peak(f, df, d2f, x0, steps=100, tol=1e-13):
     around the guess; if the curvature flips sign along the way (the
     exponent need not be globally concave) an expanding grid search on the
     objective itself takes over, refined by a bounded golden search.
+    ``f`` must accept an array: each grid is evaluated in one call.
     """
     x = float(x0)
     for _ in range(steps):
@@ -70,16 +72,19 @@ def locate_peak(f, df, d2f, x0, steps=100, tol=1e-13):
     else:
         if d2f(x) < 0.0 and f(x) >= f(x0):
             return x
-    from scipy.optimize import minimize_scalar
+
+    def negated(u):
+        v = f(u)
+        return -v if math.isfinite(v) else 1e300
 
     span = 1.0 + abs(x0)
     for _ in range(60):
         grid = np.linspace(x0 - span, x0 + span, 81)
-        vals = np.array([f(u) for u in grid])
+        vals = np.asarray(f(grid), dtype=float)
         best = int(np.argmax(vals))
         if 0 < best < len(grid) - 1 and math.isfinite(vals[best]):
             res = minimize_scalar(
-                lambda u: -f(u) if math.isfinite(f(u)) else 1e300,
+                negated,
                 bounds=(grid[best - 1], grid[best + 1]),
                 method="bounded",
                 options={"xatol": 1e-12 * (1.0 + abs(grid[best]))},
@@ -114,7 +119,7 @@ def log_integral_peaked(
     pts = sorted(set(pts))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        val, err, info, *rest = quad(
+        val, err, *_ = quad(
             shifted,
             a,
             b,
@@ -123,7 +128,7 @@ def log_integral_peaked(
             epsabs=0.0,
             epsrel=max(policy.rel_tol, 1e-13),
             full_output=1,
-        ) + (None,) * 0
+        )
     if val <= 0.0:
         return _LOG_ZERO
     if err > 1e4 * policy.rel_tol * abs(val):
@@ -132,27 +137,6 @@ def log_integral_peaked(
             f"(value {val:.3e}, window [{a:.3g}, {b:.3g}])"
         )
     return m + math.log(val)
-
-
-def log_integral_whole_line(
-    logf, dlogf, d2logf, x_guess, policy: QuadraturePolicy = DEFAULT_POLICY
-):
-    """log ∫_R exp(logf) dx for a single-peak exponent on the whole line.
-
-    The maximizer is located by Newton from ``x_guess`` and the window is
-    maximizer +- window_halfwidth standard widths, wide enough that the
-    truncated tails are below the relative tolerance.
-    """
-    x_star = locate_peak(logf, dlogf, d2logf, x_guess, steps=policy.newton_steps)
-    curv = d2logf(x_star)
-    if not math.isfinite(curv) or curv >= 0.0:
-        raise QuadratureFailure(
-            f"no negative curvature at located peak x={x_star:.6g}"
-        )
-    width = 1.0 / math.sqrt(-curv)
-    a = x_star - policy.window_halfwidth * width
-    b = x_star + policy.window_halfwidth * width
-    return log_integral_peaked(logf, a, b, x_star, width, policy)
 
 
 def logsumexp_pair(la, lb):

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
@@ -19,6 +21,7 @@ from expldp import (
     mean_map,
 )
 from expldp.families import cumulant_many
+from expldp.models import builtin_model
 
 
 HW = builtin("hardy-weinberg-saturated")
@@ -320,3 +323,73 @@ def test_cumulant_many_agrees_with_scalar(rng):
         many = cumulant_many(fam, thetas)
         scalar = [cumulant(fam, row) for row in thetas]
         np.testing.assert_allclose(many, scalar, atol=1e-13)
+
+
+def strip_exact(t1, t2):
+    """kappa and ∇kappa of the strip measure at an interior point, in closed
+    form and evaluated by mpmath at 30 digits.
+
+    With a = 1 - t2^2 and zeta = -t1 / (2 sqrt(a)) + i sqrt(a),
+        ∫ exp(t1 x - a x^2) / (1 + x^2) dx = pi exp(t1^2 / (4a)) Re w(zeta),
+    where w(zeta) = exp(-zeta^2) erfc(-i zeta) is the Faddeeva function and
+    w' = -2 zeta w + 2i / sqrt(pi) gives E[x].  Since
+    ∫ exp(t1 x - a x^2) dx = sqrt(pi / a) exp(t1^2 / (4a)), the second
+    coordinate 2 t2 E[1 + x^2] needs no further integral.
+    """
+    with mpmath.workdps(30):
+        t1, t2 = mpmath.mpf(t1), mpmath.mpf(t2)
+        a = (1 - t2) * (1 + t2)
+        root = mpmath.sqrt(a)
+        zeta = mpmath.mpc(-t1 / (2 * root), root)
+        w = mpmath.exp(-zeta * zeta) * mpmath.erfc(-1j * zeta)
+        dw = -2 * zeta * w + 2j / mpmath.sqrt(mpmath.pi)
+        kappa = t2 * t2 + t1 * t1 / (4 * a) + mpmath.log(mpmath.pi * w.real)
+        mean_x = t1 / (2 * a) - dw.real / (2 * root * w.real)
+        mean_y = 2 * t2 / (mpmath.sqrt(mpmath.pi * a) * w.real)
+        return float(kappa), np.array([float(mean_x), float(mean_y)])
+
+
+def assert_matches_exact(theta, kappa_rtol=1e-8, grad_rtol=1e-6):
+    kappa, grad = strip_exact(*theta)
+    assert cumulant(STRIP, theta) == pytest.approx(kappa, rel=kappa_rtol)
+    # relative per coordinate, floored at 1 where a coordinate vanishes
+    err = np.abs(mean_map(STRIP, theta) - grad) / np.maximum(np.abs(grad), 1.0)
+    assert np.all(err <= grad_rtol), (theta, err)
+
+
+class TestStripAgainstMpmath:
+    def test_exact_form_matches_mpmath_quadrature(self):
+        with mpmath.workdps(30):
+            t1, t2 = mpmath.mpf("0.3"), mpmath.mpf("0.5")
+            a = 1 - t2 * t2
+            mass = mpmath.quad(
+                lambda x: mpmath.exp(t1 * x - a * x * x + t2 * t2) / (1 + x * x),
+                [-mpmath.inf, 0, mpmath.inf],
+            )
+            assert strip_exact(0.3, 0.5)[0] == pytest.approx(
+                float(mpmath.log(mass)), rel=1e-15
+            )
+
+    def test_curve_cumulant_where_the_window_missed_the_origin_mode(self):
+        theta = builtin_model("strip-curve").map(0.012206095626194695)
+        assert cumulant(STRIP, theta) == pytest.approx(
+            strip_exact(*theta)[0], rel=1e-8
+        )
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("t1", [-1.0, 0.01, 2.0])
+    def test_near_boundary_grid(self, t1, sign, k):
+        # at (0.01, 1 - 1e-6) the tilt is bimodal: a far peak near
+        # t1 / (2(1 - t2^2)) and a mode at the origin from 1/(1+x^2)
+        assert_matches_exact(np.array([t1, sign * (1.0 - 10.0 ** -k)]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        t1=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+        depth=st.floats(min_value=0.0, max_value=7.0, allow_nan=False),
+        negative=st.booleans(),
+    )
+    def test_gradient_up_to_the_strip_boundary(self, t1, depth, negative):
+        t2 = 1.0 - 10.0 ** -depth if depth > 0.0 else 0.0
+        assert_matches_exact(np.array([t1, -t2 if negative else t2]))

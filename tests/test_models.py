@@ -12,6 +12,7 @@ from expldp import (
     posterior_mass,
     uniform_prior,
 )
+from expldp import models
 from expldp.intervals import Interval
 from expldp.models import (
     event_at_least,
@@ -252,3 +253,24 @@ class TestStudyDescriptor:
                     "schedule": [64],
                 }
             )
+
+
+def test_piece_peak_evaluates_each_point_once(monkeypatch):
+    results = []
+    original = models.minimize_scalar
+
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(models, "minimize_scalar", recording)
+    calls = []
+
+    def l_of(z):
+        calls.append(z)
+        return float(hw_l(z))
+
+    peak = models._piece_peak(l_of, -3.0, 3.0, n_scan=33)
+    assert peak == pytest.approx(LOG_11_9, abs=1e-6)
+    assert len(results) == 1
+    assert len(calls) == 33 + results[0].nfev

@@ -177,6 +177,19 @@ class TestCli:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["legendre", "--family", "poisson", "--t", "nan"],
+        ["rate", "posterior", "--model", "hw-line", "--mu0", "0.3,0.2",
+         "--support", "1", "--grid", "-1,1,5"],
+        ["rate", "posterior", "--model", "hw-line", "--mu0", "0.3",
+         "--support", "-3,3", "--grid", "-1,1,5"],
+    ], ids=["nan-mean-point", "one-value-support", "wrong-dimension-mu0"])
+    def test_malformed_vector_is_usage_error(self, args):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output
+
     def test_rate_cramer(self):
         result = CliRunner().invoke(
             main,
