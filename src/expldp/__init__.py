@@ -8,7 +8,6 @@ from .errors import (
     MeanOutsideDomain,
     NoConvergence,
     NumericsError,
-    OscillatoryDivergence,
     OutsideDomain,
     QuadratureFailure,
     RateUnbounded,

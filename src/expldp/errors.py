@@ -23,11 +23,6 @@ class QuadratureFailure(ExpLdpError):
     """Numerical integration did not reach the requested tolerance."""
 
 
-class OscillatoryDivergence(ExpLdpError):
-    """Partial sums of an oscillatory integral failed the Cauchy test at the
-    requested tolerance."""
-
-
 class NoConvergence(ExpLdpError):
     """Newton iteration exhausted its budget (typically a near-boundary
     mean point)."""

@@ -6,13 +6,11 @@ mu*log(mu) - mu + 1 on [0, inf).  Up to that additive constant 1 it is the
 cgf of a probability density f, the law of -X-1 for X Landau-distributed.
 Inverting the bilateral Laplace transform along the imaginary axis gives
 
-    f(y) = (1/pi) * int_0^inf exp(-pi*v/2) * cos(v*log(v) - v*(1+y)) dv,
+    f(y) = (1/pi) * int_0^inf exp(-pi*v/2) * cos(v*log(v) - v*(1+y)) dv.
 
-an oscillatory integral whose phase frequency grows only logarithmically.
-It is evaluated by splitting at consecutive zeros of the cosine and
-summing the resulting alternating series with Euler (repeated-averaging)
-acceleration; the hard truncation point is chosen from the analytic
-envelope bound so the discarded tail is far below tolerance.
+That integral is the Landau density in Landau's own scale, so f is
+evaluated as ``scipy.stats.landau`` with location log(pi/2) and scale
+pi/2, reflected through y -> -y-1.
 """
 
 from __future__ import annotations
@@ -21,166 +19,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import OscillatoryDivergence
-from .quadrature import composite_gl, gauss_legendre
+from .quadrature import composite_gl
 
-_TINY = 1e-308
-
-
-@dataclass(frozen=True)
-class OscillatoryPolicy:
-    """Tolerances for the phase-segmented oscillatory quadrature."""
-
-    abs_tol: float = 1e-6
-    gl_order: int = 24
-    max_segments: int = 500_000
+TAIL_EDGE = -250.0
+_LOC = math.log(math.pi / 2.0)
+_SCALE = math.pi / 2.0
 
 
-DEFAULT_OSC_POLICY = OscillatoryPolicy()
-
-
-def _phase(v, y):
-    v = np.asarray(v, dtype=float)
-    out = np.where(v > 0.0, v * (np.log(np.maximum(v, _TINY)) - 1.0 - y), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def _dphase(v, y):
-    return np.log(np.maximum(np.asarray(v, dtype=float), _TINY)) - y
-
-
-def _truncation_point(tol):
-    # envelope bound: |tail| <= (2/pi^2) exp(-pi V/2) <= tol/400, so the
-    # last few segment integrals sit far below the settle tolerance
-    return (2.0 / math.pi) * math.log(800.0 / (math.pi**2 * tol))
-
-
-def _branch_zeros(y, lo, hi, policy):
-    """Zeros of cos(phase) on a branch where the phase is monotone.
-
-    Vectorized Newton from inverse-interpolated starting points, with a
-    scalar bracketed fallback for stragglers.
-    """
-    p_lo, p_hi = _phase(lo, y), _phase(hi, y)
-    a, b = min(p_lo, p_hi), max(p_lo, p_hi)
-    k_first = int(math.ceil(a / math.pi - 0.5))
-    k_last = int(math.floor(b / math.pi - 0.5))
-    if k_last < k_first:
-        return np.empty(0)
-    levels = (np.arange(k_first, k_last + 1) + 0.5) * math.pi
-    levels = levels[(levels > a) & (levels < b)]
-    if levels.size == 0:
-        return np.empty(0)
-    if levels.size > policy.max_segments:
-        raise OscillatoryDivergence(
-            f"segment budget exceeded: {levels.size} phase zeros requested"
-        )
-    grid = np.geomspace(max(lo, 1e-12), hi, 4 * levels.size + 32)
-    pg = _phase(grid, y)
-    order = np.argsort(pg)
-    v = np.interp(levels, pg[order], grid[order])
-    for _ in range(8):
-        dp = _dphase(v, y)
-        dp = np.where(np.abs(dp) < 1e-12, np.sign(dp) * 1e-12 + 1e-13, dp)
-        v = np.clip(v - (_phase(v, y) - levels) / dp, lo, hi)
-    bad = np.abs(_phase(v, y) - levels) > 1e-10 * (1.0 + np.abs(levels))
-    for i in np.nonzero(bad)[0]:
-        v[i] = brentq(
-            lambda u, L=levels[i]: _phase(u, y) - L,
-            max(lo, _TINY),
-            hi,
-            xtol=1e-14,
-            rtol=8.9e-16,
-        )
-    return np.sort(v)
-
-
-def _cosine_zeros(y, v_max, policy):
-    v_min = math.exp(y) if y > -700.0 else 0.0
-    if v_min <= 1e-12 or v_min >= v_max:
-        return _branch_zeros(y, _TINY, v_max, policy)
-    left = _branch_zeros(y, _TINY, v_min, policy)
-    right = _branch_zeros(y, v_min, v_max, policy)
-    return np.sort(np.concatenate([left, right]))
-
-
-def _segment_sums(edges, y, order):
-    """Gauss-Legendre integral of exp(-pi v/2) cos(phase) on each segment."""
-    x, w = gauss_legendre(order)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    v = np.maximum(mid + half * x[None, :], _TINY)
-    vals = np.exp(-0.5 * math.pi * v) * np.cos(_phase(v, y))
-    return (half[:, 0]) * (vals @ w)
-
-
-def _euler_sum(terms, tol):
-    """Sum the segment series, Euler-averaging the alternating suffix.
-
-    Divergence detection (the Cauchy test for this policy): segment
-    magnitudes must not grow toward the truncation point; growth means the
-    alternating series is not summable under the envelope assumption.
-    Averaging is applied only when the suffix genuinely alternates and its
-    last term is below tolerance, in which case the averaged value differs
-    from the true sum by less than that term; otherwise the plain truncated
-    sum (whose discarded tail is bounded analytically at the truncation
-    point) is returned.
-    """
-    terms = np.asarray(terms, dtype=float)
-    plain = float(terms.sum())
-    if terms.size <= 6:
-        return plain
-    interior = np.abs(terms[1:-1])
-    quarter = max(len(interior) // 4, 2)
-    tail_mean = float(interior[-quarter:].mean())
-    middle_mean = float(interior[quarter:2 * quarter].mean())
-    if tail_mean > tol and tail_mean > 3.0 * middle_mean:
-        raise OscillatoryDivergence(
-            f"segment magnitudes grow toward the tail "
-            f"({middle_mean:.3e} -> {tail_mean:.3e}); series fails the "
-            f"Cauchy test at tolerance {tol:.1e}"
-        )
-    signs = np.sign(terms)
-    start = terms.size - 1
-    while start >= 1 and signs[start - 1] * signs[start] < 0:
-        start -= 1
-    suffix = terms[start:]
-    # averaging only pays off for slowly settling alternations; its error is
-    # of the order of the last two terms, so require both below tolerance
-    if suffix.size < 6 or max(abs(suffix[-1]), abs(suffix[-2])) > 0.5 * tol:
-        return plain
-    s = np.cumsum(suffix)
-    level1 = 0.5 * (s[-1] + s[-2])
-    level2 = 0.5 * (level1 + 0.5 * (s[-2] + s[-3]))
-    return float(terms[:start].sum() + level2)
-
-
-def landau_density(y, policy: OscillatoryPolicy = DEFAULT_OSC_POLICY):
+def landau_density(y):
     """Probability density of -X-1 for X Landau-distributed.
 
-    Deterministic for a fixed policy; absolute accuracy is policy.abs_tol
-    (in practice far better, since the envelope decays like exp(-pi v/2)).
+    ``y`` may be a scalar (returns a float) or an array (returns an array).
     """
-    y = float(y)
-    v_max = _truncation_point(policy.abs_tol)
-    cuts = _cosine_zeros(y, v_max, policy)
-    edges = np.concatenate([[0.0], cuts, [v_max]])
-    # the first edge interval has a v*log(v) endpoint; subdivide it
-    # geometrically so fixed-order panels see a smooth integrand
-    b0 = edges[1]
-    sub = b0 * 2.0 ** (-np.arange(40, -1, -1.0))
-    first_edges = np.concatenate([[0.0], sub])
-    first = float(_segment_sums(first_edges, y, policy.gl_order).sum())
-    if edges.size > 2:
-        rest = _segment_sums(edges[1:], y, policy.gl_order)
-        total = _euler_sum(np.concatenate([[first], rest]), policy.abs_tol)
-    else:
-        total = first
-    return total / math.pi
+    # imported here: scipy.stats adds about 0.5 s and 20 MB to
+    # ``import expldp``, and only the Landau numerics need it
+    from scipy.stats import landau
+
+    vals = landau.pdf(-np.asarray(y, dtype=float) - 1.0, loc=_LOC, scale=_SCALE)
+    return float(vals) if np.ndim(vals) == 0 else vals
 
 
 @dataclass(frozen=True)
@@ -193,60 +50,46 @@ class NormalizationReport:
     tail_edge: float
 
 
-def landau_normalization(
-    policy: OscillatoryPolicy = DEFAULT_OSC_POLICY, tail_edge: float = -250.0
-) -> NormalizationReport:
+def landau_normalization() -> NormalizationReport:
     """Integrate the density over the real line.
 
     The left tail decays like 1/y^2 (the Landau 1/x^2 tail), so beyond
-    ``tail_edge`` the integral is completed analytically with the locally
+    ``TAIL_EDGE`` the integral is completed analytically with the locally
     matched A/y^2 coefficient; the body is composite quadrature, with the
     deep region handled under the u = 1/y substitution where the integrand
     y^2 f(y) varies slowly.
     """
-    def f(y):
-        return landau_density(y, policy)
-
-    # y = 1/u maps [tail_edge, -9] to the increasing u-range [-1/9, 1/tail_edge]
+    # y = 1/u maps [TAIL_EDGE, -9] to the increasing u-range [-1/9, 1/TAIL_EDGE]
     deep = composite_gl(
-        lambda u: f(1.0 / u) / (u * u),
-        list(np.linspace(-1.0 / 9.0, 1.0 / tail_edge, 4)),
+        lambda u: landau_density(1.0 / u) / (u * u),
+        np.linspace(-1.0 / 9.0, 1.0 / TAIL_EDGE, 4),
         order=32,
     )
     near = composite_gl(
-        f, [-9.0, -5.0, -3.0, -1.5, 0.0, 1.5, 3.0, 5.0, 8.0], order=40
+        landau_density, [-9.0, -5.0, -3.0, -1.5, 0.0, 1.5, 3.0, 5.0, 8.0],
+        order=40,
     )
-    f_edge = f(tail_edge)
-    tail = (tail_edge * tail_edge * f_edge) / abs(tail_edge)
+    tail = (TAIL_EDGE * TAIL_EDGE * landau_density(TAIL_EDGE)) / abs(TAIL_EDGE)
     body = deep + near
     return NormalizationReport(
-        value=body + tail, body=body, tail_correction=tail, tail_edge=tail_edge
+        value=body + tail, body=body, tail_correction=tail, tail_edge=TAIL_EDGE
     )
 
 
-def landau_dual_numeric_cumulant(
-    mu, policy: OscillatoryPolicy = DEFAULT_OSC_POLICY
-):
+def landau_dual_numeric_cumulant(mu):
     """Numeric cumulant of the dual generating measure at mu > 0.
 
     The dual measure carries total mass e (its cgf at 0 equals 1), so this
-    returns 1 + log ∫ exp(mu*y) f(y) dy.  The exp(mu*y) factor amplifies
-    absolute density errors on the right, where the true density is
-    double-exponentially small, so the density is evaluated under a
-    tightened policy and the integral stops at y = 4.
+    returns 1 + log ∫ exp(mu*y) f(y) dy.  The true density is
+    double-exponentially small on the right, so the integral stops at y = 4.
     """
     mu = float(mu)
     if mu <= 0.0:
         raise ValueError("numeric dual cumulant requires mu > 0")
-    from dataclasses import replace
-
-    f_policy = replace(policy, abs_tol=policy.abs_tol * 1e-3)
     panels = [-60.0 / mu, -25.0 / mu, -9.0 / mu, -5.0, -3.0, -1.5, 0.0, 1.5,
               3.0, 4.0]
     panels = sorted(set(panels))
     val = composite_gl(
-        lambda yy: math.exp(mu * yy) * landau_density(yy, f_policy),
-        panels,
-        order=40,
+        lambda yy: np.exp(mu * yy) * landau_density(yy), panels, order=40
     )
     return 1.0 + math.log(val)

@@ -146,13 +146,16 @@ def _newton_max(family, t, theta0, project=None, max_iter=200):
             scale *= 0.5
         if not improved:
             # the objective is flat to double precision near the optimum;
-            # full Newton steps still contract the gradient quadratically
+            # full Newton steps still contract the gradient quadratically.
+            # The rounding of theta.t - kappa(theta) scales with |theta|.|t|,
+            # not with the value: near-degenerate means give |theta| ~ 1e8
             u_new = u + step
             theta_new = base + u_new @ dirs if project is not None else u_new
             val_new = log_likelihood(family, theta_new, t)
+            flat = 1e-11 * (1.0 + abs(val) + float(np.abs(theta) @ np.abs(t)))
             acceptable = (
                 math.isfinite(val_new)
-                and val_new >= val - 1e-11 * (1.0 + abs(val))
+                and val_new >= val - flat
                 and family.domain.interior(theta_new)
             )
             if acceptable and flat_budget > 0:

@@ -18,7 +18,7 @@ from scipy.special import gammaln, logsumexp
 
 from .errors import TooLarge
 from .families import builtin, mean_map
-from .models import ModelEvent, builtin_model, hw_line_mle_coordinate
+from .models import ModelEvent, builtin_model
 from .rates import constant_mle_line
 
 ENUMERATION_CAP = 2000
@@ -184,8 +184,3 @@ def curved_line_min_oracle(theta0_coord: float, theta_coord: float,
             value, arg = float(vals[i]), float(xs[i])
         a, b = xs[max(i - 1, 0)], xs[min(i + 1, 64)]
     return value, arg
-
-
-def hw_mle_coordinate_of_counts(n: int, n1: int, n2: int) -> float:
-    """Convenience wrapper of the closed form on one outcome."""
-    return hw_line_mle_coordinate((n1 / n, n2 / n))

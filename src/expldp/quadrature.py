@@ -164,13 +164,12 @@ _GL_CACHE: dict = {}
 def composite_gl(fn, panels, order=40):
     """Composite Gauss-Legendre quadrature over breakpoints ``panels``.
 
-    ``fn`` is evaluated pointwise (scalar in, scalar out).
+    ``fn`` takes the array of all nodes at once and returns the array of
+    integrand values.
     """
     x, w = gauss_legendre(order)
-    total = 0.0
-    for a, b in zip(panels[:-1], panels[1:]):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        vals = np.array([fn(float(mid + half * xi)) for xi in x])
-        total += half * float(np.dot(w, vals))
-    return total
+    edges = np.asarray(panels, dtype=float)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    vals = np.asarray(fn(mid + half * x), dtype=float)
+    return float(np.sum(half * vals * w))

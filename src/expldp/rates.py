@@ -74,10 +74,6 @@ class RateTable:
     rates: np.ndarray
     metadata: dict
 
-    def min_entry(self):
-        idx = int(np.argmin(self.rates))
-        return float(self.coordinates[idx]), float(self.rates[idx])
-
     def to_table(self, name: str) -> Table:
         rows = [
             (float(c), float(r))
@@ -286,18 +282,6 @@ def contraction_rate(model: models.CurvedModel, theta0, coord,
     else:
         value, _ = _line_minimum(family, th0, line, float(coord))
     return value
-
-
-def contraction_argmin(model: models.CurvedModel, theta0, coord,
-                       method: str = "line-minimize"):
-    """Minimizing mean-space abscissa on the registered constant-MLE line
-    (diagnostics and certificate comparisons)."""
-    family = model.family
-    th0 = as_point(theta0, family.dim, "theta0")
-    line = constant_mle_line(model)
-    if method == "brute":
-        return _brute_minimum(family, th0, line, float(coord))
-    return _line_minimum(family, th0, line, float(coord))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import expldp
 from expldp import landau_density, landau_dual_numeric_cumulant, landau_normalization
-from expldp.errors import OscillatoryDivergence
-from expldp.landau import OscillatoryPolicy
 
 
 def branch_cut_density(y):
@@ -24,9 +28,39 @@ def branch_cut_density(y):
     return v / math.pi
 
 
+def inversion_density(y):
+    """The paper's inversion formula, integrated by mpmath at 20 digits.
+
+    The envelope exp(-pi v/2) is below 1e-40 past v = 64, so the range
+    stops there; the breakpoints keep each piece a few oscillations long.
+    """
+    with mpmath.workdps(20):
+        y = mpmath.mpf(y)
+
+        def integrand(v):
+            return mpmath.exp(-mpmath.pi * v / 2) * mpmath.cos(
+                v * mpmath.log(v) - v * (1 + y)
+            )
+
+        value = mpmath.quad(integrand, [0, 1, 2, 4, 8, 16, 32, 64])
+        return float(value / mpmath.pi)
+
+
 @pytest.mark.parametrize("y", [-6.0, -2.0, -0.7772, 0.0, 0.8, 1.5])
 def test_density_matches_independent_representation(y):
     assert landau_density(y) == pytest.approx(branch_cut_density(y), abs=1e-6)
+
+
+@pytest.mark.parametrize("y", [-6.0, -2.0, -0.7772, 0.0, 1.5, 3.0])
+def test_density_matches_inversion_formula(y):
+    assert landau_density(y) == pytest.approx(inversion_density(y), abs=1e-12)
+
+
+def test_density_accepts_arrays():
+    ys = np.array([-6.0, -0.7772, 1.5])
+    np.testing.assert_array_equal(
+        landau_density(ys), [landau_density(float(y)) for y in ys]
+    )
 
 
 def test_density_peak_location_and_height():
@@ -72,10 +106,13 @@ def test_cumulant_requires_positive_argument():
         landau_dual_numeric_cumulant(0.0)
 
 
-def test_segment_budget_raises_oscillatory_divergence():
-    with pytest.raises(OscillatoryDivergence):
-        landau_density(0.0, OscillatoryPolicy(abs_tol=1e-6, max_segments=3))
-
-
 def test_deterministic_for_fixed_policy():
     assert landau_density(0.123) == landau_density(0.123)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats is imported on the first Landau evaluation only; loading it
+    # with the package would add about half a second and 20 MB to every import
+    env = dict(os.environ, PYTHONPATH=str(Path(expldp.__file__).parents[1]))
+    code = "import sys, expldp; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -10,6 +10,7 @@ from expldp import (
     conjugate,
     contraction_rate,
     cramer_rate,
+    curved_line_min_oracle,
     dual_rate_gap,
     kl_divergence,
     mean_map,
@@ -153,6 +154,24 @@ class TestContractionRate:
         a = contraction_rate(GAUSS_MODEL, theta0, 2.0, "line-minimize")
         b = contraction_rate(GAUSS_MODEL, theta0, 2.0, "brute")
         assert a == pytest.approx(b, abs=1e-9)
+
+    @pytest.mark.parametrize("coord, oracle", [
+        (0.468, 1.4718781479), (0.61, 0.5380482692),
+        (0.736, 0.1793994247), (1.46, 0.1617902163),
+    ])
+    def test_near_degenerate_line_points_converge(self, coord, oracle):
+        # the constant-MLE line reaches means whose variance is ~1e-8, where
+        # the conjugate's natural parameter is ~1e8 and its objective is
+        # flat to rounding well above the gradient tolerance
+        rate = contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), coord)
+        exact, _ = curved_line_min_oracle(1.0, coord)
+        assert exact == pytest.approx(oracle, abs=1e-10)
+        assert rate == pytest.approx(exact, abs=1e-8)
+
+    def test_near_degenerate_line_points_converge_brute(self):
+        # the brute grid (about 7 s a coordinate) meets the same means
+        rate = contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), 0.468, "brute")
+        assert rate == pytest.approx(curved_line_min_oracle(1.0, 0.468)[0], abs=1e-8)
 
     def test_quadratic_certificate_root_at_truth(self):
         # tau = theta0/theta = 1 makes z = 1 a root, i.e. x = 1/theta

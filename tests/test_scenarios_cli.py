@@ -1,6 +1,8 @@
+import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,13 @@ def pl_outdir(tmp_path_factory):
 def strip_outdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("strip")
     scenario_run("strip-boundary", str(path))
+    return path
+
+
+@pytest.fixture(scope="module")
+def gauss_outdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("gauss")
+    scenario_run("gauss-mean-eq-sd", str(path))
     return path
 
 
@@ -115,15 +124,69 @@ class TestStripScenario:
             assert rate > naive
 
 
-def test_gauss_scenario_and_byte_determinism(tmp_path):
-    first = tmp_path / "a"
+def test_gauss_scenario_and_byte_determinism(gauss_outdir, tmp_path):
+    first = gauss_outdir
     second = tmp_path / "b"
-    scenario_run("gauss-mean-eq-sd", str(first))
     scenario_run("gauss-mean-eq-sd", str(second))
     for name in os.listdir(first):
         assert (first / name).read_bytes() == (second / name).read_bytes()
     meta = json.loads((first / "quadratic_certificate.json").read_text())["metadata"]
     assert meta["max_abs_diff"] < 1e-6
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_REL_TOL = 1e-8
+
+
+def _read_output(path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    with open(path, newline="") as fh:
+        return [[_csv_cell(cell) for cell in row] for row in csv.reader(fh)]
+
+
+def _csv_cell(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _assert_matches_golden(got, want, where):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches_golden(g, w, f"{where}[{i}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+        if got != want:       # equal infinities pass here
+            assert abs(got - want) <= GOLDEN_REL_TOL * max(1.0, abs(want)), (
+                f"{where}: {got!r} differs from golden {want!r}"
+            )
+    else:
+        assert got == want, f"{where}: {got!r} differs from golden {want!r}"
+
+
+@pytest.mark.parametrize("scenario, fixture", [
+    ("gauss-mean-eq-sd", "gauss_outdir"),
+    ("hardy-weinberg", "hw_outdir"),
+    ("poisson-landau", "pl_outdir"),
+    ("strip-boundary", "strip_outdir"),
+])
+def test_outputs_match_golden(scenario, fixture, request):
+    # every number of every emitted file, within 1e-8 * max(1, |golden|)
+    outdir = request.getfixturevalue(fixture)
+    golden = GOLDEN / scenario
+    names = sorted(os.listdir(golden))
+    assert sorted(os.listdir(outdir)) == names
+    for name in names:
+        _assert_matches_golden(
+            _read_output(outdir / name), _read_output(golden / name), name
+        )
 
 
 def test_json_only_format(tmp_path):
