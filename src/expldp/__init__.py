@@ -10,6 +10,7 @@ from .errors import (
     NumericsError,
     OutsideDomain,
     QuadratureFailure,
+    RateFormMismatch,
     RateUnbounded,
     TooLarge,
     UnknownScenario,

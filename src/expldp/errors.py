@@ -38,6 +38,11 @@ class RateUnbounded(ExpLdpError):
     event still meets the support, so no finite decay rate exists."""
 
 
+class RateFormMismatch(ExpLdpError):
+    """Two forms of the same rate disagree beyond their tolerance (the
+    direct posterior rate against its excess-of-divergence form)."""
+
+
 class UnsupportedModel(ExpLdpError):
     """Curved model without a registered constant-MLE parametrization."""
 

@@ -157,7 +157,11 @@ class GeneratingFamily:
 
 def cumulant(family: GeneratingFamily, theta) -> float:
     """kappa(theta); +inf outside the essential domain."""
-    th = as_point(theta, family.dim, "natural point")
+    return _cumulant(family, as_point(theta, family.dim, "natural point"))
+
+
+def _cumulant(family, th) -> float:
+    # the kernels behind the public functions take a trusted float vector
     if family.kind == DISCRETE:
         p = family.payload
         return float(logsumexp(p.atoms @ th + p.log_weights))
@@ -183,12 +187,17 @@ def cumulant_many(family: GeneratingFamily, thetas) -> np.ndarray:
         return logsumexp(arr @ p.atoms.T + p.log_weights[None, :], axis=1)
     if family.kind == ANALYTIC and family.payload.cumulant_many is not None:
         return np.asarray(family.payload.cumulant_many(arr), dtype=float)
-    return np.array([cumulant(family, row) for row in arr])
+    if not np.all(np.isfinite(arr)):
+        raise NumericsError("natural points have non-finite coordinates")
+    return np.array([_cumulant(family, row) for row in arr])
 
 
 def mean_map(family: GeneratingFamily, theta) -> np.ndarray:
     """∇kappa(theta) = mean of the tilted law P_theta."""
-    th = as_point(theta, family.dim, "natural point")
+    return _mean_map(family, as_point(theta, family.dim, "natural point"))
+
+
+def _mean_map(family, th) -> np.ndarray:
     if family.kind != DISCRETE and not family.domain.interior(th):
         raise OutsideDomain(f"theta={th} is not interior for {family.name}")
     if family.kind == DISCRETE:
@@ -205,7 +214,10 @@ def mean_map(family: GeneratingFamily, theta) -> np.ndarray:
 def hessian(family: GeneratingFamily, theta) -> np.ndarray:
     """Hess kappa(theta): the covariance of P_theta, symmetric PD on the
     interior."""
-    th = as_point(theta, family.dim, "natural point")
+    return _hessian(family, as_point(theta, family.dim, "natural point"))
+
+
+def _hessian(family, th) -> np.ndarray:
     if family.kind != DISCRETE and not family.domain.interior(th):
         raise OutsideDomain(f"theta={th} is not interior for {family.name}")
     if family.kind == DISCRETE:
@@ -226,7 +238,11 @@ def log_likelihood(family: GeneratingFamily, theta, t) -> float:
     set to -inf off the essential domain."""
     th = as_point(theta, family.dim, "natural point")
     tt = as_point(t, family.dim, "mean point")
-    k = cumulant(family, th)
+    return _log_likelihood(family, th, tt)
+
+
+def _log_likelihood(family, th, tt) -> float:
+    k = _cumulant(family, th)
     if k == INF:
         return -INF
     return float(th @ tt) - k
@@ -243,6 +259,9 @@ def in_mean_domain(family: GeneratingFamily, t) -> bool:
 
 
 def _quad_window(family, th):
+    # Newton from the guess meets nonnegative curvature when the tilt has
+    # no far mode; a restart from the mode that a factor such as 1/(1+x^2)
+    # puts at the origin then finds the peak without the grid search
     p = family.payload
     x_star = locate_peak(
         lambda x: p.log_integrand(x, th),
@@ -250,6 +269,7 @@ def _quad_window(family, th):
         lambda x: p.d2log_integrand(x, th),
         p.peak_guess(th),
         steps=family.quad_policy.newton_steps,
+        restarts=(0.0,),
     )
     curv = p.d2log_integrand(x_star, th)
     if not math.isfinite(curv) or curv >= 0.0:
@@ -366,13 +386,24 @@ def _tilted_moments(family, th, derivatives) -> TiltedMoments:
 # ---------------------------------------------------------------------------
 
 
+_LOG2 = math.log(2.0)
+_LOG4 = math.log(4.0)
+
+
+def _hw_lse(th):
+    """log(2 + exp(th[0]) + exp(th[1])), shifted by the largest term."""
+    top = max(_LOG2, th[0], th[1])
+    return top + math.log(
+        math.exp(_LOG2 - top) + math.exp(th[0] - top) + math.exp(th[1] - top)
+    )
+
+
 def _hw_cumulant(th):
-    return float(logsumexp([math.log(2.0), th[0], th[1]])) - math.log(4.0)
+    return _hw_lse(th) - _LOG4
 
 
 def _hw_probs(th):
-    lse = logsumexp([math.log(2.0), th[0], th[1]])
-    return np.exp(np.array([th[0], th[1]]) - lse)
+    return np.exp(np.array([th[0], th[1]]) - _hw_lse(th))
 
 
 def _make_hardy_weinberg():
@@ -384,10 +415,7 @@ def _make_hardy_weinberg():
         return np.diag(prob) - np.outer(prob, prob)
 
     def many(arr):
-        stacked = np.column_stack(
-            [np.full(arr.shape[0], math.log(2.0)), arr[:, 0], arr[:, 1]]
-        )
-        return logsumexp(stacked, axis=1) - math.log(4.0)
+        return np.logaddexp(np.logaddexp(_LOG2, arr[:, 0]), arr[:, 1]) - _LOG4
 
     domain = DomainSpec(
         interior=lambda th: True,

@@ -20,8 +20,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from . import families
-from .errors import MeanOutsideDomain, NoConvergence, OutsideDomain
-from .families import as_point, cumulant, hessian, log_likelihood, mean_map
+from .errors import MeanOutsideDomain, NoConvergence, NumericsError, OutsideDomain
+from .families import as_point, cumulant, log_likelihood, mean_map
 from .intervals import Interval
 
 # the contract requires gradient norm <= 1e-10 at convergence; aiming two
@@ -98,7 +98,9 @@ def _newton_max(family, t, theta0, project=None, max_iter=200):
     ``project`` maps reduced coordinates u to theta; None means full space.
     Returns (theta, iterations).  Backtracking halves the step until the
     strictly concave objective increases, which guarantees global
-    convergence from any interior start.
+    convergence from any interior start.  ``t`` must already be a
+    validated mean point: the iterates go to the families' trusted
+    kernels, and only a non-finite Newton step is checked here.
     """
     if project is None:
         dirs = np.eye(family.dim)
@@ -110,29 +112,33 @@ def _newton_max(family, t, theta0, project=None, max_iter=200):
         theta = base + u @ dirs
     else:
         theta = u
-    val = log_likelihood(family, theta, t)
+    val = families._log_likelihood(family, theta, t)
     if not math.isfinite(val):
         raise NoConvergence(
             f"initial point theta={theta} is outside the domain of {family.name}"
         )
     flat_budget = 6
     for it in range(1, max_iter + 1):
-        grad_full = t - mean_map(family, theta)
+        grad_full = t - families._mean_map(family, theta)
         grad = dirs @ grad_full
         if np.max(np.abs(grad)) <= GRAD_TOL:
             return theta, it - 1
-        hess_full = hessian(family, theta)
+        hess_full = families._hessian(family, theta)
         hess = dirs @ hess_full @ dirs.T
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             step = grad / max(np.max(np.abs(np.diag(hess))), 1e-12)
+        if not np.all(np.isfinite(step)):
+            raise NumericsError(
+                f"non-finite Newton step for {family.name} at theta={theta}"
+            )
         scale = 1.0
         improved = False
         for _ in range(70):
             u_new = u + scale * step
             theta_new = base + u_new @ dirs if project is not None else u_new
-            val_new = log_likelihood(family, theta_new, t)
+            val_new = families._log_likelihood(family, theta_new, t)
             # kappa can be finite at listed boundary points where the
             # gradient is not defined; iterates must stay interior
             if (
@@ -151,7 +157,7 @@ def _newton_max(family, t, theta0, project=None, max_iter=200):
             # not with the value: near-degenerate means give |theta| ~ 1e8
             u_new = u + step
             theta_new = base + u_new @ dirs if project is not None else u_new
-            val_new = log_likelihood(family, theta_new, t)
+            val_new = families._log_likelihood(family, theta_new, t)
             flat = 1e-11 * (1.0 + abs(val) + float(np.abs(theta) @ np.abs(t)))
             acceptable = (
                 math.isfinite(val_new)

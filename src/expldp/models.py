@@ -4,9 +4,12 @@ computation for deterministic data sequences.
 A model is a map eta from a 1-D coordinate set M into the natural-parameter
 domain of a generating family.  Priors live on the model coordinate
 (uniform by default; only the topological support matters for the limit
-theory).  Posterior masses are computed by adaptive quadrature in the log
-domain with max-subtraction inside the exponent, which keeps the n=4096
-spike and the exponentially small tails representable.
+theory).  Posterior masses are computed in the log domain by globally
+adaptive Gauss-Kronrod quadrature over the model coordinate, with the
+peak value subtracted inside the exponent, which keeps the n=4096 spike
+and the exponentially small tails representable.  Each quadrature round
+evaluates n l(eta(z); xbar) + log p(z) at all of its nodes with one
+``cumulant_many`` call on the stacked images eta(z).
 """
 
 from __future__ import annotations
@@ -19,13 +22,13 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import legendre
-from .errors import DegeneratePosterior, RateUnbounded
+from .errors import DegeneratePosterior, NumericsError, RateUnbounded
 from .families import (
     GeneratingFamily,
     as_point,
     builtin,
     cumulant,
-    log_likelihood,
+    cumulant_many,
 )
 from .intervals import Interval, complement, intersect_unions, normalize_union
 from .quadrature import log_integral_peaked, logsumexp_pair
@@ -108,7 +111,10 @@ def event_interval(lo: float, hi: float, lo_closed=True, hi_closed=True) -> Mode
 
 @dataclass(frozen=True)
 class CurvedModel:
-    """Parameter map eta: M -> dom(kappa) with Jacobian, affine or curved."""
+    """Parameter map eta: M -> dom(kappa) with Jacobian, affine or curved.
+
+    ``map`` also takes an array of m coordinates and then returns the
+    (d, m) array of their images, one column per coordinate."""
 
     name: str
     family: GeneratingFamily
@@ -146,7 +152,7 @@ def _build_strip_curve():
     fam = builtin("strip-measure")
 
     def emb(z):
-        return np.array([z, math.sqrt(max(1.0 - z ** 3, 0.0))])
+        return np.array([z, np.sqrt(np.maximum(1.0 - z ** 3, 0.0))])
 
     def jac(z):
         root = math.sqrt(max(1.0 - z ** 3, 1e-300))
@@ -264,6 +270,7 @@ class Prior:
 
     Only the support enters the limit theory; the default density is
     uniform over the support (reproducible and positive on its interior).
+    ``density`` takes a coordinate or an array of coordinates.
     """
 
     model: CurvedModel
@@ -295,13 +302,20 @@ class Prior:
             const = 1.0 / total
 
             def uniform(z, _ivs=ivs, _c=const):
-                return _c if any(iv.contains(z) for iv in _ivs) else 0.0
+                zs = np.asarray(z, dtype=float)
+                inside = np.zeros(zs.shape, dtype=bool)
+                for iv in _ivs:
+                    inside |= (iv.lo <= zs) & (zs <= iv.hi)
+                out = np.where(inside, _c, 0.0)
+                return float(out) if out.ndim == 0 else out
 
             object.__setattr__(self, "density", uniform)
 
-    def log_density(self, z: float) -> float:
-        p = self.density(z)
-        return math.log(p) if p > 0.0 else -INF
+    def log_density(self, z):
+        p = np.asarray(self.density(z), dtype=float)
+        with np.errstate(divide="ignore"):
+            out = np.where(p > 0.0, np.log(p), -INF)
+        return float(out) if out.ndim == 0 else out
 
 
 def uniform_prior(model: CurvedModel, lo: float, hi: float) -> Prior:
@@ -314,10 +328,18 @@ def uniform_prior(model: CurvedModel, lo: float, hi: float) -> Prior:
 
 
 def _coordinate_loglik(prior: Prior, xbar):
+    """z -> l(eta(z); xbar) for a coordinate or an array of them, with one
+    ``cumulant_many`` call on the stacked images."""
     model = prior.model
 
     def l_of(z):
-        return log_likelihood(model.family, model.map(float(z)), xbar)
+        zs = np.asarray(z, dtype=float)
+        thetas = np.asarray(model.map(zs.ravel()), dtype=float).T
+        kappas = cumulant_many(model.family, thetas)
+        if np.isnan(kappas).any():
+            raise NumericsError(f"cumulant NaN on {model.name}")
+        vals = thetas @ xbar - kappas
+        return float(vals[0]) if zs.ndim == 0 else vals.reshape(zs.shape)
 
     return l_of
 
@@ -325,7 +347,7 @@ def _coordinate_loglik(prior: Prior, xbar):
 def _piece_peak(l_of, a, b, n_scan=33):
     inset = 1e-12 * max(1.0, abs(a), abs(b))
     zs = np.linspace(a + inset, b - inset, n_scan)
-    vals = np.array([l_of(z) for z in zs])
+    vals = l_of(zs)
     if not np.any(np.isfinite(vals)):
         return None
     i = int(np.nanargmax(np.where(np.isfinite(vals), vals, -INF)))
@@ -346,6 +368,12 @@ def _log_weighted_integral(prior: Prior, xbar, n: int, pieces) -> float:
     """log ∫ exp(n l(eta(z); xbar)) p(z) dz over a union of bounded
     intervals, with per-piece max subtraction."""
     l_of = _coordinate_loglik(prior, xbar)
+
+    def logf(z):
+        lz = l_of(z)
+        lp = prior.log_density(z)
+        return np.where(np.isfinite(lz) & (lp > -INF), n * lz + lp, -INF)
+
     total = -INF
     for iv in pieces:
         if iv.degenerate:
@@ -355,19 +383,9 @@ def _log_weighted_integral(prior: Prior, xbar, n: int, pieces) -> float:
         if peak is None:
             continue
         h = 1e-5 * max(1.0, b - a)
-        l_p = l_of(peak)
-        curv = abs(l_of(peak + h) + l_of(peak - h) - 2.0 * l_p) / (h * h)
+        l_p, l_right, l_left = l_of(np.array([peak, peak + h, peak - h]))
+        curv = abs(l_right + l_left - 2.0 * l_p) / (h * h)
         width = 1.0 / math.sqrt(max(n * curv, (2.0 / (b - a)) ** 2))
-
-        def logf(z):
-            lz = l_of(z)
-            if not math.isfinite(lz):
-                return -INF
-            lp = prior.log_density(z)
-            if lp == -INF:
-                return -INF
-            return n * lz + lp
-
         piece_log = log_integral_peaked(logf, a, b, peak, width)
         total = logsumexp_pair(total, piece_log)
     return total

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import legendre, models
-from .errors import OutsideDomain, UnsupportedModel
+from .errors import OutsideDomain, RateFormMismatch, UnsupportedModel
 from .families import (
     GeneratingFamily,
     as_point,
@@ -104,7 +104,7 @@ def posterior_rate(prior: models.Prior, mu0, grid) -> RateTable:
             excess = kl_divergence(family, theta0, prior.model.map(float(z))) - d_nu
             both_inf = math.isinf(direct) and math.isinf(excess)
             if not both_inf and abs(direct - excess) > 1e-10:
-                raise RuntimeError(
+                raise RateFormMismatch(
                     f"rate-form mismatch at z={z}: direct {direct!r} vs "
                     f"excess-of-divergence {excess!r}"
                 )

@@ -393,3 +393,29 @@ class TestStripAgainstMpmath:
     def test_gradient_up_to_the_strip_boundary(self, t1, depth, negative):
         t2 = 1.0 - 10.0 ** -depth if depth > 0.0 else 0.0
         assert_matches_exact(np.array([t1, -t2 if negative else t2]))
+
+
+def test_strip_peak_search_needs_no_grid_fallback_along_the_curve(monkeypatch):
+    # Newton from the guess t1 / (2(1 - t2^2)) meets nonnegative curvature
+    # on about a quarter of the curve's cumulants; the restart from the
+    # origin mode finds their peak without the grid search
+    from expldp import families, models, quadrature
+
+    searches, fallbacks = [], []
+    original_peak = quadrature.locate_peak
+    original_fallback = quadrature.minimize_scalar
+
+    def counting_peak(*args, **kwargs):
+        searches.append(1)
+        return original_peak(*args, **kwargs)
+
+    def counting_fallback(*args, **kwargs):
+        fallbacks.append(1)
+        return original_fallback(*args, **kwargs)
+
+    monkeypatch.setattr(families, "locate_peak", counting_peak)
+    monkeypatch.setattr(quadrature, "minimize_scalar", counting_fallback)
+    prior = models.uniform_prior(builtin_model("strip-curve"), 0.0, 1.0)
+    models.log_posterior_mass(prior, [0.3, 0.5], 128, models.event_interval(0.0, 0.12))
+    assert len(searches) > 500
+    assert fallbacks == []

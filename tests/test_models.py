@@ -135,6 +135,72 @@ class TestPosteriorMass:
         assert mass == pytest.approx(oracle, rel=1e-4)
 
 
+def gl_log_integral(l_of, n, edges, order=20):
+    """log ∫ exp(n l(z)) dz by composite Gauss-Legendre on ``edges``."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    vals = n * l_of((mid + half * x).ravel())
+    top = vals.max()
+    return top + math.log((half * w).ravel() @ np.exp(vals - top))
+
+
+def hw_l_closed(z):
+    # l(eta(z); MU0) = 0.1 z - 2 log cosh(z/2), written without overflow
+    a = np.abs(z)
+    return 0.1 * z - (a + 2.0 * np.log1p(np.exp(-a)) - 2.0 * math.log(2.0))
+
+
+def strip_l_closed(z, mu=(0.3, 0.5)):
+    # kappa on the strip curve through the Faddeeva function w (see
+    # strip_exact in test_families): with a = 1 - t2^2,
+    # kappa = t2^2 + t1^2 / (4a) + log(pi Re w(-t1 / (2 sqrt a) + i sqrt a))
+    from scipy.special import wofz
+
+    t1, t2 = z, np.sqrt(1.0 - z ** 3)
+    root = np.sqrt((1.0 - t2) * (1.0 + t2))
+    kappa = (
+        t2 * t2 + t1 * t1 / (4.0 * root * root)
+        + np.log(np.pi * wofz(-t1 / (2.0 * root) + 1j * root).real)
+    )
+    return mu[0] * t1 + mu[1] * t2 - kappa
+
+
+class TestMassAgainstClosedForm:
+    """Log posterior masses against composite Gauss-Legendre on 4000
+    panels of the closed-form coordinate log-likelihood."""
+
+    @pytest.mark.parametrize("support, event, n", [
+        ((-3.0, 3.0), (0.5, 3.0), 64),
+        ((-3.0, 3.0), (0.5, 3.0), 65536),
+        # misspecified: both integrals peak at their left endpoints
+        ((0.5, 3.0), (1.0, 3.0), 4096),
+        # the numerator peaks at the event's right endpoint
+        ((-3.0, 3.0), (0.0, 0.05), 4096),
+    ])
+    def test_hw_line(self, support, event, n):
+        prior = uniform_prior(builtin_model("hw-line"), *support)
+        mass = models.log_posterior_mass(prior, MU0, n, event_interval(*event))
+        num = gl_log_integral(hw_l_closed, n, np.linspace(*event, 4001))
+        den = gl_log_integral(hw_l_closed, n, np.linspace(*support, 4001))
+        assert mass == pytest.approx(num - den, rel=1e-9)
+
+    def test_strip_curve_event_near_the_origin(self):
+        # below z = 1e-3 the posterior density is under exp(-10000); the
+        # slope of sqrt(1 - z^3) is infinite at z = 1, so the normalizer's
+        # panels are also graded geometrically toward 1
+        n = 64
+        prior = uniform_prior(builtin_model("strip-curve"), 0.0, 1.0)
+        mass = models.log_posterior_mass(
+            prior, [0.3, 0.5], n, event_interval(0.0, 0.05)
+        )
+        num = gl_log_integral(strip_l_closed, n, np.linspace(1e-3, 0.05, 2001))
+        graded = 1.0 - 2.0 ** -np.arange(1.0, 40.0)
+        den_edges = np.union1d(np.linspace(1e-3, 1.0, 2001), graded)
+        den = gl_log_integral(strip_l_closed, n, den_edges)
+        assert mass == pytest.approx(num - den, rel=1e-9)
+
+
 class TestDecayRates:
     def test_event_containing_maximizer_has_zero_rate(self, hw_prior):
         ev = event_interval(0.0, 1.0)
@@ -267,10 +333,14 @@ def test_piece_peak_evaluates_each_point_once(monkeypatch):
     calls = []
 
     def l_of(z):
-        calls.append(z)
-        return float(hw_l(z))
+        # the scan passes all its points as one array, the polish scalars
+        calls.append(np.size(z) if np.ndim(z) else 0)
+        vals = hw_l(np.asarray(z, dtype=float))
+        return float(vals) if np.ndim(z) == 0 else vals
 
     peak = models._piece_peak(l_of, -3.0, 3.0, n_scan=33)
     assert peak == pytest.approx(LOG_11_9, abs=1e-6)
     assert len(results) == 1
-    assert len(calls) == 33 + results[0].nfev
+    assert calls.count(33) == 1
+    assert calls.count(0) == results[0].nfev
+    assert len(calls) == 1 + results[0].nfev

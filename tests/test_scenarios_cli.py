@@ -274,6 +274,26 @@ class TestCli:
         assert lines[0] == "coordinate,rate"
         assert len(lines) == 12
 
+    def test_rate_form_mismatch_is_usage_error(self, monkeypatch):
+        from expldp import rates
+
+        original = rates.log_likelihood
+
+        def shifted(family, theta, t):
+            # moves the direct rate by 1e-6 and leaves the
+            # excess-of-divergence form alone
+            return original(family, theta, t) - 1e-6
+
+        monkeypatch.setattr(rates, "log_likelihood", shifted)
+        result = CliRunner().invoke(
+            main,
+            ["rate", "posterior", "--model", "hw-line", "--mu0", "0.3,0.2",
+             "--support", "-3,3", "--grid", "-1,1,5"],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "rate-form mismatch" in result.output
+
     def test_rate_mle(self):
         result = CliRunner().invoke(
             main,
