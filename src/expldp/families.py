@@ -2,13 +2,13 @@
 
 A family is a generating measure lambda on R^d together with evaluators
 for its cumulant generating function kappa(theta) = log ∫ exp(theta.x) dλ,
-the mean map ∇kappa, the Hessian, and domain predicates.  Three payload
-kinds are supported: finite discrete measures (stabilized log-sum-exp),
-closed-form analytic families, and 1-D quadrature-reduced measures whose
-kappa, ∇kappa and Hess kappa come from one composite Gauss-Legendre node
-set over the reduced integrand, graded around its located peak and around
-the origin; a lower-order companion rule on the same panels estimates the
-error, and an estimate above 1e4 * rel_tol raises QuadratureFailure.
+the mean map ∇kappa, the Hessian, and domain predicates.  Two payload
+kinds are supported: finite discrete measures (stabilized log-sum-exp)
+and closed-form analytic families, each with a scalar kernel and an array
+``cumulant_many``.  The strip measure's closed form goes through the
+Faddeeva function w; its mean map and Hessian come from moments of the
+tilted density, which need only w, or, far from the origin, from the
+asymptotic series of w' and w''.
 
 Natural points and mean points are plain float vectors; ``as_point``
 enforces finiteness and dimension at the API boundary.
@@ -20,25 +20,16 @@ domain, the log-likelihood is -inf there, and NaN is never a value.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import logsumexp
+from scipy.special import logsumexp, wofz
 
-from .errors import NumericsError, OutsideDomain, QuadratureFailure
-from .quadrature import (
-    DEFAULT_POLICY,
-    QuadraturePolicy,
-    gauss_legendre,
-    locate_peak,
-)
+from .errors import NumericsError, OutsideDomain
 
 DISCRETE = "discrete"
 ANALYTIC = "analytic"
-QUADRATURE1D = "quadrature1d"
 
 INF = float("inf")
 
@@ -72,9 +63,6 @@ class DomainSpec:
     def is_boundary(self, theta) -> bool:
         return any(np.array_equal(theta, b) for b in self.boundary_points)
 
-    def contains(self, theta) -> bool:
-        return bool(self.interior(theta)) or self.is_boundary(theta)
-
 
 @dataclass(frozen=True)
 class DiscretePayload:
@@ -106,38 +94,7 @@ class AnalyticPayload:
     cumulant: Callable[[np.ndarray], float]      # total: +inf off the domain
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
-    cumulant_many: Callable | None = None        # optional vectorized (m,d)->(m,)
-
-
-@dataclass(frozen=True)
-class Quadrature1DPayload:
-    """Reduced 1-D integrand: kappa(theta) = log ∫ exp(g(x; theta)) dx.
-
-    ``tilt_gradient``/``tilt_curvature`` give dh/dtheta and d2h/dtheta2 of
-    the exponent h entering the tilt, so that
-        ∇kappa = E[dh],   Hess kappa = E[d2h] + Cov(dh)
-    under the tilted density proportional to exp(g).
-    ``width_floor`` is a lower bound on the integration half-width scale,
-    for near-boundary thetas where the local curvature at the peak
-    understates how slowly the integrand decays.
-
-    At interior thetas all three come from one array evaluation of
-    ``log_integrand`` on a shared node set: composite Gauss-Legendre on
-    panels graded around the located peak and, geometrically, around
-    x = 0 (where a factor such as 1/(1+x^2) has a mode of unit width),
-    clipped to the window of ``window_halfwidth`` widths about the peak.
-    The companion rule's disagreement on the same panels must stay within
-    1e4 * rel_tol of the mass.  Listed boundary points take QUADPACK's
-    infinite-interval path instead.
-    """
-
-    log_integrand: Callable
-    dlog_integrand: Callable
-    d2log_integrand: Callable
-    peak_guess: Callable[[np.ndarray], float]
-    tilt_gradient: Callable
-    tilt_curvature: Callable
-    width_floor: Callable[[np.ndarray], float] = lambda theta: 0.0
+    cumulant_many: Callable[[np.ndarray], np.ndarray]    # rows (m, d) -> (m,)
 
 
 @dataclass(frozen=True)
@@ -147,7 +104,6 @@ class GeneratingFamily:
     dim: int
     domain: DomainSpec
     payload: object
-    quad_policy: QuadraturePolicy = DEFAULT_POLICY
 
 
 # ---------------------------------------------------------------------------
@@ -165,31 +121,22 @@ def _cumulant(family, th) -> float:
     if family.kind == DISCRETE:
         p = family.payload
         return float(logsumexp(p.atoms @ th + p.log_weights))
-    if family.kind == ANALYTIC:
-        val = float(family.payload.cumulant(th))
-        if math.isnan(val):
-            raise NumericsError(f"cumulant NaN at theta={th}")
-        return val
-    if not family.domain.contains(th):
-        return INF
-    if family.domain.is_boundary(th):
-        return _boundary_cumulant(family, th)
-    return _tilted_moments(family, th, 0).kappa
+    val = float(family.payload.cumulant(th))
+    if math.isnan(val):
+        raise NumericsError(f"cumulant NaN at theta={th}")
+    return val
 
 
 def cumulant_many(family: GeneratingFamily, thetas) -> np.ndarray:
-    """Vectorized kappa over rows of an (m, d) array (grid oracles)."""
+    """Vectorized kappa over rows of an (m, d) array (grid oracles and
+    posterior integrands)."""
     arr = np.asarray(thetas, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
     if family.kind == DISCRETE:
         p = family.payload
         return logsumexp(arr @ p.atoms.T + p.log_weights[None, :], axis=1)
-    if family.kind == ANALYTIC and family.payload.cumulant_many is not None:
-        return np.asarray(family.payload.cumulant_many(arr), dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise NumericsError("natural points have non-finite coordinates")
-    return np.array([_cumulant(family, row) for row in arr])
+    return np.asarray(family.payload.cumulant_many(arr), dtype=float)
 
 
 def mean_map(family: GeneratingFamily, theta) -> np.ndarray:
@@ -206,9 +153,7 @@ def _mean_map(family, th) -> np.ndarray:
         w = np.exp(logits - logits.max())
         w /= w.sum()
         return p.atoms.T @ w
-    if family.kind == ANALYTIC:
-        return np.asarray(family.payload.grad(th), dtype=float)
-    return _tilted_moments(family, th, 1).grad
+    return np.asarray(family.payload.grad(th), dtype=float)
 
 
 def hessian(family: GeneratingFamily, theta) -> np.ndarray:
@@ -228,9 +173,7 @@ def _hessian(family, th) -> np.ndarray:
         mu = p.atoms.T @ w
         centered = p.atoms - mu
         return (centered * w[:, None]).T @ centered
-    if family.kind == ANALYTIC:
-        return np.asarray(family.payload.hess(th), dtype=float)
-    return _tilted_moments(family, th, 2).hess
+    return np.asarray(family.payload.hess(th), dtype=float)
 
 
 def log_likelihood(family: GeneratingFamily, theta, t) -> float:
@@ -251,134 +194,6 @@ def _log_likelihood(family, th, tt) -> float:
 def in_mean_domain(family: GeneratingFamily, t) -> bool:
     tt = as_point(t, family.dim, "mean point")
     return bool(family.domain.mean_domain(tt))
-
-
-# ---------------------------------------------------------------------------
-# quadrature-reduced families
-# ---------------------------------------------------------------------------
-
-
-def _quad_window(family, th):
-    # Newton from the guess meets nonnegative curvature when the tilt has
-    # no far mode; a restart from the mode that a factor such as 1/(1+x^2)
-    # puts at the origin then finds the peak without the grid search
-    p = family.payload
-    x_star = locate_peak(
-        lambda x: p.log_integrand(x, th),
-        lambda x: p.dlog_integrand(x, th),
-        lambda x: p.d2log_integrand(x, th),
-        p.peak_guess(th),
-        steps=family.quad_policy.newton_steps,
-        restarts=(0.0,),
-    )
-    curv = p.d2log_integrand(x_star, th)
-    if not math.isfinite(curv) or curv >= 0.0:
-        raise QuadratureFailure(
-            f"{family.name}: no concave peak located at theta={th}"
-        )
-    width = max(1.0 / math.sqrt(-curv), p.width_floor(th))
-    half = family.quad_policy.window_halfwidth * width
-    return x_star, width, x_star - half, x_star + half
-
-
-def _boundary_cumulant(family, th):
-    # boundary integrands decay only algebraically; use the infinite-
-    # interval transform instead of a peak window
-    p = family.payload
-
-    def shifted(x):
-        return math.exp(p.log_integrand(x, th))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, err = quad(
-            shifted, -np.inf, np.inf,
-            limit=family.quad_policy.quad_limit,
-            epsabs=0.0, epsrel=max(family.quad_policy.rel_tol, 1e-13),
-        )
-    if val <= 0.0 or err > 1e4 * family.quad_policy.rel_tol * val:
-        raise QuadratureFailure(
-            f"{family.name}: boundary cumulant did not converge at {th}"
-        )
-    return math.log(val)
-
-
-# Gauss-Legendre orders of the rule and of its error-estimating companion,
-# and the panel edges about the peak in multiples of its width
-_RULE_ORDER = 20
-_COMPANION_ORDER = 10
-_PEAK_OFFSETS = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0])
-# no sum of doubles is relatively accurate beyond a few dozen ulps
-_ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
-
-
-class TiltedMoments(NamedTuple):
-    kappa: float
-    grad: np.ndarray | None
-    hess: np.ndarray | None
-    rel_err: float          # estimated relative error of exp(kappa)
-
-
-def _panel_edges(x_star, width, a, b):
-    """Panel edges on the window [a, b]: graded around the peak and,
-    geometrically from a half unit, around the origin."""
-    reach = max(abs(a), abs(b), 1.0)
-    octaves = 2.0 ** np.arange(-1.0, math.ceil(math.log2(reach)) + 1.0)
-    edges = np.concatenate([
-        x_star - _PEAK_OFFSETS * width, x_star + _PEAK_OFFSETS * width,
-        -octaves, [0.0], octaves, [a, b],
-    ])
-    return np.unique(np.clip(edges, a, b))
-
-
-def _panel_rule(edges, order):
-    nodes, weights = gauss_legendre(order)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return x, w
-
-
-def _tilted_moments(family, th, derivatives) -> TiltedMoments:
-    """kappa, plus ∇kappa when ``derivatives`` >= 1 and Hess kappa when it
-    is 2, at an interior theta (see ``Quadrature1DPayload``).  Grading the
-    panels around the origin as well as the located peak resolves both
-    modes of a bimodal tilt."""
-    p = family.payload
-    x_star, width, a, b = _quad_window(family, th)
-    edges = _panel_edges(x_star, width, a, b)
-    x, w = _panel_rule(edges, _RULE_ORDER)
-    x_c, w_c = _panel_rule(edges, _COMPANION_ORDER)
-    logf = p.log_integrand(np.concatenate([x, x_c]), th)
-    top = float(np.max(logf))
-    if math.isnan(top):
-        raise NumericsError(f"{family.name}: NaN log-integrand at theta={th}")
-    shifted = np.exp(logf - top)
-    e, e_c = shifted[: x.size], shifted[x.size:]
-    mass = float(w @ e)
-    if not math.isfinite(mass) or mass <= 0.0:
-        raise QuadratureFailure(f"{family.name}: degenerate tilt at {th}")
-    rel_err = max(abs(mass - float(w_c @ e_c)) / mass, _ROUNDOFF_FLOOR)
-    if rel_err > 1e4 * family.quad_policy.rel_tol:
-        raise QuadratureFailure(
-            f"{family.name}: tilted-moment error {rel_err:.3e} exceeds "
-            f"tolerance at theta={th} (window [{a:.3g}, {b:.3g}])"
-        )
-    kappa = top + math.log(mass)
-    if derivatives < 1:
-        return TiltedMoments(kappa, None, None, rel_err)
-    weights = w * e / mass
-    dh = p.tilt_gradient(x, th)            # (n, d)
-    grad = dh.T @ weights
-    if derivatives < 2:
-        return TiltedMoments(kappa, grad, None, rel_err)
-    d2h = p.tilt_curvature(x, th)          # (n, d, d)
-    e_d2h = np.einsum("n,nij->ij", weights, d2h)
-    centered = dh - grad[None, :]
-    cov = (centered * weights[:, None]).T @ centered
-    hess = e_d2h + cov
-    return TiltedMoments(kappa, grad, 0.5 * (hess + hess.T), rel_err)
 
 
 # ---------------------------------------------------------------------------
@@ -565,51 +380,123 @@ def _make_landau_dual():
     )
 
 
+# The strip measure, reduced from the planar measure
+#   dλ = exp(-(x1^2 + x2^2/(4(1+x1^2)))) / (2 sqrt(pi) (1+x1^2)^{3/2})
+# by integrating out x2:
+#   kappa(t1, t2) = t2^2 + log ∫ exp(t1 x - a x^2) / (1 + x^2) dx,  a = 1 - t2^2,
+# finite on {|t2| < 1} plus the two boundary points (0, +-1), where the
+# integral is pi e.  With zeta = -t1 / (2 sqrt a) + i sqrt a and the
+# Faddeeva function w(z) = exp(-z^2) erfc(-iz), the integral is
+# pi exp(t1^2 / (4a)) Re w(zeta), so
+#   kappa = t2^2 + log(pi) + F(t1, a),  F = t1^2 / (4a) + log Re w(zeta).
+
+_SQRT_PI = math.sqrt(math.pi)
+_STRIP_BOUNDARY_KAPPA = 1.0 + math.log(math.pi)
+# Hess kappa comes from the tilt's moments, which need only w, while
+# |zeta| < 7.5; their cancellation grows like |zeta|^2.  Farther out the
+# tilt is nearly Gaussian and the chain rule through (t1, a) keeps the
+# Gaussian part exact, with w' and w'' summed from the asymptotic series
+#   w(z) ~ (i/sqrt(pi)) sum_n c_n z^-(2n+1),  c_n = (2n-1)!!/2^n.
+# The series omits a term of size exp(Im^2 - Re^2) <= exp(-55), below
+# an ulp of Re w' down to the smallest 1 - |t2| > 0.
+_FAR = 7.5
+_N = np.arange(30.0)
+_C = np.cumprod(np.concatenate([[1.0], (2.0 * _N[1:] - 1.0) / 2.0]))
+# Horner coefficients of the series of w' and w'' in 1/z^2, highest first
+_FADDEEVA_SERIES = tuple(zip(
+    ((2.0 * _N + 1.0) * _C).tolist(),
+    ((2.0 * _N + 1.0) * (2.0 * _N + 2.0) * _C).tolist(),
+))[::-1]
+
+
+def _faddeeva_derivatives_far(z):
+    """w'(z) and w''(z) from the asymptotic series, for Im z > 0 and
+    |z| >= _FAR."""
+    u = 1.0 / (z * z)
+    s1 = s2 = 0.0
+    for c1, c2 in _FADDEEVA_SERIES:
+        s1 = s1 * u + c1
+        s2 = s2 * u + c2
+    return -1j * u * s1 / _SQRT_PI, 1j * u * s2 / (_SQRT_PI * z)
+
+
+def _strip_zeta(t1, t2):
+    # (1 - t2)(1 + t2) keeps a to an ulp where 1 - t2*t2 would lose digits
+    a = (1.0 - t2) * (1.0 + t2)
+    root = np.sqrt(a)
+    return a, root, -t1 / (2.0 * root) + 1j * root
+
+
+def _strip_cumulant(th):
+    t1, t2 = th
+    if abs(t2) >= 1.0:
+        return _STRIP_BOUNDARY_KAPPA if t1 == 0.0 and abs(t2) == 1.0 else INF
+    a, _, zeta = _strip_zeta(t1, t2)
+    re_w = wofz(zeta).real
+    # Re w > 0 in the upper half-plane; it underflows only where
+    # t1^2 / (4a) has already overflowed
+    if re_w == 0.0:
+        return INF
+    return float(t2 * t2 + t1 * t1 / (4.0 * a) + math.log(math.pi * re_w))
+
+
+def _strip_cumulant_many(arr):
+    # the domain masks below would send a NaN row to +inf
+    if np.isnan(arr).any():
+        raise NumericsError("strip natural points have NaN coordinates")
+    t1, t2 = arr[:, 0], arr[:, 1]
+    out = np.where((t1 == 0.0) & (np.abs(t2) == 1.0), _STRIP_BOUNDARY_KAPPA, INF)
+    inner = np.abs(t2) < 1.0
+    t1, t2 = t1[inner], t2[inner]
+    a, _, zeta = _strip_zeta(t1, t2)
+    re_w = wofz(zeta).real
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        kappa = t2 * t2 + t1 * t1 / (4.0 * a) + np.log(np.pi * re_w)
+    out[inner] = np.where(re_w > 0.0, kappa, INF)
+    return out
+
+
+def _strip_derivatives(th, order):
+    """∇kappa (``order`` 1) or Hess kappa (``order`` 2) at an interior
+    point of the strip, from moments of the tilt
+    exp(t1 x - a x^2) / (1 + x^2): ∇kappa = (E[x], 2 t2 E[1 + x^2])."""
+    t1, t2 = th
+    a, root, zeta = _strip_zeta(t1, t2)
+    w = wofz(zeta)
+    re_w = w.real
+    # (1 + x^2) times the tilt is the Gaussian N(t1/(2a), 1/(2a)) scaled
+    # by E[1 + x^2] = sqrt(pi/a) / (pi Re w); E[x] = -Im w / Re w is the
+    # recurrence w' = -2 zeta w + 2i/sqrt(pi) in closed form
+    mean = -w.imag / re_w
+    e_quad = 1.0 / (_SQRT_PI * root * re_w)
+    if order == 1:
+        return np.array([mean, 2.0 * t2 * e_quad])
+    gauss_mean = t1 / (2.0 * a)
+    if abs(zeta) < _FAR:
+        var_x = e_quad - 1.0 - mean * mean
+        cov_x_x2 = e_quad * (gauss_mean - mean)
+        var_x2 = e_quad * (gauss_mean * gauss_mean + 0.5 / a + 1.0 - e_quad)
+    else:
+        # F_t1t1, F_t1a and F_aa from the partial derivatives of zeta;
+        # zeta_t1t1 = 0
+        d1, d2 = _faddeeva_derivatives_far(zeta)
+        z1 = -0.5 / root
+        za = complex(t1 / (4.0 * a * root), 0.5 / root)
+        z1a = 0.25 / (a * root)
+        zaa = complex(-3.0 * t1 / (8.0 * a * a * root), -0.25 / (a * root))
+        r1 = (d1 * z1).real / re_w
+        ra = (d1 * za).real / re_w
+        var_x = 0.5 / a + (d2 * z1 * z1).real / re_w - r1 * r1
+        # with a_t2 = -2 t2: kappa_t1t2 = -2 t2 F_t1a = 2 t2 Cov(x, x^2)
+        cov_x_x2 = gauss_mean / a - (d2 * z1 * za + d1 * z1a).real / re_w + r1 * ra
+        var_x2 = (
+            t1 * t1 / (2.0 * a ** 3) + (d2 * za * za + d1 * zaa).real / re_w - ra * ra
+        )
+    h12 = 2.0 * t2 * cov_x_x2
+    return np.array([[var_x, h12], [h12, 2.0 * e_quad + 4.0 * t2 * t2 * var_x2]])
+
+
 def _make_strip_measure():
-    # reduced from the planar measure
-    #   dλ = exp(-(x1^2 + x2^2/(4(1+x1^2)))) / (2 sqrt(pi) (1+x1^2)^{3/2})
-    # by integrating out x2:
-    #   kappa(t1, t2) = log ∫ exp(t1 x - x^2 + t2^2 (1+x^2)) / (1+x^2) dx
-    # finite on {|t2| < 1} plus the two boundary points (0, +-1)
-    # the quadratic coefficient 1 - t2^2 is factored once: the naive form
-    # x^2 - t2^2 x^2 cancels catastrophically for the huge peak abscissas
-    # that occur as t2 approaches the strip boundary, and the product
-    # (1 - t2)(1 + t2) keeps it to an ulp where 1 - t2*t2 would lose digits
-    def quad_coef(t2):
-        return (1.0 - t2) * (1.0 + t2)
-
-    def logf(x, th):
-        x = np.asarray(x, dtype=float)
-        t1, t2 = th
-        a2 = quad_coef(t2)
-        return t1 * x - a2 * x * x + t2 * t2 - np.log1p(x * x)
-
-    def dlogf(x, th):
-        t1, t2 = th
-        a2 = quad_coef(t2)
-        return t1 - 2.0 * a2 * x - 2.0 * x / (1.0 + x * x)
-
-    def d2logf(x, th):
-        a2 = quad_coef(th[1])
-        return -2.0 * a2 - 2.0 * (1.0 - x * x) / (1.0 + x * x) ** 2
-
-    def peak_guess(th):
-        t1, t2 = th
-        return t1 / (2.0 * max(quad_coef(t2), 1e-12))
-
-    def tilt_gradient(x, th):
-        t2 = th[1]
-        return np.column_stack([x, 2.0 * t2 * (1.0 + x * x)])
-
-    def tilt_curvature(x, th):
-        n = x.size
-        out = np.zeros((n, 2, 2))
-        out[:, 1, 1] = 2.0 * (1.0 + x * x)
-        return out
-
-    def width_floor(th):
-        return 1.0 / math.sqrt(2.0 * max(quad_coef(th[1]), 1e-12))
-
     boundary = (np.array([0.0, 1.0]), np.array([0.0, -1.0]))
     domain = DomainSpec(
         interior=lambda th: abs(th[1]) < 1.0,
@@ -620,17 +507,14 @@ def _make_strip_measure():
     )
     return GeneratingFamily(
         name="strip-measure",
-        kind=QUADRATURE1D,
+        kind=ANALYTIC,
         dim=2,
         domain=domain,
-        payload=Quadrature1DPayload(
-            log_integrand=logf,
-            dlog_integrand=dlogf,
-            d2log_integrand=d2logf,
-            peak_guess=peak_guess,
-            tilt_gradient=tilt_gradient,
-            tilt_curvature=tilt_curvature,
-            width_floor=width_floor,
+        payload=AnalyticPayload(
+            cumulant=_strip_cumulant,
+            grad=lambda th: _strip_derivatives(th, 1),
+            hess=lambda th: _strip_derivatives(th, 2),
+            cumulant_many=_strip_cumulant_many,
         ),
     )
 

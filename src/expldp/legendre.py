@@ -378,9 +378,13 @@ def conjugate_grid_oracle(family, constraint, t, grid_spec):
 
     grid_spec: per-axis (lo, hi, count) triples; one triple for affine/curve
     constraints (reduced coordinate), ``dim`` triples for the full domain.
-    Degenerate grids of a single point are allowed.
+    Degenerate grids of a single point are allowed.  ``t`` is one mean
+    point, giving (value, argmax), or an (m, dim) stack of them, giving
+    arrays of the m values and argmaxes; the grid and its kappa values
+    are built once and shared by the stack.
     """
-    tt = as_point(t, family.dim, "mean point")
+    stack = np.ndim(t) == 2
+    ts = [as_point(row, family.dim, "mean point") for row in (t if stack else [t])]
     if constraint.kind == "full":
         axes = [np.linspace(lo, hi, int(n)) for lo, hi, n in grid_spec]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -396,6 +400,12 @@ def conjugate_grid_oracle(family, constraint, t, grid_spec):
     else:
         raise ValueError(constraint.kind)
     kappas = families.cumulant_many(family, thetas)
-    vals = thetas @ tt - kappas
-    idx = int(np.argmax(vals))
-    return float(vals[idx]), thetas[idx]
+    values, argmaxes = [], []
+    for tt in ts:
+        vals = thetas @ tt - kappas
+        idx = int(np.argmax(vals))
+        values.append(float(vals[idx]))
+        argmaxes.append(thetas[idx])
+    if not stack:
+        return values[0], argmaxes[0]
+    return np.array(values), np.array(argmaxes)

@@ -1,13 +1,13 @@
 """Log-domain quadrature helpers for sharply peaked integrands.
 
 The posterior normalizing integrals are of the form log ∫ exp(g(x)) dx
-with a dominant peak whose width shrinks like n^(-1/2); the reduced
-strip-measure integrand has a peak whose location can be far from the
-origin.  Everything here subtracts the peak value before exponentiating
-and reports results on the log scale.  The integrands take arrays: the
-peaked integral is a globally adaptive Gauss-Kronrod 10/21 rule that
-evaluates all pending panels of a round in one call, and the peak
-search evaluates each of its grids in one call.
+with a dominant peak whose width shrinks like n^(-1/2).  Everything here
+subtracts the peak value before exponentiating and reports results on the
+log scale.  The integrands take arrays: the peaked integral is a globally
+adaptive Gauss-Kronrod 10/21 rule that evaluates all pending panels of a
+round in one call, and the peak search evaluates each of its grids in one
+call.  No module of the package calls the peak search;
+``perfbench/tracer.py`` still looks ``locate_peak`` up by name.
 """
 
 from __future__ import annotations
@@ -25,15 +25,9 @@ _LOG_ZERO = float("-inf")
 
 @dataclass(frozen=True)
 class QuadraturePolicy:
-    """Window/refinement policy for peaked 1-D integrands.
-
-    window_halfwidth: integration window extends this many standard widths
-    (1/sqrt(|curvature at peak|)) on each side of the located maximizer.
-    """
+    """Tolerance and panel cap of ``log_integral_peaked``."""
 
     rel_tol: float = 1e-9
-    window_halfwidth: float = 12.0
-    newton_steps: int = 100
     quad_limit: int = 300
 
 

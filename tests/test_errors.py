@@ -10,20 +10,17 @@ from expldp import (
     DegeneratePosterior,
     NoConvergence,
     OutsideDomain,
-    QuadratureFailure,
     RateUnbounded,
     builtin,
     builtin_model,
     conjugate_constrained,
     cramer_rate,
-    cumulant,
     decay_rate_estimate,
     hessian,
     kl_divergence,
     posterior_mass,
     uniform_prior,
 )
-from expldp.families import QuadraturePolicy
 from expldp.intervals import Interval
 from expldp.models import ModelEvent, event_interval
 
@@ -49,17 +46,6 @@ def test_affine_base_off_domain_is_no_convergence():
     constraint = ConstraintSet.affine((0.0, 0.5), [(1.0, 0.0)])
     with pytest.raises(NoConvergence):
         conjugate_constrained(builtin("gauss-parabola"), constraint, [0.0, 1.0])
-
-
-def test_quadrature_failure_on_unreachable_tolerance():
-    import dataclasses
-
-    strict = dataclasses.replace(
-        builtin("strip-measure"),
-        quad_policy=QuadraturePolicy(rel_tol=1e-20),
-    )
-    with pytest.raises(QuadratureFailure):
-        cumulant(strict, [0.3, 0.5])
 
 
 def test_degenerate_posterior_when_support_off_domain():

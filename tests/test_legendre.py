@@ -183,6 +183,16 @@ class TestGridOracle:
         newton = conjugate_constrained(HW, HW_LINE, [0.3, 0.2])
         assert abs(value - newton.value) <= 1e-4
 
+    def test_stack_of_mean_points_matches_single_calls(self):
+        spec = ((-4.0, 4.0, 201), (-4.0, 4.0, 201))
+        ts = np.array([[0.3, 0.2], [0.1, 0.6], [0.45, 0.45]])
+        values, argmaxes = conjugate_grid_oracle(HW, ConstraintSet.full(), ts, spec)
+        assert values.shape == (3,) and argmaxes.shape == (3, 2)
+        for t, value, argmax in zip(ts, values, argmaxes):
+            single = conjugate_grid_oracle(HW, ConstraintSet.full(), t, spec)
+            assert value == single[0]
+            np.testing.assert_array_equal(argmax, single[1])
+
 
 def test_constrained_continuity_modulus(rng):
     # kappa*_B is Lipschitz on compact interior grids with constant bounded
