@@ -98,7 +98,9 @@ def _newton_max(family, t, theta0, project=None, max_iter=200):
     ``project`` maps reduced coordinates u to theta; None means full space.
     Returns (theta, iterations).  Backtracking halves the step until the
     strictly concave objective increases, which guarantees global
-    convergence from any interior start.  ``t`` must already be a
+    convergence from any interior start, or until the step's predicted
+    gain falls below the rounding floor of the objective; then the flat-step
+    path below takes the full step.  ``t`` must already be a
     validated mean point: the iterates go to the families' trusted
     kernels, and only a non-finite Newton step is checked here.
     """
@@ -133,6 +135,12 @@ def _newton_max(family, t, theta0, project=None, max_iter=200):
             raise NumericsError(
                 f"non-finite Newton step for {family.name} at theta={theta}"
             )
+        # the rounding of theta.t - kappa(theta) scales with |theta|.|t|,
+        # not with the value: near-degenerate means give |theta| ~ 1e8
+        flat = 1e-11 * (1.0 + abs(val) + float(np.abs(theta) @ np.abs(t)))
+        # first-order gain of the unit step; it is positive for a positive
+        # definite Hessian, and otherwise halving runs its full course
+        slope = float(grad @ step)
         scale = 1.0
         improved = False
         for _ in range(70):
@@ -150,15 +158,15 @@ def _newton_max(family, t, theta0, project=None, max_iter=200):
                 improved = True
                 break
             scale *= 0.5
+            if 0.0 < scale * slope < flat:
+                # a shorter step cannot gain more than rounding can hide
+                break
         if not improved:
             # the objective is flat to double precision near the optimum;
-            # full Newton steps still contract the gradient quadratically.
-            # The rounding of theta.t - kappa(theta) scales with |theta|.|t|,
-            # not with the value: near-degenerate means give |theta| ~ 1e8
+            # full Newton steps still contract the gradient quadratically
             u_new = u + step
             theta_new = base + u_new @ dirs if project is not None else u_new
             val_new = families._log_likelihood(family, theta_new, t)
-            flat = 1e-11 * (1.0 + abs(val) + float(np.abs(theta) @ np.abs(t)))
             acceptable = (
                 math.isfinite(val_new)
                 and val_new >= val - flat
@@ -373,6 +381,22 @@ def _maximize_on_curve(family, model, t, intervals, n_starts) -> LegendreResult:
 # ---------------------------------------------------------------------------
 
 
+# grid points per block of the full-domain grid oracle: whole rows of the
+# leading axis, at least one
+GRID_BLOCK_POINTS = 1 << 17
+
+
+def _full_grid_blocks(grid_spec):
+    """The full-domain grid in C order, as (m, dim) blocks of whole rows
+    along the leading axis."""
+    axes = [np.linspace(lo, hi, int(n)) for lo, hi, n in grid_spec]
+    row_points = math.prod(len(ax) for ax in axes[1:])
+    rows = max(1, GRID_BLOCK_POINTS // max(row_points, 1))
+    for i in range(0, len(axes[0]), rows):
+        mesh = np.meshgrid(axes[0][i:i + rows], *axes[1:], indexing="ij")
+        yield np.column_stack([m.ravel() for m in mesh])
+
+
 def conjugate_grid_oracle(family, constraint, t, grid_spec):
     """Exhaustive maximization of l(.; t) on an explicit grid.
 
@@ -380,32 +404,40 @@ def conjugate_grid_oracle(family, constraint, t, grid_spec):
     constraints (reduced coordinate), ``dim`` triples for the full domain.
     Degenerate grids of a single point are allowed.  ``t`` is one mean
     point, giving (value, argmax), or an (m, dim) stack of them, giving
-    arrays of the m values and argmaxes; the grid and its kappa values
-    are built once and shared by the stack.
+    arrays of the m values and argmaxes.  The full-domain grid is walked in
+    blocks of ``GRID_BLOCK_POINTS`` points, each block's kappa values shared
+    by the stack; a later block replaces a running maximum only when it is
+    strictly larger, so ties go to the first grid point in C order.
     """
     stack = np.ndim(t) == 2
     ts = [as_point(row, family.dim, "mean point") for row in (t if stack else [t])]
     if constraint.kind == "full":
-        axes = [np.linspace(lo, hi, int(n)) for lo, hi, n in grid_spec]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        thetas = np.column_stack([m.ravel() for m in mesh])
+        blocks = _full_grid_blocks(grid_spec)
     elif constraint.kind == "affine":
         (lo, hi, n), = grid_spec
         us = np.linspace(lo, hi, int(n))
-        thetas = constraint.base[None, :] + us[:, None] * constraint.directions[0][None, :]
+        blocks = [constraint.base[None, :] + us[:, None] * constraint.directions[0][None, :]]
     elif constraint.kind == "curve":
         (lo, hi, n), = grid_spec
         zs = np.linspace(lo, hi, int(n))
-        thetas = np.array([constraint.model.map(z) for z in zs])
+        blocks = [np.array([constraint.model.map(z) for z in zs])]
     else:
         raise ValueError(constraint.kind)
-    kappas = families.cumulant_many(family, thetas)
-    values, argmaxes = [], []
-    for tt in ts:
-        vals = thetas @ tt - kappas
-        idx = int(np.argmax(vals))
-        values.append(float(vals[idx]))
-        argmaxes.append(thetas[idx])
+    values = np.full(len(ts), -np.inf)
+    argmaxes = None     # set by the first block: a grid that is -inf
+                        # everywhere gives its first point, as argmax does
+    for thetas in blocks:
+        kappas = families.cumulant_many(family, thetas)
+        if argmaxes is None:
+            argmaxes = np.repeat(thetas[:1], len(ts), axis=0)
+        for j, tt in enumerate(ts):
+            vals = thetas @ tt - kappas
+            idx = int(np.argmax(vals))
+            if vals[idx] > values[j]:
+                values[j] = vals[idx]
+                argmaxes[j] = thetas[idx]
+    if argmaxes is None:
+        raise ValueError("the grid has no points")
     if not stack:
-        return values[0], argmaxes[0]
-    return np.array(values), np.array(argmaxes)
+        return float(values[0]), argmaxes[0]
+    return values, argmaxes

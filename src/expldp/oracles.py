@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import TooLarge
 from .families import builtin, mean_map
@@ -59,35 +59,15 @@ class MultinomialTailResult:
     outcomes: int
 
 
-def _count_grid(n: int):
-    sizes = np.arange(n, -1, -1) + 1
-    n1 = np.repeat(np.arange(n + 1), sizes)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    n2 = np.arange(sizes.sum()) - np.repeat(starts, sizes)
-    return n1, n2
-
-
-def multinomial_log_pmf(n: int, n1, n2, probabilities):
-    """Log multinomial pmf via a log-gamma factorial table (exact as
-    floating point up to the enumeration cap, no overflow)."""
-    log_fact = gammaln(np.arange(n + 1, dtype=float) + 1.0)
-    n0 = n - n1 - n2
-    p0, p1, p2 = probabilities
-    return (
-        log_fact[n] - log_fact[n0] - log_fact[n1] - log_fact[n2]
-        + n0 * math.log(p0) + n1 * math.log(p1) + n2 * math.log(p2)
-    )
-
-
-def _mle_coordinates(n: int, n1, n2):
-    """Constrained-MLE coordinate of each empirical mean, via the closed
-    form on integer counts: log(n + n1 - n2) - log(n - n1 + n2).  The two
-    degenerate corners map to -inf/+inf and are treated as members of any
-    unbounded event side they point into."""
-    num = (n + n1 - n2).astype(float)
-    den = (n - n1 + n2).astype(float)
+def _mle_coordinates(n: int):
+    """Constrained-MLE coordinate of each count difference d = n1 - n2 in
+    -n..n, via the closed form log(n + d) - log(n - d): the coordinate
+    depends on the counts through d only.  The two degenerate corners
+    d = +-n map to +inf/-inf and are treated as members of any unbounded
+    event side they point into."""
+    d = np.arange(-n, n + 1, dtype=float)
     with np.errstate(divide="ignore"):
-        return np.log(num) - np.log(den)
+        return np.log(n + d) - np.log(n - d)
 
 
 def _event_mask(event: ModelEvent, values):
@@ -104,35 +84,61 @@ def _event_mask(event: ModelEvent, values):
     return mask
 
 
+def _log_sum_exp(values) -> float:
+    top = float(values.max())
+    shifted = values - top
+    return top + math.log(float(np.exp(shifted, out=shifted).sum()))
+
+
 def multinomial_mle_tail(spec: TrinomialSpec) -> MultinomialTailResult:
     """Exact probability that the constrained-MLE coordinate of an n-sample
-    empirical mean falls in the event, by full enumeration of counts."""
+    empirical mean falls in the event, by full enumeration of counts.
+
+    The log pmf is laid out one row per n0 = m: with r = n - m, the row over
+    n1 = 0..r is a[n1] + b[r - n1] + c[m], where a, b and c carry the
+    factorial and probability terms of n1, n2 and n0, and c also log n!.  Its count
+    differences d = 2 n1 - r step by 2, so the row's event mask is a strided
+    slice of the mask over d."""
     n = int(spec.n)
     if n > ENUMERATION_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    n1, n2 = _count_grid(n)
-    log_pmf = multinomial_log_pmf(n, n1, n2, spec.probabilities)
-    total = float(logsumexp(log_pmf))
+    log_p0, log_p1, log_p2 = (math.log(p) for p in spec.probabilities)
+    k = np.arange(n + 1, dtype=float)
+    log_fact = gammaln(k + 1.0)
+    a = k * log_p1 - log_fact
+    b = k * log_p2 - log_fact
+    c = log_fact[n] + k * log_p0 - log_fact
+    d_mask = _event_mask(spec.event, _mle_coordinates(n))
+    outcomes = (n + 1) * (n + 2) // 2
+    log_pmf = np.empty(outcomes)
+    mask = np.empty(outcomes, dtype=bool)
+    start = 0
+    for m in range(n + 1):
+        r = n - m
+        row = log_pmf[start:start + r + 1]
+        np.add(a[:r + 1], b[r::-1], out=row)
+        row += c[m]
+        mask[start:start + r + 1] = d_mask[n - r:n + r + 1:2]
+        start += r + 1
+    total = _log_sum_exp(log_pmf)
     if abs(total) > 1e-11:
         raise AssertionError(f"enumeration mass check failed: {total!r}")
-    coords = _mle_coordinates(n, n1, n2)
-    mask = _event_mask(spec.event, coords)
     if not mask.any():
-        return MultinomialTailResult(0.0, -math.inf, math.inf, int(n1.size))
-    log_p = float(logsumexp(log_pmf[mask]))
+        return MultinomialTailResult(0.0, -math.inf, math.inf, outcomes)
+    # shifting by the largest term of the event keeps deep tails finite
+    log_p = _log_sum_exp(log_pmf[mask])
     return MultinomialTailResult(
         probability=math.exp(log_p),
         log_probability=log_p,
         rate=-log_p / n,
-        outcomes=int(n1.size),
+        outcomes=outcomes,
     )
 
 
 def enumeration_rates(theta0, event: ModelEvent, schedule):
-    """Tail rates over a sample-size schedule (shares the counting grid
-    logic; one enumeration per n)."""
+    """Tail rates over a sample-size schedule, one exact enumeration per n."""
     rates = []
     for n in schedule:
         spec = TrinomialSpec.from_theta0(int(n), theta0, event)

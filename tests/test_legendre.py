@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from expldp import legendre
+from expldp.families import cumulant_many
 from expldp import (
     ConstraintSet,
     MeanOutsideDomain,
@@ -192,6 +195,62 @@ class TestGridOracle:
             single = conjugate_grid_oracle(HW, ConstraintSet.full(), t, spec)
             assert value == single[0]
             np.testing.assert_array_equal(argmax, single[1])
+
+
+    @staticmethod
+    def _full_grid_max(family, t, spec):
+        # the whole grid at once: value and first maximizer in C order
+        axes = [np.linspace(lo, hi, int(n)) for lo, hi, n in spec]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        thetas = np.column_stack([m.ravel() for m in mesh])
+        vals = thetas @ np.asarray(t, dtype=float) - cumulant_many(family, thetas)
+        i = int(np.argmax(vals))
+        return vals[i], thetas[i], vals, thetas
+
+    @pytest.mark.parametrize("rows, cols, block_rows", [
+        (400, 1000, None),   # the module's own block size
+        (10, 37, 3),
+    ])
+    def test_blocks_match_the_full_grid(self, monkeypatch, rows, cols, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(legendre, "GRID_BLOCK_POINTS", block_rows * cols)
+        per_block = max(1, legendre.GRID_BLOCK_POINTS // cols)
+        assert rows % per_block != 0 and rows > per_block
+        spec = ((-4.0, 4.0, rows), (-3.0, 5.0, cols))
+        ts = np.array([[0.3, 0.2], [0.1, 0.6], [0.45, 0.45], [0.02, 0.01]])
+        values, argmaxes = conjugate_grid_oracle(HW, ConstraintSet.full(), ts, spec)
+        for t, value, argmax in zip(ts, values, argmaxes):
+            want, want_arg, _, _ = self._full_grid_max(HW, t, spec)
+            assert value == want
+            np.testing.assert_array_equal(argmax, want_arg)
+
+    def test_exact_tie_across_a_block_boundary(self, monkeypatch):
+        # kappa of gauss-parabola depends on theta_1 through theta_1^2, so at
+        # t = (0, t2) the rows theta_1 = -0.5 and +0.5 tie exactly; with two
+        # rows per block they fall in different blocks, and the first in C
+        # order wins, as in one argmax over the whole grid
+        spec = ((-1.5, 1.5, 4), (-2.0, -0.5, 7))
+        monkeypatch.setattr(legendre, "GRID_BLOCK_POINTS", 2 * 7)
+        t = np.array([0.0, 0.8])
+        want, want_arg, vals, thetas = self._full_grid_max(GAUSS_PARABOLA, t, spec)
+        tied = np.flatnonzero(vals == want)
+        assert len(tied) == 2 and thetas[tied[0], 0] == -0.5 and thetas[tied[1], 0] == 0.5
+        value, argmax = conjugate_grid_oracle(GAUSS_PARABOLA, ConstraintSet.full(), t, spec)
+        assert value == want
+        np.testing.assert_array_equal(argmax, want_arg)
+
+    def test_hardy_weinberg_grid_memory(self):
+        # the 2001 x 2001 grid of the benchmark; the whole grid as (N, 2)
+        # points with its kappa vector took 183 MB
+        spec = ((-4.0, 4.0, 2001), (-4.0, 4.0, 2001))
+        tracemalloc.start()
+        try:
+            value, _ = conjugate_grid_oracle(HW, ConstraintSet.full(), [0.3, 0.2], spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert value == pytest.approx(conjugate(HW, [0.3, 0.2]).value, abs=1e-4)
 
 
 def test_constrained_continuity_modulus(rng):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
+from scipy.stats import binom
 
 from expldp import TrinomialSpec, builtin_model, curved_line_min_oracle, multinomial_mle_tail
 from expldp.errors import TooLarge
@@ -59,6 +61,99 @@ class TestEnumeration:
             builtin_model("hw-line"), np.zeros(2), 0.5, method="pythagoras"
         )
         assert abs(extrapolated - target) / target < 0.05
+
+
+def _coordinate(n, d):
+    """Constrained-MLE coordinate log(n + d) - log(n - d) of the count
+    difference d = n1 - n2, with the two degenerate corners at -inf/+inf."""
+    num, den = n + d, n - d
+    if den == 0:
+        return math.inf
+    if num == 0:
+        return -math.inf
+    return math.log(num) - math.log(den)
+
+
+# events as an interval union and as a plain predicate on the coordinate;
+# the +-inf corners belong to any unbounded side they point into
+_EVENTS = {
+    "at-least": (event_at_least(0.5), lambda z: z >= 0.5),
+    "half-open": (
+        ModelEvent((Interval(-0.3, 0.4, lo_closed=False),)),
+        lambda z: -0.3 < z <= 0.4,
+    ),
+    "two-sided": (
+        ModelEvent((Interval(-math.inf, -0.7),
+                    Interval(0.2, math.inf, lo_closed=False))),
+        lambda z: z <= -0.7 or z > 0.2,
+    ),
+    "lower-tail-and-window": (
+        ModelEvent((Interval(-math.inf, -1.1, hi_closed=False),
+                    Interval(0.0, 0.3))),
+        lambda z: z < -1.1 or 0.0 <= z <= 0.3,
+    ),
+}
+
+
+class TestEnumerationAgainstIndependentSums:
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 1600, 2000])
+    @pytest.mark.parametrize("name", sorted(_EVENTS))
+    def test_binomial_reference_at_origin(self, n, name):
+        # at theta0 = 0 the outcomes 0, e1, e2 have probabilities 1/2, 1/4,
+        # 1/4, so n1 - n2 = K - n with K ~ Binomial(2n, 1/2)
+        event, member = _EVENTS[name]
+        ks = [k for k in range(2 * n + 1) if member(_coordinate(n, k - n))]
+        want = float(logsumexp(binom.logpmf(ks, 2 * n, 0.5))) if ks else -math.inf
+        got = multinomial_mle_tail(TrinomialSpec.from_theta0(n, [0.0, 0.0], event))
+        if math.isinf(want):
+            assert got.log_probability == want
+        else:
+            # both sums round at the 1e-11 of the enumeration's mass check
+            assert got.log_probability == pytest.approx(want, rel=1e-12, abs=1e-11)
+
+    def test_deep_tail_stays_finite(self):
+        # P(z >= 6) at n = 2000 is about exp(-2710.75): far below the
+        # smallest double, and below what binom.logsf resolves (it returns
+        # -inf here), so the reference sums the log pmf over the k-range
+        n = 2000
+        ks = [k for k in range(2 * n + 1) if _coordinate(n, k - n) >= 6.0]
+        want = float(logsumexp(binom.logpmf(ks, 2 * n, 0.5)))
+        assert want == pytest.approx(-2710.7508528546, rel=1e-12)
+        got = multinomial_mle_tail(
+            TrinomialSpec.from_theta0(n, [0.0, 0.0], event_at_least(6.0)))
+        assert got.probability == 0.0
+        assert got.log_probability == pytest.approx(want, rel=1e-12)
+        assert got.rate == pytest.approx(-want / n, rel=1e-12)
+
+    def test_endpoint_hit_exactly_by_a_count(self):
+        # at n = 2 the counts (n1, n2) = (2, 0) and (1, 0) give n1 - n2 = 2
+        # and 1; the latter has coordinate log 3 - log 1, exactly the
+        # endpoint, so K >= 3 when closed and K = 4 when open
+        closed = event_at_least(math.log(3.0))
+        opened = ModelEvent((Interval(math.log(3.0), math.inf, lo_closed=False),))
+        for event, want in ((closed, 0.3125), (opened, 0.0625)):
+            spec = TrinomialSpec.from_theta0(2, [0.0, 0.0], event)
+            assert multinomial_mle_tail(spec).probability == pytest.approx(
+                want, rel=1e-14)
+
+    @pytest.mark.parametrize("name", ["two-sided", "lower-tail-and-window"])
+    def test_per_outcome_loop(self, rng, name):
+        event, member = _EVENTS[name]
+        for n in range(1, 13):
+            theta0 = rng.uniform(-2.0, 2.0, size=2)
+            spec = TrinomialSpec.from_theta0(n, theta0, event)
+            p0, p1, p2 = spec.probabilities
+            want = 0.0
+            for n1 in range(n + 1):
+                for n2 in range(n + 1 - n1):
+                    n0 = n - n1 - n2
+                    if member(_coordinate(n, n1 - n2)):
+                        ways = math.factorial(n) // (
+                            math.factorial(n0) * math.factorial(n1) * math.factorial(n2))
+                        want += ways * p0 ** n0 * p1 ** n1 * p2 ** n2
+            got = multinomial_mle_tail(spec)
+            assert got.outcomes == (n + 1) * (n + 2) // 2
+            assert got.probability == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 class TestCurvedLineOracle:

@@ -19,6 +19,7 @@ from expldp import (
     pythagorean_residual,
     uniform_prior,
 )
+from expldp import families, legendre
 from expldp.errors import UnsupportedModel
 from expldp.rates import constant_mle_line, constant_mle_stationary_points
 
@@ -172,6 +173,37 @@ class TestContractionRate:
         # the brute grid (about 7 s a coordinate) meets the same means
         rate = contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), 0.468, "brute")
         assert rate == pytest.approx(curved_line_min_oracle(1.0, 0.468)[0], abs=1e-8)
+
+    @pytest.mark.parametrize("coord", [0.468, 1.0, 2.0])
+    def test_newton_line_search_evaluations_per_iteration(self, monkeypatch, coord):
+        # a line search that is flat to rounding must not halve all the way
+        # down before the flat-step path takes the full step.  Each Newton
+        # iteration evaluates one Hessian and then its line search; count
+        # the likelihood evaluations after each Hessian, within _newton_max
+        counts, inside = [], [False]
+        newton, hess, loglik = legendre._newton_max, families._hessian, families._log_likelihood
+
+        def counted_newton(*args, **kwargs):
+            try:
+                return newton(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def counted_hessian(*args):
+            inside[0] = True
+            counts.append(0)
+            return hess(*args)
+
+        def counted_loglik(*args):
+            if inside[0]:
+                counts[-1] += 1
+            return loglik(*args)
+
+        monkeypatch.setattr(legendre, "_newton_max", counted_newton)
+        monkeypatch.setattr(families, "_hessian", counted_hessian)
+        monkeypatch.setattr(families, "_log_likelihood", counted_loglik)
+        contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), coord)
+        assert counts and max(counts) <= 20
 
     def test_quadratic_certificate_root_at_truth(self):
         # tau = theta0/theta = 1 makes z = 1 a root, i.e. x = 1/theta
