@@ -34,6 +34,15 @@ def _parse_vector(text: str, size: int | None = None) -> np.ndarray:
     return arr
 
 
+def _parse_grid(text: str) -> np.ndarray:
+    """'lo,hi,count' as an equispaced grid; the count must be a whole
+    number, at least 0."""
+    lo, hi, count = _parse_vector(text, 3)
+    if count < 0 or not float(count).is_integer():
+        raise click.UsageError(f"grid count must be a whole number >= 0: {text!r}")
+    return np.linspace(lo, hi, int(count))
+
+
 @click.group()
 def main():
     """Rate functions for posteriors and constrained MLEs in curved
@@ -80,11 +89,15 @@ def legendre_cmd(family_name, t_text, constraint_name, as_json):
     """Convex conjugate (optionally constrained) at a mean point."""
     family = builtin(family_name)
     t = _parse_vector(t_text, family.dim)
+    if constraint_name is not None:
+        model = builtin_model(constraint_name)
+        if model.family is not family:
+            raise click.UsageError(f"constraint {constraint_name} is a curve in "
+                                   f"{model.family.name}, not in {family_name}")
     try:
         if constraint_name is None:
             res = legendre.conjugate(family, t)
         else:
-            model = builtin_model(constraint_name)
             res = legendre.conjugate_constrained(
                 family, legendre.ConstraintSet.curve(model), t
             )
@@ -117,12 +130,13 @@ def rate_posterior(model_name, mu0_text, support_text, grid_text, out_path):
     model = builtin_model(model_name)
     mu0 = _parse_vector(mu0_text, model.family.dim)
     lo, hi = _parse_vector(support_text, 2)
-    g_lo, g_hi, g_n = _parse_vector(grid_text, 3)
-    prior = uniform_prior(model, float(lo), float(hi))
+    grid = _parse_grid(grid_text)
     try:
-        table = rates.posterior_rate(
-            prior, mu0, np.linspace(g_lo, g_hi, int(g_n))
-        ).to_table("posterior_rate")
+        prior = uniform_prior(model, float(lo), float(hi))
+    except ValueError as exc:
+        raise click.UsageError(f"support {support_text!r}: {exc}")
+    try:
+        table = rates.posterior_rate(prior, mu0, grid).to_table("posterior_rate")
     except ExpLdpError as exc:
         raise click.UsageError(str(exc))
     _emit_table(table, out_path)
@@ -141,10 +155,10 @@ def rate_posterior(model_name, mu0_text, support_text, grid_text, out_path):
 def rate_mle(model_name, theta0_coord, grid_text, method, out_path):
     model = builtin_model(model_name)
     theta0 = model.map(theta0_coord)
-    g_lo, g_hi, g_n = _parse_vector(grid_text, 3)
+    grid = _parse_grid(grid_text)
     rows = []
     try:
-        for coord in np.linspace(g_lo, g_hi, int(g_n)):
+        for coord in grid:
             rows.append(
                 (float(coord),
                  rates.contraction_rate(model, theta0, float(coord), method))

@@ -3,8 +3,11 @@
 The conjugate kappa*(t) = sup_theta {theta.t - kappa(theta)} is computed by
 damped Newton on the strictly concave log-likelihood; the constrained
 variant kappa*_B restricts the supremum to an affine subspace (Newton in
-affine coordinates) or to a parametrized curve (deterministic multistart
-over the model coordinate followed by a derivative root polish).
+affine coordinates) or to a parametrized curve (a scan of the model
+coordinate whose local maxima are polished by a derivative root).
+
+``scan_maximize``, the package's one 1-D maximizer, also serves the
+posterior peaks in ``models`` and the constant-MLE line minima in ``rates``.
 
 When the supremum over a non-closed constraint set is approached but not
 attained, the result reports the supremum with ``converged=False`` and no
@@ -200,8 +203,8 @@ def conjugate(family, t, max_iter=200) -> LegendreResult:
     )
 
 
-def conjugate_constrained(family, constraint: ConstraintSet, t, max_iter=200,
-                          n_starts=16) -> LegendreResult:
+def conjugate_constrained(family, constraint: ConstraintSet, t,
+                          max_iter=200) -> LegendreResult:
     """kappa*_B(t) = sup over the constraint set of l(.; t)."""
     tt = _require_mean_point(family, t)
     if constraint.kind == "full":
@@ -222,10 +225,56 @@ def conjugate_constrained(family, constraint: ConstraintSet, t, max_iter=200,
             iterations=iters,
         )
     if constraint.kind == "curve":
-        return _maximize_on_curve(
-            family, constraint.model, tt, constraint.intervals, n_starts
-        )
+        return _maximize_on_curve(family, constraint.model, tt, constraint.intervals)
     raise ValueError(f"unknown constraint kind {constraint.kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# scan-then-polish maximization
+# ---------------------------------------------------------------------------
+
+
+def scan_maximize(f, lo, hi, n, df=None):
+    """Polished local maxima of f on [lo, hi] as (x, f(x)) pairs, best first.
+
+    ``f`` takes the n equispaced scan points as one array in one call, and
+    a float in the polish; non-finite values count as -inf.  Every scan
+    point at least as high as both neighbours is polished on its two
+    neighbouring cells: by ``brentq`` on ``df`` when ``df`` is given and
+    its signs bracket a root there, otherwise by bounded Brent on -f.  A
+    scan that is -inf everywhere gives no maxima.
+    """
+    xs = np.linspace(lo, hi, n)
+    vals = np.asarray(f(xs), dtype=float)
+    vals = np.where(np.isfinite(vals), vals, -math.inf)
+    padded = np.concatenate(([-math.inf], vals, [-math.inf]))
+    peaks = np.flatnonzero(
+        (vals > -math.inf) & (vals >= padded[:-2]) & (vals >= padded[2:])
+    )
+    maxima = [_polish(f, df, xs[max(i - 1, 0)], xs[min(i + 1, n - 1)])
+              for i in peaks]
+    return sorted(maxima, key=lambda m: -m[1])
+
+
+def _polish(f, df, a, b):
+    """One local maximum of f inside [a, b]."""
+    if df is not None:
+        try:
+            root = (brentq(df, a, b, xtol=1e-14, rtol=8.9e-16)
+                    if -math.inf < df(b) < 0.0 < df(a) < math.inf else None)
+        except (OutsideDomain, ValueError):
+            root = None
+        if root is not None:
+            return float(root), float(f(root))
+
+    def negated(x):
+        v = f(x)
+        return -v if math.isfinite(v) else 1e300
+
+    res = minimize_scalar(
+        negated, bounds=(a, b), method="bounded", options={"xatol": 1e-12},
+    )
+    return float(res.x), (-float(res.fun) if res.fun < 1e300 else -math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +282,27 @@ def conjugate_constrained(family, constraint: ConstraintSet, t, max_iter=200,
 # ---------------------------------------------------------------------------
 
 
-def _curve_loglik(family, model, t):
+# scan points per coordinate window of a curve conjugate
+CURVE_SCAN = 16
+
+
+def curve_loglik(family, model, t):
+    """z -> l(eta(z); t) for a coordinate or an array of them, with one
+    ``cumulant_many`` call on the stacked images."""
+
     def l_of(z):
-        return log_likelihood(family, model.map(float(z)), t)
+        zs = np.asarray(z, dtype=float)
+        thetas = np.asarray(model.map(zs.ravel()), dtype=float).T
+        kappas = families.cumulant_many(family, thetas)
+        if np.isnan(kappas).any():
+            raise NumericsError(f"cumulant NaN on {model.name}")
+        vals = thetas @ t - kappas
+        return float(vals[0]) if zs.ndim == 0 else vals.reshape(zs.shape)
 
-    def dl_of(z):
-        theta = model.map(float(z))
-        grad = t - mean_map(family, theta)
-        return float(model.jacobian(float(z)) @ grad)
-
-    return l_of, dl_of
+    return l_of
 
 
-def _bounded_window(family, model, t, iv: Interval, l_of, n_starts):
+def _bounded_window(iv: Interval, l_of):
     """Finite scan window for one coordinate interval, expanding
     geometrically for unbounded intervals until the maximum brackets."""
     if iv.bounded:
@@ -259,18 +316,15 @@ def _bounded_window(family, model, t, iv: Interval, l_of, n_starts):
     for _ in range(64):
         lo = max(iv.lo, center - span)
         hi = min(iv.hi, center + span)
-        zs = np.linspace(lo, hi, n_starts)
-        vals = np.array([l_of(z) for z in zs])
+        vals = l_of(np.linspace(lo, hi, CURVE_SCAN))
         if np.all(np.isneginf(vals)):
             span *= 2.0
             continue
+        # the window brackets the maximum unless its best point is a window
+        # edge that can still move outwards
         best = int(np.nanargmax(vals))
-        interior_best = 0 < best < len(zs) - 1
-        lo_is_edge = not math.isfinite(iv.lo) or lo > iv.lo
-        hi_is_edge = not math.isfinite(iv.hi) or hi < iv.hi
-        if interior_best or (best == 0 and not lo_is_edge) or (
-            best == len(zs) - 1 and not hi_is_edge
-        ):
+        if not ((best == 0 and lo > iv.lo)
+                or (best == CURVE_SCAN - 1 and hi < iv.hi)):
             return lo, hi
         span *= 2.0
     raise NoConvergence(
@@ -285,58 +339,37 @@ class _Candidate:
     attained: bool
 
 
-def _refine_local_max(l_of, dl_of, a, b, z0):
-    """Polish one interior local maximum inside (a, b)."""
-    try:
-        da, db = dl_of(a), dl_of(b)
-        if math.isfinite(da) and math.isfinite(db) and da > 0.0 > db:
-            z = brentq(dl_of, a, b, xtol=1e-14, rtol=8.9e-16)
-            return float(z)
-    except (OutsideDomain, ValueError):
-        pass
-    res = minimize_scalar(
-        lambda z: -l_of(z), bounds=(a, b), method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return float(res.x)
+def _maximize_on_curve(family, model, t, intervals) -> LegendreResult:
+    l_of = curve_loglik(family, model, t)
 
+    def dl_of(z):
+        theta = model.map(float(z))
+        grad = t - mean_map(family, theta)
+        return float(model.jacobian(float(z)) @ grad)
 
-def _maximize_on_curve(family, model, t, intervals, n_starts) -> LegendreResult:
-    l_of, dl_of = _curve_loglik(family, model, t)
     candidates: list[_Candidate] = []
     iterations = 0
     for iv in intervals:
         if iv.degenerate:
             candidates.append(_Candidate(iv.lo, l_of(iv.lo), True))
             continue
-        lo, hi = _bounded_window(family, model, t, iv, l_of, n_starts)
-        span = hi - lo
+        lo, hi = _bounded_window(iv, l_of)
         inset = 1e-12 * max(1.0, abs(lo), abs(hi))
-        zs = np.linspace(lo + inset, hi - inset, n_starts)
-        vals = np.array([l_of(z) for z in zs])
-        finite = np.isfinite(vals)
-        for i in range(len(zs)):
-            if not finite[i]:
-                continue
-            left = vals[i - 1] if i > 0 else -math.inf
-            right = vals[i + 1] if i < len(zs) - 1 else -math.inf
-            if vals[i] >= left and vals[i] >= right:
-                a = zs[i - 1] if i > 0 else lo + inset
-                b = zs[i + 1] if i < len(zs) - 1 else hi - inset
-                z_star = _refine_local_max(l_of, dl_of, a, b, zs[i])
-                # only genuinely stationary points count as interior
-                # maximizers; a refinement clamped against a window edge is
-                # just a monotone approach to an endpoint, which the
-                # endpoint candidates below handle
-                try:
-                    stationary = abs(dl_of(z_star)) <= 1e-6 * (
-                        1.0 + float(np.max(np.abs(t)))
-                    )
-                except OutsideDomain:
-                    stationary = False
-                if stationary:
-                    candidates.append(_Candidate(z_star, l_of(z_star), True))
-                iterations += 1
+        maxima = scan_maximize(l_of, lo + inset, hi - inset, CURVE_SCAN, dl_of)
+        iterations += len(maxima)
+        for z_star, value in maxima:
+            # only genuinely stationary points count as interior
+            # maximizers; a polish clamped against a window edge is just a
+            # monotone approach to an endpoint, which the endpoint
+            # candidates below handle
+            try:
+                stationary = abs(dl_of(z_star)) <= 1e-6 * (
+                    1.0 + float(np.max(np.abs(t)))
+                )
+            except OutsideDomain:
+                stationary = False
+            if stationary:
+                candidates.append(_Candidate(z_star, value, True))
         # endpoint candidates: closed endpoints are evaluated exactly (the
         # natural image may be a listed boundary point with finite kappa);
         # open endpoints contribute only a supremum estimate from inside

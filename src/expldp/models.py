@@ -19,17 +19,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import legendre
-from .errors import DegeneratePosterior, NumericsError, RateUnbounded
-from .families import (
-    GeneratingFamily,
-    as_point,
-    builtin,
-    cumulant,
-    cumulant_many,
-)
+from .errors import DegeneratePosterior, RateUnbounded
+from .families import GeneratingFamily, as_point, builtin, cumulant
 from .intervals import Interval, complement, intersect_unions, normalize_union
 from .quadrature import log_integral_peaked, logsumexp_pair
 
@@ -66,34 +59,17 @@ class ModelEvent:
 
     @staticmethod
     def from_json(obj: dict) -> "ModelEvent":
-        ivs = []
-        for lo, hi in obj["intervals"]:
-            ivs.append(Interval(_parse_endpoint(lo), _parse_endpoint(hi)))
-        return ModelEvent(tuple(ivs))
+        # float() reads the "inf" and "-inf" that to_json writes
+        return ModelEvent(tuple(
+            Interval(float(lo), float(hi)) for lo, hi in obj["intervals"]
+        ))
 
     def to_json(self) -> dict:
-        return {
-            "intervals": [
-                [_emit_endpoint(iv.lo), _emit_endpoint(iv.hi)]
-                for iv in self.intervals
-            ]
-        }
-
-
-def _parse_endpoint(v):
-    if v == "inf":
-        return INF
-    if v == "-inf":
-        return -INF
-    return float(v)
-
-
-def _emit_endpoint(v):
-    if v == INF:
-        return "inf"
-    if v == -INF:
-        return "-inf"
-    return v
+        # JSON has no infinity: unbounded ends are written "inf" / "-inf"
+        return {"intervals": [
+            [v if math.isfinite(v) else str(v) for v in (iv.lo, iv.hi)]
+            for iv in self.intervals
+        ]}
 
 
 def event_at_least(z0: float) -> ModelEvent:
@@ -327,47 +303,14 @@ def uniform_prior(model: CurvedModel, lo: float, hi: float) -> Prior:
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_loglik(prior: Prior, xbar):
-    """z -> l(eta(z); xbar) for a coordinate or an array of them, with one
-    ``cumulant_many`` call on the stacked images."""
-    model = prior.model
-
-    def l_of(z):
-        zs = np.asarray(z, dtype=float)
-        thetas = np.asarray(model.map(zs.ravel()), dtype=float).T
-        kappas = cumulant_many(model.family, thetas)
-        if np.isnan(kappas).any():
-            raise NumericsError(f"cumulant NaN on {model.name}")
-        vals = thetas @ xbar - kappas
-        return float(vals[0]) if zs.ndim == 0 else vals.reshape(zs.shape)
-
-    return l_of
-
-
-def _piece_peak(l_of, a, b, n_scan=33):
-    inset = 1e-12 * max(1.0, abs(a), abs(b))
-    zs = np.linspace(a + inset, b - inset, n_scan)
-    vals = l_of(zs)
-    if not np.any(np.isfinite(vals)):
-        return None
-    i = int(np.nanargmax(np.where(np.isfinite(vals), vals, -INF)))
-    lo = zs[max(i - 1, 0)]
-    hi = zs[min(i + 1, n_scan - 1)]
-
-    def negated(z):
-        v = l_of(z)
-        return -v if math.isfinite(v) else 1e300
-
-    res = minimize_scalar(
-        negated, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12},
-    )
-    return float(res.x) if math.isfinite(res.fun) else float(zs[i])
+# scan points per integration piece when locating the integrand's peak
+PEAK_SCAN = 33
 
 
 def _log_weighted_integral(prior: Prior, xbar, n: int, pieces) -> float:
     """log ∫ exp(n l(eta(z); xbar)) p(z) dz over a union of bounded
     intervals, with per-piece max subtraction."""
-    l_of = _coordinate_loglik(prior, xbar)
+    l_of = legendre.curve_loglik(prior.model.family, prior.model, xbar)
 
     def logf(z):
         lz = l_of(z)
@@ -379,9 +322,11 @@ def _log_weighted_integral(prior: Prior, xbar, n: int, pieces) -> float:
         if iv.degenerate:
             continue
         a, b = iv.lo, iv.hi
-        peak = _piece_peak(l_of, a, b)
-        if peak is None:
+        inset = 1e-12 * max(1.0, abs(a), abs(b))
+        maxima = legendre.scan_maximize(l_of, a + inset, b - inset, PEAK_SCAN)
+        if not maxima:
             continue
+        peak = maxima[0][0]
         h = 1e-5 * max(1.0, b - a)
         l_p, l_right, l_left = l_of(np.array([peak, peak + h, peak - h]))
         curv = abs(l_right + l_left - 2.0 * l_p) / (h * h)
@@ -480,19 +425,13 @@ class LimitingMle:
     legendre: legendre.LegendreResult
 
 
-def _continuity_sequence(family, model, z_point, z_inner, n_points=8):
-    """kappa along a geometric coordinate sequence approaching z_point."""
-    seq = []
-    for j in range(1, n_points + 1):
-        z = z_point + (z_inner - z_point) * 2.0 ** (-j)
-        seq.append(float(cumulant(family, model.map(z))))
-    return seq
-
-
 def _continuity_check(family, model, z_point, z_inner):
+    """kappa at z_point against kappa along the geometric coordinate
+    sequence z_point + (z_inner - z_point) 2^-j, j = 1..8."""
     theta = model.map(z_point)
     kappa_pt = float(cumulant(family, theta))
-    seq = _continuity_sequence(family, model, z_point, z_inner)
+    zs = [z_point + (z_inner - z_point) * 2.0 ** -j for j in range(1, 9)]
+    seq = [float(cumulant(family, model.map(z))) for z in zs]
     gap = abs(seq[-1] - kappa_pt)
     is_cont = math.isfinite(kappa_pt) and gap <= 0.05 * max(1.0, abs(kappa_pt))
     return {

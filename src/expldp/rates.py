@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import legendre, models
 from .errors import OutsideDomain, RateFormMismatch, UnsupportedModel
@@ -105,8 +104,8 @@ def posterior_rate(prior: models.Prior, mu0, grid) -> RateTable:
             both_inf = math.isinf(direct) and math.isinf(excess)
             if not both_inf and abs(direct - excess) > 1e-10:
                 raise RateFormMismatch(
-                    f"rate-form mismatch at z={z}: direct {direct!r} vs "
-                    f"excess-of-divergence {excess!r}"
+                    f"rate-form mismatch at z={z}: direct {float(direct)!r} vs "
+                    f"excess-of-divergence {float(excess)!r}"
                 )
     metadata = {
         "kind": "posterior",
@@ -205,57 +204,29 @@ def constant_mle_stationary_points(model, theta0, coord):
     return tuple(x for x in line.stationary_roots(theta0, coord) if lo < x < hi)
 
 
-def _iota_on_line(family, theta0, line, coord):
-    def iota(x):
-        t = line.point(float(x), coord)
-        return cramer_rate(family, theta0, t)
-
-    return iota
+# scan points on a constant-MLE line: line-minimize, and the brute check
+LINE_SCAN = 24
+BRUTE_SCAN = 4001
 
 
-def _line_minimum(family, theta0, line, coord, n_starts=24):
+def _line_minimum(family, theta0, line, coord, n):
+    """Least sample-mean rate over the polished n-point scan of the line
+    and its stationary-root certificate points."""
     lo, hi = line.window(coord)
     inset = 1e-9 * (hi - lo)
     lo, hi = lo + inset, hi - inset
-    iota = _iota_on_line(family, theta0, line, coord)
-    xs = np.linspace(lo, hi, n_starts)
-    vals = np.array([iota(x) for x in xs])
-    best_val = INF
-    best_x = xs[int(np.argmin(vals))]
-    order = np.argsort(vals)
-    for i in order[:3]:
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, n_starts - 1)]
-        res = minimize_scalar(
-            iota, bounds=(a, b), method="bounded", options={"xatol": 1e-12}
-        )
-        if res.fun < best_val:
-            best_val, best_x = float(res.fun), float(res.x)
+
+    def rate(x):
+        return cramer_rate(family, theta0, line.point(float(x), coord))
+
+    def neg_rate(x):
+        return -np.array([rate(v) for v in x]) if np.ndim(x) else -rate(x)
+
+    values = [-v for _, v in legendre.scan_maximize(neg_rate, lo, hi, n)]
     if line.stationary_roots is not None:
-        for x in line.stationary_roots(theta0, coord):
-            if lo < x < hi:
-                v = iota(x)
-                if v < best_val:
-                    best_val, best_x = float(v), float(x)
-    return best_val, best_x
-
-
-def _brute_minimum(family, theta0, line, coord, n_grid=4001, rounds=10):
-    lo, hi = line.window(coord)
-    inset = 1e-9 * (hi - lo)
-    lo, hi = lo + inset, hi - inset
-    iota = _iota_on_line(family, theta0, line, coord)
-    xs = np.linspace(lo, hi, n_grid)
-    vals = np.array([iota(x) for x in xs])
-    for _ in range(rounds):
-        i = int(np.argmin(vals))
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, n_grid - 1)]
-        xs = np.linspace(a, b, 33)
-        vals = np.array([iota(x) for x in xs])
-        n_grid = 33
-    i = int(np.argmin(vals))
-    return float(vals[i]), float(xs[i])
+        values += [rate(x) for x in line.stationary_roots(theta0, coord)
+                   if lo < x < hi]
+    return min(values)
 
 
 def contraction_rate(model: models.CurvedModel, theta0, coord,
@@ -266,7 +237,9 @@ def contraction_rate(model: models.CurvedModel, theta0, coord,
     Affine models admit the Pythagorean shortcut D(P_eta(coord) || P_theta0)
     (a uniquely defined MLE makes the constant-MLE fibers orthogonal);
     curved models minimize the sample-mean rate over the registered
-    constant-MLE line.
+    constant-MLE line: ``"line-minimize"`` scans it at 24 points and
+    polishes every local minimum, and ``"brute"`` is the same scan and
+    polish on 4001 points.
     """
     family = model.family
     th0 = as_point(theta0, family.dim, "theta0")
@@ -277,11 +250,8 @@ def contraction_rate(model: models.CurvedModel, theta0, coord,
         if method == "pythagoras" or model.name not in _MLE_LINES:
             return direct
     line = constant_mle_line(model)
-    if method == "brute":
-        value, _ = _brute_minimum(family, th0, line, float(coord))
-    else:
-        value, _ = _line_minimum(family, th0, line, float(coord))
-    return value
+    n = BRUTE_SCAN if method == "brute" else LINE_SCAN
+    return _line_minimum(family, th0, line, float(coord), n)
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,92 @@ class TestConstrainedCurve:
         assert 0.9 < res.coordinate <= 1.0
 
 
+class TestScanMaximize:
+    def test_evaluates_each_point_once(self, monkeypatch):
+        results = []
+        original = legendre.minimize_scalar
+
+        def recording(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(legendre, "minimize_scalar", recording)
+        calls = []
+
+        def l_of(z):
+            # closed-form hw-line log-likelihood at (0.3, 0.2); the scan
+            # passes all its points as one array, the polish scalars
+            calls.append(np.size(z) if np.ndim(z) else 0)
+            zs = np.asarray(z, dtype=float)
+            vals = 0.1 * zs - (
+                np.logaddexp(np.logaddexp(math.log(2.0), zs), -zs) - math.log(4.0)
+            )
+            return float(vals) if np.ndim(z) == 0 else vals
+
+        (peak, value), = legendre.scan_maximize(l_of, -3.0, 3.0, 33)
+        assert peak == pytest.approx(LOG_11_9, abs=1e-6)
+        assert len(results) == 1
+        assert calls.count(33) == 1
+        assert calls.count(0) == results[0].nfev
+        assert len(calls) == 1 + results[0].nfev
+        assert value == l_of(peak)
+
+    def test_two_basins_polished_best_first(self):
+        # -(x^2 - 1)^2 + 0.1 x has local maxima near -1 and +1; the tilt
+        # makes the one near +1 higher
+        def f(x):
+            return -(x * x - 1.0) ** 2 + 0.1 * x
+
+        def df(x):
+            return -4.0 * x * (x * x - 1.0) + 0.1
+
+        maxima = legendre.scan_maximize(f, -2.0, 2.0, 33)
+        assert len(maxima) == 2
+        (x_hi, v_hi), (x_lo, v_lo) = maxima
+        assert 0.9 < x_hi < 1.1 and -1.1 < x_lo < -0.9
+        assert v_hi > v_lo
+        assert abs(df(x_hi)) < 1e-6 and abs(df(x_lo)) < 1e-6
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan])
+    def test_scan_that_is_minus_inf_everywhere_gives_nothing(self, bad):
+        maxima = legendre.scan_maximize(lambda x: np.full_like(x, bad), 0.0, 1.0, 16)
+        assert maxima == []
+
+    def test_bracketing_derivative_polishes_with_brentq(self, monkeypatch):
+        roots = []
+        original = legendre.brentq
+
+        def recording(*args, **kwargs):
+            roots.append(original(*args, **kwargs))
+            return roots[-1]
+
+        def no_brent(*args, **kwargs):
+            raise AssertionError("bounded Brent ran although df brackets a root")
+
+        monkeypatch.setattr(legendre, "brentq", recording)
+        monkeypatch.setattr(legendre, "minimize_scalar", no_brent)
+        (x, value), = legendre.scan_maximize(
+            lambda x: -(x - 0.3) ** 2, -1.0, 1.0, 16, df=lambda x: -2.0 * (x - 0.3)
+        )
+        assert roots == [x]
+        assert x == pytest.approx(0.3, abs=1e-14)
+        assert value == -((x - 0.3) ** 2)
+
+    def test_edge_maximum_falls_back_to_brent(self, monkeypatch):
+        # the maximum sits at the window's edge, so df does not change sign
+        # on the last cell and the polish is bounded Brent, which stops
+        # short of the edge by its relative tolerance
+        def no_brentq(*args, **kwargs):
+            raise AssertionError("brentq ran without a sign change")
+
+        monkeypatch.setattr(legendre, "brentq", no_brentq)
+        (x, value), = legendre.scan_maximize(
+            lambda x: x, 0.0, 1.0, 16, df=lambda x: 1.0
+        )
+        assert x == pytest.approx(1.0, abs=1e-7)
+        assert value == x
+
+
 class TestGridOracle:
     def test_degenerate_single_point(self):
         from expldp import log_likelihood

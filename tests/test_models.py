@@ -319,28 +319,3 @@ class TestStudyDescriptor:
                     "schedule": [64],
                 }
             )
-
-
-def test_piece_peak_evaluates_each_point_once(monkeypatch):
-    results = []
-    original = models.minimize_scalar
-
-    def recording(*args, **kwargs):
-        results.append(original(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(models, "minimize_scalar", recording)
-    calls = []
-
-    def l_of(z):
-        # the scan passes all its points as one array, the polish scalars
-        calls.append(np.size(z) if np.ndim(z) else 0)
-        vals = hw_l(np.asarray(z, dtype=float))
-        return float(vals) if np.ndim(z) == 0 else vals
-
-    peak = models._piece_peak(l_of, -3.0, 3.0, n_scan=33)
-    assert peak == pytest.approx(LOG_11_9, abs=1e-6)
-    assert len(results) == 1
-    assert calls.count(33) == 1
-    assert calls.count(0) == results[0].nfev
-    assert len(calls) == 1 + results[0].nfev

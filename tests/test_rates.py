@@ -19,7 +19,7 @@ from expldp import (
     pythagorean_residual,
     uniform_prior,
 )
-from expldp import families, legendre
+from expldp import families, legendre, rates
 from expldp.errors import UnsupportedModel
 from expldp.rates import constant_mle_line, constant_mle_stationary_points
 
@@ -170,9 +170,25 @@ class TestContractionRate:
         assert rate == pytest.approx(exact, abs=1e-8)
 
     def test_near_degenerate_line_points_converge_brute(self):
-        # the brute grid (about 7 s a coordinate) meets the same means
+        # the brute grid (about 2 s a coordinate) meets the same means
         rate = contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), 0.468, "brute")
         assert rate == pytest.approx(curved_line_min_oracle(1.0, 0.468)[0], abs=1e-8)
+
+    @pytest.mark.parametrize("coord", [0.468, 1.0, 2.0])
+    def test_cramer_rate_calls_per_coordinate(self, monkeypatch, coord):
+        # one 24-point scan, one polish of the single basin and the
+        # certificate roots; polishing the three lowest scan points, which
+        # are neighbours in one basin, took 77 calls
+        calls = []
+        original = rates.cramer_rate
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(rates, "cramer_rate", counted)
+        contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), coord)
+        assert len(calls) <= 40
 
     @pytest.mark.parametrize("coord", [0.468, 1.0, 2.0])
     def test_newton_line_search_evaluations_per_iteration(self, monkeypatch, coord):

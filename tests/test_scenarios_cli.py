@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +223,18 @@ class TestCli:
          "--support", "1", "--grid", "-1,1,5"],
         ["rate", "posterior", "--model", "hw-line", "--mu0", "0.3",
          "--support", "-3,3", "--grid", "-1,1,5"],
-    ], ids=["nan-mean-point", "one-value-support", "wrong-dimension-mu0"])
+        ["rate", "posterior", "--model", "gauss-mean-eq-sd", "--mu0", "1,2",
+         "--support", "-1,2", "--grid", "0.5,1,3"],
+        ["rate", "posterior", "--model", "gauss-mean-eq-sd", "--mu0", "1,2",
+         "--support", "2,1", "--grid", "0.5,1,3"],
+        ["rate", "mle", "--model", "gauss-mean-eq-sd", "--theta0-coord", "1",
+         "--grid", "0.5,1,-3"],
+        ["rate", "mle", "--model", "gauss-mean-eq-sd", "--theta0-coord", "1",
+         "--grid", "0.5,1,inf"],
+        ["legendre", "--family", "poisson", "--t", "2", "--constraint", "hw-line"],
+    ], ids=["nan-mean-point", "one-value-support", "wrong-dimension-mu0",
+            "support-outside-coordinates", "empty-support", "negative-grid-count",
+            "infinite-grid-count", "constraint-of-another-family"])
     def test_malformed_vector_is_usage_error(self, args):
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
@@ -269,6 +281,12 @@ class TestCli:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "rate-form mismatch" in result.output
+        # both values print as plain floats, not numpy reprs
+        assert "np.float64" not in result.output
+        assert re.search(
+            r"direct -?[0-9.e-]+ vs excess-of-divergence -?[0-9.e-]+\n",
+            result.output,
+        )
 
     def test_rate_mle(self):
         result = CliRunner().invoke(
