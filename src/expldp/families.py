@@ -1,14 +1,15 @@
 """Generating measures and their cumulant machinery.
 
-A family is a generating measure lambda on R^d together with evaluators
-for its cumulant generating function kappa(theta) = log ∫ exp(theta.x) dλ,
-the mean map ∇kappa, the Hessian, and domain predicates.  Two payload
-kinds are supported: finite discrete measures (stabilized log-sum-exp)
-and closed-form analytic families, each with a scalar kernel and an array
-``cumulant_many``.  The strip measure's closed form goes through the
-Faddeeva function w; its mean map and Hessian come from moments of the
-tilted density, which need only w, or, far from the origin, from the
-asymptotic series of w' and w''.
+A family is a generating measure lambda on R^d together with its domain
+and a payload of three kernels: ``cumulant(th)`` for kappa(theta) =
+log ∫ exp(theta.x) dλ, ``cumulant_many(arr)`` for kappa over the rows of
+an (m, d) array, and ``moments(th)``, which returns the mean map ∇kappa
+and the Hessian Hess kappa together.  Finite discrete measures
+(``DiscretePayload``, a max-shifted log-sum-exp over the atoms) and
+closed-form families (``AnalyticPayload``) follow the same protocol.  The
+strip measure's closed form goes through the Faddeeva function w; its
+moments come from the tilted density, which needs only w, or, far from
+the origin, from the asymptotic series of w' and w''.
 
 Natural points and mean points are plain float vectors; ``as_point``
 enforces finiteness and dimension at the API boundary.
@@ -24,12 +25,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp, wofz
+from scipy.special import wofz
 
 from .errors import NumericsError, OutsideDomain
-
-DISCRETE = "discrete"
-ANALYTIC = "analytic"
 
 INF = float("inf")
 
@@ -58,7 +56,6 @@ class DomainSpec:
     mean_domain: Callable[[np.ndarray], bool]
     initial_point: np.ndarray
     boundary_points: tuple = ()
-    description: str = ""
 
     def is_boundary(self, theta) -> bool:
         return any(np.array_equal(theta, b) for b in self.boundary_points)
@@ -88,22 +85,39 @@ class DiscretePayload:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "log_weights", np.log(weights))
 
+    def cumulant(self, th):
+        return float(self.cumulant_many(th[None, :])[0])
+
+    def cumulant_many(self, arr):
+        logits = arr @ self.atoms.T + self.log_weights
+        # a row whose largest logit overflowed to +inf is left unshifted, so
+        # its kappa is +inf rather than inf - inf
+        top = logits.max(axis=1, keepdims=True)
+        top = np.where(np.isfinite(top), top, 0.0)
+        return (top + np.log(np.exp(logits - top).sum(axis=1, keepdims=True)))[:, 0]
+
+    def moments(self, th):
+        logits = self.atoms @ th + self.log_weights
+        w = np.exp(logits - logits.max())
+        w /= w.sum()
+        mean = self.atoms.T @ w
+        centered = self.atoms - mean
+        return mean, (centered * w[:, None]).T @ centered
+
 
 @dataclass(frozen=True)
 class AnalyticPayload:
     cumulant: Callable[[np.ndarray], float]      # total: +inf off the domain
-    grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
+    moments: Callable[[np.ndarray], tuple]       # interior th -> (∇kappa, Hess kappa)
     cumulant_many: Callable[[np.ndarray], np.ndarray]    # rows (m, d) -> (m,)
 
 
 @dataclass(frozen=True)
 class GeneratingFamily:
     name: str
-    kind: str
     dim: int
     domain: DomainSpec
-    payload: object
+    payload: DiscretePayload | AnalyticPayload
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +132,6 @@ def cumulant(family: GeneratingFamily, theta) -> float:
 
 def _cumulant(family, th) -> float:
     # the kernels behind the public functions take a trusted float vector
-    if family.kind == DISCRETE:
-        p = family.payload
-        return float(logsumexp(p.atoms @ th + p.log_weights))
     val = float(family.payload.cumulant(th))
     if math.isnan(val):
         raise NumericsError(f"cumulant NaN at theta={th}")
@@ -133,47 +144,25 @@ def cumulant_many(family: GeneratingFamily, thetas) -> np.ndarray:
     arr = np.asarray(thetas, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if family.kind == DISCRETE:
-        p = family.payload
-        return logsumexp(arr @ p.atoms.T + p.log_weights[None, :], axis=1)
     return np.asarray(family.payload.cumulant_many(arr), dtype=float)
+
+
+def _moments(family, th):
+    """(∇kappa, Hess kappa) at a trusted interior natural point."""
+    if not family.domain.interior(th):
+        raise OutsideDomain(f"theta={th} is not interior for {family.name}")
+    return family.payload.moments(th)
 
 
 def mean_map(family: GeneratingFamily, theta) -> np.ndarray:
     """∇kappa(theta) = mean of the tilted law P_theta."""
-    return _mean_map(family, as_point(theta, family.dim, "natural point"))
-
-
-def _mean_map(family, th) -> np.ndarray:
-    if family.kind != DISCRETE and not family.domain.interior(th):
-        raise OutsideDomain(f"theta={th} is not interior for {family.name}")
-    if family.kind == DISCRETE:
-        p = family.payload
-        logits = p.atoms @ th + p.log_weights
-        w = np.exp(logits - logits.max())
-        w /= w.sum()
-        return p.atoms.T @ w
-    return np.asarray(family.payload.grad(th), dtype=float)
+    return _moments(family, as_point(theta, family.dim, "natural point"))[0]
 
 
 def hessian(family: GeneratingFamily, theta) -> np.ndarray:
     """Hess kappa(theta): the covariance of P_theta, symmetric PD on the
     interior."""
-    return _hessian(family, as_point(theta, family.dim, "natural point"))
-
-
-def _hessian(family, th) -> np.ndarray:
-    if family.kind != DISCRETE and not family.domain.interior(th):
-        raise OutsideDomain(f"theta={th} is not interior for {family.name}")
-    if family.kind == DISCRETE:
-        p = family.payload
-        logits = p.atoms @ th + p.log_weights
-        w = np.exp(logits - logits.max())
-        w /= w.sum()
-        mu = p.atoms.T @ w
-        centered = p.atoms - mu
-        return (centered * w[:, None]).T @ centered
-    return np.asarray(family.payload.hess(th), dtype=float)
+    return _moments(family, as_point(theta, family.dim, "natural point"))[1]
 
 
 def log_likelihood(family: GeneratingFamily, theta, t) -> float:
@@ -189,11 +178,6 @@ def _log_likelihood(family, th, tt) -> float:
     if k == INF:
         return -INF
     return float(th @ tt) - k
-
-
-def in_mean_domain(family: GeneratingFamily, t) -> bool:
-    tt = as_point(t, family.dim, "mean point")
-    return bool(family.domain.mean_domain(tt))
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +201,12 @@ def _hw_cumulant(th):
     return _hw_lse(th) - _LOG4
 
 
-def _hw_probs(th):
-    return np.exp(np.array([th[0], th[1]]) - _hw_lse(th))
+def _hw_moments(th):
+    prob = np.exp(np.array([th[0], th[1]]) - _hw_lse(th))
+    return prob, np.diag(prob) - np.outer(prob, prob)
 
 
 def _make_hardy_weinberg():
-    def grad(th):
-        return _hw_probs(th)
-
-    def hess(th):
-        prob = _hw_probs(th)
-        return np.diag(prob) - np.outer(prob, prob)
-
     def many(arr):
         return np.logaddexp(np.logaddexp(_LOG2, arr[:, 0]), arr[:, 1]) - _LOG4
 
@@ -236,14 +214,12 @@ def _make_hardy_weinberg():
         interior=lambda th: True,
         mean_domain=lambda t: t[0] > 0.0 and t[1] > 0.0 and t[0] + t[1] < 1.0,
         initial_point=np.zeros(2),
-        description="three-outcome simplex family, atoms 0, e1, e2",
     )
     return GeneratingFamily(
         name="hardy-weinberg-saturated",
-        kind=ANALYTIC,
         dim=2,
         domain=domain,
-        payload=AnalyticPayload(_hw_cumulant, grad, hess, many),
+        payload=AnalyticPayload(_hw_cumulant, _hw_moments, many),
     )
 
 
@@ -260,18 +236,15 @@ def _make_gauss_parabola():
             + t1 * t1 / (2.0 * t2)
         )
 
-    def grad(th):
+    def moments(th):
         t1, t2 = th
-        return np.array(
+        mean = np.array(
             [-t1 / (2.0 * t2), t1 * t1 / (4.0 * t2 * t2) - 1.0 / (2.0 * t2)]
         )
-
-    def hess(th):
-        t1, t2 = th
         h11 = -1.0 / (2.0 * t2)
         h12 = t1 / (2.0 * t2 * t2)
         h22 = -t1 * t1 / (2.0 * t2 ** 3) + 1.0 / (2.0 * t2 * t2)
-        return np.array([[h11, h12], [h12, h22]])
+        return mean, np.array([[h11, h12], [h12, h22]])
 
     def many(arr):
         t1, t2 = arr[:, 0], arr[:, 1]
@@ -287,15 +260,18 @@ def _make_gauss_parabola():
         interior=lambda th: th[1] < 0.0,
         mean_domain=lambda t: t[1] > t[0] * t[0],
         initial_point=np.array([0.0, -1.0]),
-        description="Gaussian family on the parabola (x, x^2)",
     )
     return GeneratingFamily(
         name="gauss-parabola",
-        kind=ANALYTIC,
         dim=2,
         domain=domain,
-        payload=AnalyticPayload(cml, grad, hess, many),
+        payload=AnalyticPayload(cml, moments, many),
     )
+
+
+def _poisson_moments(th):
+    rate = math.exp(th[0])
+    return np.array([rate]), np.array([[rate]])
 
 
 def _make_poisson():
@@ -303,17 +279,14 @@ def _make_poisson():
         interior=lambda th: True,
         mean_domain=lambda t: t[0] > 0.0,
         initial_point=np.zeros(1),
-        description="Poisson(1) family",
     )
     return GeneratingFamily(
         name="poisson",
-        kind=ANALYTIC,
         dim=1,
         domain=domain,
         payload=AnalyticPayload(
             cumulant=lambda th: float(np.expm1(th[0])),
-            grad=lambda th: np.array([math.exp(th[0])]),
-            hess=lambda th: np.array([[math.exp(th[0])]]),
+            moments=_poisson_moments,
             cumulant_many=lambda arr: np.expm1(arr[:, 0]),
         ),
     )
@@ -324,17 +297,14 @@ def _make_gauss_mean():
         interior=lambda th: True,
         mean_domain=lambda t: True,
         initial_point=np.zeros(1),
-        description="standard Gaussian location family",
     )
     return GeneratingFamily(
         name="gauss-mean",
-        kind=ANALYTIC,
         dim=1,
         domain=domain,
         payload=AnalyticPayload(
             cumulant=lambda th: 0.5 * th[0] * th[0],
-            grad=lambda th: th.copy(),
-            hess=lambda th: np.ones((1, 1)),
+            moments=lambda th: (th.copy(), np.ones((1, 1))),
             cumulant_many=lambda arr: 0.5 * arr[:, 0] ** 2,
         ),
     )
@@ -349,13 +319,16 @@ def _landau_dual_cumulant(th):
     return mu * math.log(mu) - mu + 1.0
 
 
+def _landau_dual_moments(th):
+    return np.array([math.log(th[0])]), np.array([[1.0 / th[0]]])
+
+
 def _make_landau_dual():
     domain = DomainSpec(
         interior=lambda th: th[0] > 0.0,
         mean_domain=lambda t: True,
         initial_point=np.ones(1),
         boundary_points=(np.zeros(1),),
-        description="dual of the Poisson family (shifted negated Landau law)",
     )
 
     def many(arr):
@@ -368,13 +341,11 @@ def _make_landau_dual():
 
     return GeneratingFamily(
         name="landau-dual",
-        kind=ANALYTIC,
         dim=1,
         domain=domain,
         payload=AnalyticPayload(
             cumulant=_landau_dual_cumulant,
-            grad=lambda th: np.array([math.log(th[0])]),
-            hess=lambda th: np.array([[1.0 / th[0]]]),
+            moments=_landau_dual_moments,
             cumulant_many=many,
         ),
     )
@@ -456,10 +427,10 @@ def _strip_cumulant_many(arr):
     return out
 
 
-def _strip_derivatives(th, order):
-    """∇kappa (``order`` 1) or Hess kappa (``order`` 2) at an interior
-    point of the strip, from moments of the tilt
-    exp(t1 x - a x^2) / (1 + x^2): ∇kappa = (E[x], 2 t2 E[1 + x^2])."""
+def _strip_moments(th):
+    """∇kappa and Hess kappa at an interior point of the strip, from
+    moments of the tilt exp(t1 x - a x^2) / (1 + x^2):
+    ∇kappa = (E[x], 2 t2 E[1 + x^2])."""
     t1, t2 = th
     a, root, zeta = _strip_zeta(t1, t2)
     w = wofz(zeta)
@@ -469,8 +440,6 @@ def _strip_derivatives(th, order):
     # recurrence w' = -2 zeta w + 2i/sqrt(pi) in closed form
     mean = -w.imag / re_w
     e_quad = 1.0 / (_SQRT_PI * root * re_w)
-    if order == 1:
-        return np.array([mean, 2.0 * t2 * e_quad])
     gauss_mean = t1 / (2.0 * a)
     if abs(zeta) < _FAR:
         var_x = e_quad - 1.0 - mean * mean
@@ -493,7 +462,10 @@ def _strip_derivatives(th, order):
             t1 * t1 / (2.0 * a ** 3) + (d2 * za * za + d1 * zaa).real / re_w - ra * ra
         )
     h12 = 2.0 * t2 * cov_x_x2
-    return np.array([[var_x, h12], [h12, 2.0 * e_quad + 4.0 * t2 * t2 * var_x2]])
+    return (
+        np.array([mean, 2.0 * t2 * e_quad]),
+        np.array([[var_x, h12], [h12, 2.0 * e_quad + 4.0 * t2 * t2 * var_x2]]),
+    )
 
 
 def _make_strip_measure():
@@ -503,17 +475,14 @@ def _make_strip_measure():
         mean_domain=lambda t: True,
         initial_point=np.zeros(2),
         boundary_points=boundary,
-        description="strip essential domain with two finite boundary points",
     )
     return GeneratingFamily(
         name="strip-measure",
-        kind=ANALYTIC,
         dim=2,
         domain=domain,
         payload=AnalyticPayload(
             cumulant=_strip_cumulant,
-            grad=lambda th: _strip_derivatives(th, 1),
-            hess=lambda th: _strip_derivatives(th, 2),
+            moments=_strip_moments,
             cumulant_many=_strip_cumulant_many,
         ),
     )
@@ -569,11 +538,8 @@ def discrete_family(atoms, weights, name="discrete") -> GeneratingFamily:
         interior=lambda th: True,
         mean_domain=mean_dom,
         initial_point=np.zeros(d),
-        description=f"finite discrete measure with {payload.atoms.shape[0]} atoms",
     )
-    return GeneratingFamily(
-        name=name, kind=DISCRETE, dim=d, domain=domain, payload=payload
-    )
+    return GeneratingFamily(name=name, dim=d, domain=domain, payload=payload)
 
 
 def family_from_descriptor(obj: dict) -> GeneratingFamily:
@@ -583,21 +549,22 @@ def family_from_descriptor(obj: dict) -> GeneratingFamily:
       {"kind": "builtin", "name": "hardy-weinberg-saturated"}
       {"kind": "discrete", "atoms": [{"x": [...], "w": ...}, ...]}
     """
-    kind = obj.get("kind")
-    if kind == "builtin":
-        return builtin(obj["name"])
-    if kind == "discrete":
-        atoms = [entry["x"] for entry in obj["atoms"]]
-        weights = [entry["w"] for entry in obj["atoms"]]
-        return discrete_family(atoms, weights)
-    raise ValueError(f"unknown family descriptor kind {kind!r}")
+    match obj.get("kind"):
+        case "builtin":
+            return builtin(obj["name"])
+        case "discrete":
+            atoms = [entry["x"] for entry in obj["atoms"]]
+            weights = [entry["w"] for entry in obj["atoms"]]
+            return discrete_family(atoms, weights)
+        case kind:
+            raise ValueError(f"unknown family descriptor kind {kind!r}")
 
 
 def family_descriptor(family: GeneratingFamily) -> dict:
     """JSON descriptor for a family (inverse of ``family_from_descriptor``)."""
     if family.name in _BUILTIN_FACTORIES:
         return {"kind": "builtin", "name": family.name}
-    if family.kind == DISCRETE:
+    if isinstance(family.payload, DiscretePayload):
         p = family.payload
         return {
             "kind": "discrete",

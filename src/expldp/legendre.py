@@ -33,6 +33,8 @@ from .intervals import Interval
 GRAD_TOL = 1e-12
 VALUE_TIE_TOL = 1e-10
 COORD_TIE_TOL = 1e-6
+# Newton iterations before a conjugate gives up with NoConvergence
+MAX_NEWTON_ITER = 200
 
 
 @dataclass
@@ -95,7 +97,7 @@ def _require_mean_point(family, t):
     return tt
 
 
-def _newton_max(family, t, theta0, project=None, max_iter=200):
+def _newton_max(family, t, theta0, project=None):
     """Damped Newton ascent of l(.; t), optionally in affine coordinates.
 
     ``project`` maps reduced coordinates u to theta; None means full space.
@@ -123,12 +125,11 @@ def _newton_max(family, t, theta0, project=None, max_iter=200):
             f"initial point theta={theta} is outside the domain of {family.name}"
         )
     flat_budget = 6
-    for it in range(1, max_iter + 1):
-        grad_full = t - families._mean_map(family, theta)
-        grad = dirs @ grad_full
+    for it in range(1, MAX_NEWTON_ITER + 1):
+        mean, hess_full = families._moments(family, theta)
+        grad = dirs @ (t - mean)
         if np.max(np.abs(grad)) <= GRAD_TOL:
             return theta, it - 1
-        hess_full = families._hessian(family, theta)
         hess = dirs @ hess_full @ dirs.T
         try:
             step = np.linalg.solve(hess, grad)
@@ -184,16 +185,16 @@ def _newton_max(family, t, theta0, project=None, max_iter=200):
                 f"{np.max(np.abs(grad)):.3e}"
             )
     raise NoConvergence(
-        f"Newton did not reach gradient tolerance in {max_iter} iterations "
+        f"Newton did not reach gradient tolerance in {MAX_NEWTON_ITER} iterations "
         f"for {family.name} at t={t}"
     )
 
 
-def conjugate(family, t, max_iter=200) -> LegendreResult:
+def conjugate(family, t) -> LegendreResult:
     """kappa*(t) with its maximizer (the saturated-model MLE for data mean t)."""
     tt = _require_mean_point(family, t)
     theta0 = family.domain.initial_point
-    theta, iters = _newton_max(family, tt, theta0, project=None, max_iter=max_iter)
+    theta, iters = _newton_max(family, tt, theta0, project=None)
     return LegendreResult(
         t=tt,
         value=log_likelihood(family, theta, tt),
@@ -203,19 +204,17 @@ def conjugate(family, t, max_iter=200) -> LegendreResult:
     )
 
 
-def conjugate_constrained(family, constraint: ConstraintSet, t,
-                          max_iter=200) -> LegendreResult:
+def conjugate_constrained(family, constraint: ConstraintSet, t) -> LegendreResult:
     """kappa*_B(t) = sup over the constraint set of l(.; t)."""
     tt = _require_mean_point(family, t)
     if constraint.kind == "full":
-        return conjugate(family, tt, max_iter=max_iter)
+        return conjugate(family, tt)
     if constraint.kind == "affine":
         base = constraint.base
         if not math.isfinite(cumulant(family, base)):
             raise NoConvergence("affine base point lies outside the domain")
         theta, iters = _newton_max(
-            family, tt, None, project=(base, constraint.directions),
-            max_iter=max_iter,
+            family, tt, None, project=(base, constraint.directions)
         )
         return LegendreResult(
             t=tt,

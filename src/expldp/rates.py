@@ -92,9 +92,7 @@ def posterior_rate(prior: models.Prior, mu0, grid) -> RateTable:
     mu = as_point(mu0, family.dim, "limit mean")
     mle = models.limiting_mle(prior, mu)
     grid = np.asarray(grid, dtype=float)
-    values = np.empty(grid.size)
-    for i, z in enumerate(grid):
-        values[i] = mle.value - log_likelihood(family, prior.model.map(float(z)), mu)
+    values = mle.value - legendre.curve_loglik(family, prior.model, mu)(grid)
     theta0 = legendre.conjugate(family, mu).argmax
     if mle.theta_nu is not None:
         d_nu = kl_divergence(family, theta0, mle.theta_nu)
@@ -234,10 +232,11 @@ def contraction_rate(model: models.CurvedModel, theta0, coord,
     """Rate for the constrained MLE at the model coordinate ``coord`` under
     sampling from P_theta0.
 
-    Affine models admit the Pythagorean shortcut D(P_eta(coord) || P_theta0)
-    (a uniquely defined MLE makes the constant-MLE fibers orthogonal);
-    curved models minimize the sample-mean rate over the registered
-    constant-MLE line: ``"line-minimize"`` scans it at 24 points and
+    ``"pythagoras"`` is the shortcut D(P_eta(coord) || P_theta0), exact
+    for affine models (a uniquely defined MLE makes the constant-MLE fibers
+    orthogonal) and the only method for an affine model with no registered
+    line.  The other methods minimize the sample-mean rate over the
+    registered constant-MLE line: ``"line-minimize"`` scans it at 24 points and
     polishes every local minimum, and ``"brute"`` is the same scan and
     polish on 4001 points.
     """
@@ -245,10 +244,9 @@ def contraction_rate(model: models.CurvedModel, theta0, coord,
     th0 = as_point(theta0, family.dim, "theta0")
     if method not in ("pythagoras", "line-minimize", "brute"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "pythagoras" or model.kind == "affine":
-        direct = kl_divergence(family, model.map(float(coord)), th0)
-        if method == "pythagoras" or model.name not in _MLE_LINES:
-            return direct
+    if method == "pythagoras" or (model.kind == "affine"
+                                  and model.name not in _MLE_LINES):
+        return kl_divergence(family, model.map(float(coord)), th0)
     line = constant_mle_line(model)
     n = BRUTE_SCAN if method == "brute" else LINE_SCAN
     return _line_minimum(family, th0, line, float(coord), n)

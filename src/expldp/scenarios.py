@@ -58,8 +58,8 @@ def _build_hardy_weinberg():
 
     event = event_at_least(0.5)
     decay = decay_rate_estimate(prior, mu0, event, HW_SCHEDULE)
-    mle = limiting_mle(prior, mu0)
-    target = mle.value - log_likelihood(family, model.map(0.5), mu0)
+    target = (table_rate.metadata["constrained_max_value"]
+              - log_likelihood(family, model.map(0.5), mu0))
     table_decay = Table(
         name="decay_rates",
         columns=("n", "rate"),

@@ -240,10 +240,19 @@ class TestDiscreteFamilies:
                 mean_map(fam, theta), mean_map(HW, theta), atol=1e-13
             )
 
-    def test_large_theta_no_overflow(self):
+    @pytest.mark.parametrize("theta", [
+        [700.0, -700.0], [-700.0, 700.0], [800.0, 799.0], [-750.0, -750.0],
+    ])
+    def test_large_theta_no_overflow(self, theta):
         fam = hw_discrete()
-        val = cumulant(fam, [700.0, -700.0])
-        assert math.isfinite(val)
+        assert math.isfinite(cumulant(fam, theta))
+        mean = mean_map(fam, theta)
+        hess = hessian(fam, theta)
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(hess))
+        # the closed triangle spanned by the atoms 0, e1, e2
+        assert mean.min() >= 0.0 and mean.sum() <= 1.0 + 1e-15
+        np.testing.assert_allclose(hess, hess.T, atol=1e-15)
+        assert np.linalg.eigvalsh(hess).min() >= -1e-15
 
     def test_degenerate_atoms_rejected(self):
         with pytest.raises(ValueError, match="affine submanifold"):
@@ -312,15 +321,32 @@ class TestDomainSpec:
                 assert math.isfinite(cumulant(fam, theta))
 
 
-def test_cumulant_many_agrees_with_scalar(rng):
-    for name in ("hardy-weinberg-saturated", "poisson", "gauss-parabola"):
-        fam = builtin(name)
-        thetas = rng.uniform(-2.0, 2.0, size=(20, fam.dim))
-        if name == "gauss-parabola":
-            thetas[:, 1] = -np.abs(thetas[:, 1]) - 0.1
-        many = cumulant_many(fam, thetas)
-        scalar = [cumulant(fam, row) for row in thetas]
-        np.testing.assert_allclose(many, scalar, atol=1e-13)
+# large natural points, and, where the essential domain is a proper subset,
+# points on its boundary and outside it (kappa = +inf there)
+EDGE_POINTS = {
+    "hardy-weinberg-saturated": [[700.0, -700.0], [-750.0, 30.0]],
+    "poisson": [[40.0], [-700.0]],
+    "gauss-mean": [[1e150], [-3e5]],
+    "gauss-parabola": [[0.0, 0.0], [1.0, 0.0], [0.5, 2.0], [3.0, -1e-300]],
+    "landau-dual": [[0.0], [-1e-300], [-2.0], [1e300]],
+    "strip-measure": [[0.0, 1.0], [0.0, -1.0], [0.3, 1.0], [0.0, 1.5],
+                      [2.0, -1.0 + 1e-16]],
+    "discrete": [[700.0, -700.0], [-750.0, -750.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_POINTS))
+def test_cumulant_many_agrees_with_scalar(rng, name):
+    fam = hw_discrete() if name == "discrete" else builtin(name)
+    thetas = np.vstack([rng.uniform(-2.0, 2.0, size=(20, fam.dim)),
+                        EDGE_POINTS[name]])
+    many = cumulant_many(fam, thetas)
+    scalar = np.array([cumulant(fam, row) for row in thetas])
+    assert np.array_equal(np.isinf(many), np.isinf(scalar))
+    assert np.isinf(many).any() == (name in ("gauss-parabola", "landau-dual",
+                                             "strip-measure"))
+    finite = np.isfinite(scalar)
+    np.testing.assert_allclose(many[finite], scalar[finite], rtol=1e-14, atol=1e-13)
 
 
 def test_strip_cumulant_many_agrees_with_scalar(rng):

@@ -142,6 +142,22 @@ class TestContractionRate:
                 HW_LINE_MODEL, theta0, float(z), "line-minimize"
             ) == pytest.approx(direct, abs=1e-8)
 
+    @pytest.mark.parametrize("method", ["line-minimize", "brute"])
+    def test_registered_affine_line_skips_kl(self, monkeypatch, method):
+        # hw-line is affine with a registered constant-MLE line, so the
+        # line minimum is returned and no divergence is needed; a short
+        # brute scan takes the same path as the full one
+        calls = []
+        monkeypatch.setattr(rates, "BRUTE_SCAN", 49)
+
+        def counted_kl(*args):
+            calls.append(args)
+            return kl_divergence(*args)
+
+        monkeypatch.setattr(rates, "kl_divergence", counted_kl)
+        contraction_rate(HW_LINE_MODEL, np.zeros(2), 0.5, method)
+        assert not calls
+
     def test_curved_model_strictly_below_kl(self):
         theta0 = GAUSS_MODEL.map(1.0)
         for coord in (0.5, 1.5, 2.0, 3.0):
@@ -194,10 +210,11 @@ class TestContractionRate:
     def test_newton_line_search_evaluations_per_iteration(self, monkeypatch, coord):
         # a line search that is flat to rounding must not halve all the way
         # down before the flat-step path takes the full step.  Each Newton
-        # iteration evaluates one Hessian and then its line search; count
-        # the likelihood evaluations after each Hessian, within _newton_max
+        # iteration evaluates one mean map and Hessian and then its line
+        # search; count the likelihood evaluations after each of those
+        # moment calls, within _newton_max
         counts, inside = [], [False]
-        newton, hess, loglik = legendre._newton_max, families._hessian, families._log_likelihood
+        newton, moments, loglik = legendre._newton_max, families._moments, families._log_likelihood
 
         def counted_newton(*args, **kwargs):
             try:
@@ -205,10 +222,10 @@ class TestContractionRate:
             finally:
                 inside[0] = False
 
-        def counted_hessian(*args):
+        def counted_moments(*args):
             inside[0] = True
             counts.append(0)
-            return hess(*args)
+            return moments(*args)
 
         def counted_loglik(*args):
             if inside[0]:
@@ -216,7 +233,7 @@ class TestContractionRate:
             return loglik(*args)
 
         monkeypatch.setattr(legendre, "_newton_max", counted_newton)
-        monkeypatch.setattr(families, "_hessian", counted_hessian)
+        monkeypatch.setattr(families, "_moments", counted_moments)
         monkeypatch.setattr(families, "_log_likelihood", counted_loglik)
         contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), coord)
         assert counts and max(counts) <= 20

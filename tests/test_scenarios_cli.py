@@ -263,16 +263,19 @@ class TestCli:
         assert len(lines) == 12
 
     def test_rate_form_mismatch_is_usage_error(self, monkeypatch):
-        from expldp import rates
+        import dataclasses
 
-        original = rates.log_likelihood
+        from expldp import models
 
-        def shifted(family, theta, t):
-            # moves the direct rate by 1e-6 and leaves the
-            # excess-of-divergence form alone
-            return original(family, theta, t) - 1e-6
+        original = models.limiting_mle
 
-        monkeypatch.setattr(rates, "log_likelihood", shifted)
+        def shifted(prior, mu0):
+            # moves the constrained maximum, and with it the direct rate,
+            # by 1e-6 and leaves the excess-of-divergence form alone
+            mle = original(prior, mu0)
+            return dataclasses.replace(mle, value=mle.value + 1e-6)
+
+        monkeypatch.setattr(models, "limiting_mle", shifted)
         result = CliRunner().invoke(
             main,
             ["rate", "posterior", "--model", "hw-line", "--mu0", "0.3,0.2",
