@@ -89,12 +89,34 @@ class DiscretePayload:
         return float(self.cumulant_many(th[None, :])[0])
 
     def cumulant_many(self, arr):
-        logits = arr @ self.atoms.T + self.log_weights
+        finite = np.isfinite(arr).all(axis=1)
+        if finite.all():
+            logits = arr @ self.atoms.T + self.log_weights
+        else:
+            logits = self._limit_logits(arr, finite) + self.log_weights
         # a row whose largest logit overflowed to +inf is left unshifted, so
         # its kappa is +inf rather than inf - inf
         top = logits.max(axis=1, keepdims=True)
         top = np.where(np.isfinite(top), top, 0.0)
         return (top + np.log(np.exp(logits - top).sum(axis=1, keepdims=True)))[:, 0]
+
+    def _limit_logits(self, arr, finite):
+        """Row-by-atom logits, taken as limits on the rows that are not
+        ``finite``: an atom with 0 in an infinite coordinate does not see
+        it (0 * inf is 0).  Finite rows keep the matmul."""
+        logits = np.empty((arr.shape[0], self.atoms.shape[0]))
+        logits[finite] = arr[finite] @ self.atoms.T
+        rows = arr[~finite, None, :]
+        with np.errstate(invalid="ignore"):
+            terms = rows * self.atoms
+            terms[np.isinf(rows) & (self.atoms == 0.0)] = 0.0
+            logits[~finite] = terms.sum(axis=2)
+        if np.isnan(logits).any():
+            raise NumericsError(
+                "cumulant has no limit: a row is NaN or an atom's logit is "
+                "inf - inf"
+            )
+        return logits
 
     def moments(self, th):
         logits = self.atoms @ th + self.log_weights

@@ -128,6 +128,4 @@ def complement(intervals) -> tuple:
         cursor_closed = not iv.hi_closed
     if cursor < INF:
         out.append(Interval(cursor, INF, cursor_closed, False))
-    elif cursor == INF and cursor_closed:
-        pass
     return tuple(out)

@@ -2,9 +2,10 @@
 
 The conjugate kappa*(t) = sup_theta {theta.t - kappa(theta)} is computed by
 damped Newton on the strictly concave log-likelihood; the constrained
-variant kappa*_B restricts the supremum to an affine subspace (Newton in
-affine coordinates) or to a parametrized curve (a scan of the model
-coordinate whose local maxima are polished by a derivative root).
+variant kappa*_B restricts the supremum to an affine subspace (the same
+Newton, with its steps reduced onto the subspace) or to a parametrized
+curve (a scan of the model coordinate whose local maxima are polished by a
+derivative root).
 
 ``scan_maximize``, the package's one 1-D maximizer, also serves the
 posterior peaks in ``models`` and the constant-MLE line minima in ``rates``.
@@ -97,28 +98,22 @@ def _require_mean_point(family, t):
     return tt
 
 
-def _newton_max(family, t, theta0, project=None):
-    """Damped Newton ascent of l(.; t), optionally in affine coordinates.
+def _newton_max(family, t, theta0, dirs):
+    """Damped Newton ascent of l(.; t) over theta0 + span(dirs).
 
-    ``project`` maps reduced coordinates u to theta; None means full space.
-    Returns (theta, iterations).  Backtracking halves the step until the
-    strictly concave objective increases, which guarantees global
-    convergence from any interior start, or until the step's predicted
-    gain falls below the rounding floor of the objective; then the flat-step
-    path below takes the full step.  ``t`` must already be a
-    validated mean point: the iterates go to the families' trusted
-    kernels, and only a non-finite Newton step is checked here.
+    ``dirs`` is a (k, d) array of independent directions; the identity
+    gives the full domain.  Every iterate stays in theta0 + span(dirs):
+    the gradient and Hessian are reduced onto the directions, and the
+    reduced step moves theta along ``step @ dirs``.  Returns (theta,
+    iterations).  Backtracking halves the step until the strictly concave
+    objective increases, which guarantees global convergence from any
+    interior start, or until the step's predicted gain falls below the
+    rounding floor of the objective; then the flat-step path below takes
+    the full step.  ``t`` must already be a validated mean point: the
+    iterates go to the families' trusted kernels, and only a non-finite
+    Newton step is checked here.
     """
-    if project is None:
-        dirs = np.eye(family.dim)
-        base = np.zeros(family.dim)
-    else:
-        base, dirs = project
-    u = np.zeros(dirs.shape[0]) if project is not None else np.array(theta0, float)
-    if project is not None:
-        theta = base + u @ dirs
-    else:
-        theta = u
+    theta = np.array(theta0, dtype=float)
     val = families._log_likelihood(family, theta, t)
     if not math.isfinite(val):
         raise NoConvergence(
@@ -145,11 +140,11 @@ def _newton_max(family, t, theta0, project=None):
         # first-order gain of the unit step; it is positive for a positive
         # definite Hessian, and otherwise halving runs its full course
         slope = float(grad @ step)
+        direction = step @ dirs
         scale = 1.0
         improved = False
         for _ in range(70):
-            u_new = u + scale * step
-            theta_new = base + u_new @ dirs if project is not None else u_new
+            theta_new = theta + scale * direction
             val_new = families._log_likelihood(family, theta_new, t)
             # kappa can be finite at listed boundary points where the
             # gradient is not defined; iterates must stay interior
@@ -158,7 +153,7 @@ def _newton_max(family, t, theta0, project=None):
                 and val_new > val
                 and family.domain.interior(theta_new)
             ):
-                u, theta, val = u_new, theta_new, val_new
+                theta, val = theta_new, val_new
                 improved = True
                 break
             scale *= 0.5
@@ -168,8 +163,7 @@ def _newton_max(family, t, theta0, project=None):
         if not improved:
             # the objective is flat to double precision near the optimum;
             # full Newton steps still contract the gradient quadratically
-            u_new = u + step
-            theta_new = base + u_new @ dirs if project is not None else u_new
+            theta_new = theta + direction
             val_new = families._log_likelihood(family, theta_new, t)
             acceptable = (
                 math.isfinite(val_new)
@@ -178,7 +172,7 @@ def _newton_max(family, t, theta0, project=None):
             )
             if acceptable and flat_budget > 0:
                 flat_budget -= 1
-                u, theta, val = u_new, theta_new, val_new
+                theta, val = theta_new, val_new
                 continue
             raise NoConvergence(
                 f"line search stalled for {family.name} at t={t}, ||grad||="
@@ -190,17 +184,22 @@ def _newton_max(family, t, theta0, project=None):
     )
 
 
-def conjugate(family, t) -> LegendreResult:
-    """kappa*(t) with its maximizer (the saturated-model MLE for data mean t)."""
-    tt = _require_mean_point(family, t)
-    theta0 = family.domain.initial_point
-    theta, iters = _newton_max(family, tt, theta0, project=None)
+def _newton_result(family, t, theta0, dirs) -> LegendreResult:
+    theta, iters = _newton_max(family, t, theta0, dirs)
     return LegendreResult(
-        t=tt,
-        value=log_likelihood(family, theta, tt),
+        t=t,
+        value=log_likelihood(family, theta, t),
         argmax=theta,
         converged=True,
         iterations=iters,
+    )
+
+
+def conjugate(family, t) -> LegendreResult:
+    """kappa*(t) with its maximizer (the saturated-model MLE for data mean t)."""
+    tt = _require_mean_point(family, t)
+    return _newton_result(
+        family, tt, family.domain.initial_point, np.eye(family.dim)
     )
 
 
@@ -213,16 +212,7 @@ def conjugate_constrained(family, constraint: ConstraintSet, t) -> LegendreResul
         base = constraint.base
         if not math.isfinite(cumulant(family, base)):
             raise NoConvergence("affine base point lies outside the domain")
-        theta, iters = _newton_max(
-            family, tt, None, project=(base, constraint.directions)
-        )
-        return LegendreResult(
-            t=tt,
-            value=log_likelihood(family, theta, tt),
-            argmax=theta,
-            converged=True,
-            iterations=iters,
-        )
+        return _newton_result(family, tt, base, constraint.directions)
     if constraint.kind == "curve":
         return _maximize_on_curve(family, constraint.model, tt, constraint.intervals)
     raise ValueError(f"unknown constraint kind {constraint.kind!r}")
@@ -432,8 +422,9 @@ def _full_grid_blocks(grid_spec):
 def conjugate_grid_oracle(family, constraint, t, grid_spec):
     """Exhaustive maximization of l(.; t) on an explicit grid.
 
-    grid_spec: per-axis (lo, hi, count) triples; one triple for affine/curve
-    constraints (reduced coordinate), ``dim`` triples for the full domain.
+    grid_spec: per-axis (lo, hi, count) triples; one triple for an affine
+    constraint (reduced coordinate), ``dim`` triples for the full domain;
+    other constraint kinds raise ValueError.
     Degenerate grids of a single point are allowed.  ``t`` is one mean
     point, giving (value, argmax), or an (m, dim) stack of them, giving
     arrays of the m values and argmaxes.  The full-domain grid is walked in
@@ -449,10 +440,6 @@ def conjugate_grid_oracle(family, constraint, t, grid_spec):
         (lo, hi, n), = grid_spec
         us = np.linspace(lo, hi, int(n))
         blocks = [constraint.base[None, :] + us[:, None] * constraint.directions[0][None, :]]
-    elif constraint.kind == "curve":
-        (lo, hi, n), = grid_spec
-        zs = np.linspace(lo, hi, int(n))
-        blocks = [np.array([constraint.model.map(z) for z in zs])]
     else:
         raise ValueError(constraint.kind)
     values = np.full(len(ts), -np.inf)

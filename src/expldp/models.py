@@ -2,20 +2,20 @@
 computation for deterministic data sequences.
 
 A model is a map eta from a 1-D coordinate set M into the natural-parameter
-domain of a generating family.  Priors live on the model coordinate
-(uniform by default; only the topological support matters for the limit
-theory).  Posterior masses are computed in the log domain by globally
-adaptive Gauss-Kronrod quadrature over the model coordinate, with the
-peak value subtracted inside the exponent, which keeps the n=4096 spike
-and the exponentially small tails representable.  Each quadrature round
-evaluates n l(eta(z); xbar) + log p(z) at all of its nodes with one
-``cumulant_many`` call on the stacked images eta(z).
+domain of a generating family.  A prior on the model coordinate is given by
+its topological support, the only part of it the limit theory sees; the
+posterior masses weight the support uniformly.  They are computed in the
+log domain by globally adaptive Gauss-Kronrod quadrature over the model
+coordinate, with the peak value subtracted inside the exponent, which
+keeps the n=4096 spike and the exponentially small tails representable.
+Each quadrature round evaluates n l(eta(z); xbar) at all of its nodes
+with one ``cumulant_many`` call on the stacked images eta(z).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -24,7 +24,7 @@ from . import legendre
 from .errors import DegeneratePosterior, RateUnbounded
 from .families import GeneratingFamily, as_point, builtin, cumulant
 from .intervals import Interval, complement, intersect_unions, normalize_union
-from .quadrature import log_integral_peaked, logsumexp_pair
+from .quadrature import log_integral_peaked
 
 INF = float("inf")
 
@@ -242,16 +242,16 @@ def gauss_mean_eq_sd_mle_coordinate(t) -> float:
 
 @dataclass(frozen=True)
 class Prior:
-    """Atomless prior on model coordinates with closed topological support.
+    """Atomless prior on model coordinates, given by its closed, bounded
+    topological support of positive length.
 
-    Only the support enters the limit theory; the default density is
-    uniform over the support (reproducible and positive on its interior).
-    ``density`` takes a coordinate or an array of coordinates.
+    The prior has no density: the posterior rates depend on the prior only
+    through its support, and posterior masses weight the support uniformly,
+    since a constant density cancels from every Bayes ratio.
     """
 
     model: CurvedModel
     support: tuple                       # closed, bounded Intervals
-    density: Callable[[float], float] = field(default=None)
 
     def __post_init__(self):
         ivs = normalize_union(
@@ -270,28 +270,9 @@ class Prior:
                     f"support interval [{iv.lo}, {iv.hi}] is not contained in "
                     f"the closure of the model coordinate set"
                 )
+        if sum(iv.length for iv in ivs) <= 0.0:
+            raise ValueError("prior support has zero length")
         object.__setattr__(self, "support", ivs)
-        if self.density is None:
-            total = sum(iv.length for iv in ivs)
-            if total <= 0.0:
-                raise ValueError("prior support has zero length")
-            const = 1.0 / total
-
-            def uniform(z, _ivs=ivs, _c=const):
-                zs = np.asarray(z, dtype=float)
-                inside = np.zeros(zs.shape, dtype=bool)
-                for iv in _ivs:
-                    inside |= (iv.lo <= zs) & (zs <= iv.hi)
-                out = np.where(inside, _c, 0.0)
-                return float(out) if out.ndim == 0 else out
-
-            object.__setattr__(self, "density", uniform)
-
-    def log_density(self, z):
-        p = np.asarray(self.density(z), dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.where(p > 0.0, np.log(p), -INF)
-        return float(out) if out.ndim == 0 else out
 
 
 def uniform_prior(model: CurvedModel, lo: float, hi: float) -> Prior:
@@ -308,14 +289,12 @@ PEAK_SCAN = 33
 
 
 def _log_weighted_integral(prior: Prior, xbar, n: int, pieces) -> float:
-    """log ∫ exp(n l(eta(z); xbar)) p(z) dz over a union of bounded
-    intervals, with per-piece max subtraction."""
+    """log ∫ exp(n l(eta(z); xbar)) dz over a union of bounded intervals
+    inside the prior support, with per-piece max subtraction."""
     l_of = legendre.curve_loglik(prior.model.family, prior.model, xbar)
 
     def logf(z):
-        lz = l_of(z)
-        lp = prior.log_density(z)
-        return np.where(np.isfinite(lz) & (lp > -INF), n * lz + lp, -INF)
+        return n * l_of(z)
 
     total = -INF
     for iv in pieces:
@@ -332,7 +311,7 @@ def _log_weighted_integral(prior: Prior, xbar, n: int, pieces) -> float:
         curv = abs(l_right + l_left - 2.0 * l_p) / (h * h)
         width = 1.0 / math.sqrt(max(n * curv, (2.0 / (b - a)) ** 2))
         piece_log = log_integral_peaked(logf, a, b, peak, width)
-        total = logsumexp_pair(total, piece_log)
+        total = float(np.logaddexp(total, piece_log))
     return total
 
 
@@ -417,8 +396,8 @@ def decay_rate_estimate(
 
 @dataclass
 class LimitingMle:
-    theta_nu: np.ndarray | None
-    coordinate: float | None
+    theta_nu: np.ndarray
+    coordinate: float
     value: float
     boundary_flag: bool
     continuity_report: dict
@@ -470,11 +449,10 @@ def limiting_mle(prior: Prior, mu0) -> LimitingMle:
     family = model.family
     mu = as_point(mu0, family.dim, "limit mean")
     constraint = legendre.ConstraintSet.curve(model, intervals=prior.support)
+    # the support is closed, so the maximum over it is attained
     res = legendre.conjugate_constrained(family, constraint, mu)
-    boundary_flag = res.argmax is not None and not family.domain.interior(res.argmax)
-    if res.argmax is None:
-        cond_b = {"holds": False, "mode": "supremum-not-attained"}
-    elif not boundary_flag:
+    boundary_flag = not family.domain.interior(res.argmax)
+    if not boundary_flag:
         cond_b = {"holds": True, "mode": "interior-maximizer"}
     else:
         z_nu = res.coordinate
@@ -495,7 +473,7 @@ def limiting_mle(prior: Prior, mu0) -> LimitingMle:
         theta_nu=res.argmax,
         coordinate=res.coordinate,
         value=res.value,
-        boundary_flag=bool(boundary_flag),
+        boundary_flag=boundary_flag,
         continuity_report=report,
         legendre=res,
     )

@@ -6,14 +6,14 @@ subtracts the peak value before exponentiating and reports results on the
 log scale.  The integrands take arrays: the peaked integral is a globally
 adaptive Gauss-Kronrod 10/21 rule that evaluates all pending panels of a
 round in one call, and the peak search evaluates each of its grids in one
-call.  No module of the package calls the peak search;
-``perfbench/tracer.py`` still looks ``locate_peak`` up by name.
+call.  The peaked integral's tolerance and panel cap are the constants
+``REL_TOL`` and ``QUAD_LIMIT``.  No module of the package calls the peak
+search; ``perfbench/tracer.py`` still looks ``locate_peak`` up by name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -21,25 +21,9 @@ from scipy.optimize import minimize_scalar
 from .errors import NumericsError, QuadratureFailure
 
 _LOG_ZERO = float("-inf")
-
-
-@dataclass(frozen=True)
-class QuadraturePolicy:
-    """Tolerance and panel cap of ``log_integral_peaked``."""
-
-    rel_tol: float = 1e-9
-    quad_limit: int = 300
-
-
-DEFAULT_POLICY = QuadraturePolicy()
-
-
-def require_finite(x, what="value"):
-    """Reject NaN; +-inf passes through (extended reals are legitimate)."""
-    arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any():
-        raise NumericsError(f"NaN encountered in {what}")
-    return x
+# relative tolerance and panel cap of ``log_integral_peaked``
+REL_TOL = 1e-9
+QUAD_LIMIT = 300
 
 
 def _newton_peak(f, df, d2f, x0, steps, tol):
@@ -158,9 +142,7 @@ def _qk21(logf, lo, hi, m):
     return kronrod * half, err * half
 
 
-def log_integral_peaked(
-    logf, a, b, peak, width, policy: QuadraturePolicy = DEFAULT_POLICY
-):
+def log_integral_peaked(logf, a, b, peak, width):
     """log ∫_a^b exp(logf(x)) dx with a known interior peak and width scale.
 
     ``logf`` takes an array of nodes and returns their log-integrand
@@ -169,11 +151,11 @@ def log_integral_peaked(
     widths out so that the spike is never skipped at small widths.  Each
     round evaluates every pending panel in one ``logf`` call, keeps the
     panels whose error estimates fit in their share of the budget
-    epsrel * |integral|, and bisects the rest; ``policy.quad_limit`` caps
-    the number of panels.  A final error estimate above 1e4 * rel_tol of
+    epsrel * |integral|, and bisects the rest; ``QUAD_LIMIT`` caps the
+    number of panels.  A final error estimate above 1e4 * ``REL_TOL`` of
     the value raises QuadratureFailure.
     """
-    epsrel = max(policy.rel_tol, 1e-13)
+    epsrel = max(REL_TOL, 1e-13)
     edges = [a, b]
     for k in (-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0):
         p = peak + k * width
@@ -182,7 +164,8 @@ def log_integral_peaked(
     edges = np.unique(edges)
     lo, hi = edges[:-1], edges[1:]
     m = float(logf(np.array([peak]))[0])
-    require_finite(m, "peak log-integrand")
+    if math.isnan(m):
+        raise NumericsError("NaN encountered in peak log-integrand")
     if m == _LOG_ZERO:
         return _LOG_ZERO
     val, err = _qk21(logf, lo, hi, m)
@@ -192,7 +175,7 @@ def log_integral_peaked(
         budget = epsrel * abs(total)
         if (
             error <= budget
-            or lo.size >= policy.quad_limit
+            or lo.size >= QUAD_LIMIT
             or not math.isfinite(total)
         ):
             break
@@ -200,7 +183,7 @@ def log_integral_peaked(
         # half of the budget; the other half is for the bisected ones
         order = np.argsort(err)
         kept = np.cumsum(err[order]) <= 0.5 * budget
-        split = order[~kept][::-1][: policy.quad_limit - lo.size]
+        split = order[~kept][::-1][: QUAD_LIMIT - lo.size]
         keep = np.ones(lo.size, dtype=bool)
         keep[split] = False
         mid = 0.5 * (lo[split] + hi[split])
@@ -217,22 +200,12 @@ def log_integral_peaked(
         )
     if total <= 0.0:
         return _LOG_ZERO
-    if error > 1e4 * policy.rel_tol * total:
+    if error > 1e4 * REL_TOL * total:
         raise QuadratureFailure(
             f"peaked integral error {error:.3e} exceeds tolerance "
             f"(value {total:.3e}, window [{a:.3g}, {b:.3g}])"
         )
     return m + math.log(total)
-
-
-def logsumexp_pair(la, lb):
-    """log(exp(la) + exp(lb)) for extended reals."""
-    if la == _LOG_ZERO:
-        return lb
-    if lb == _LOG_ZERO:
-        return la
-    m = max(la, lb)
-    return m + math.log(math.exp(la - m) + math.exp(lb - m))
 
 
 def gauss_legendre(order):

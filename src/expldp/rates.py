@@ -86,30 +86,28 @@ class RateTable:
 
 def posterior_rate(prior: models.Prior, mu0, grid) -> RateTable:
     """Posterior LDP rate over a model-coordinate grid, cross-checked
-    against its excess-of-divergence form whenever the saturated-model
-    maximizer exists."""
+    against its excess-of-divergence form."""
     family = prior.model.family
     mu = as_point(mu0, family.dim, "limit mean")
     mle = models.limiting_mle(prior, mu)
     grid = np.asarray(grid, dtype=float)
     values = mle.value - legendre.curve_loglik(family, prior.model, mu)(grid)
     theta0 = legendre.conjugate(family, mu).argmax
-    if mle.theta_nu is not None:
-        d_nu = kl_divergence(family, theta0, mle.theta_nu)
-        for i, z in enumerate(grid):
-            direct = values[i]
-            excess = kl_divergence(family, theta0, prior.model.map(float(z))) - d_nu
-            both_inf = math.isinf(direct) and math.isinf(excess)
-            if not both_inf and abs(direct - excess) > 1e-10:
-                raise RateFormMismatch(
-                    f"rate-form mismatch at z={z}: direct {float(direct)!r} vs "
-                    f"excess-of-divergence {float(excess)!r}"
-                )
+    d_nu = kl_divergence(family, theta0, mle.theta_nu)
+    for i, z in enumerate(grid):
+        direct = values[i]
+        excess = kl_divergence(family, theta0, prior.model.map(float(z))) - d_nu
+        both_inf = math.isinf(direct) and math.isinf(excess)
+        if not both_inf and abs(direct - excess) > 1e-10:
+            raise RateFormMismatch(
+                f"rate-form mismatch at z={z}: direct {float(direct)!r} vs "
+                f"excess-of-divergence {float(excess)!r}"
+            )
     metadata = {
         "kind": "posterior",
         "model": prior.model.name,
         "mu0": [float(v) for v in mu],
-        "theta_nu": None if mle.theta_nu is None else [float(v) for v in mle.theta_nu],
+        "theta_nu": [float(v) for v in mle.theta_nu],
         "theta_0": [float(v) for v in theta0],
         "constrained_max_value": mle.value,
     }

@@ -349,6 +349,27 @@ def test_cumulant_many_agrees_with_scalar(rng, name):
     np.testing.assert_allclose(many[finite], scalar[finite], rtol=1e-14, atol=1e-13)
 
 
+def test_discrete_cumulant_many_takes_limits_at_infinite_rows():
+    # an atom with 0 in an infinite coordinate does not see it; the limit
+    # along the row is the scalar cumulant far out, with ±1e3 for ±inf
+    fam = hw_discrete()
+    inf = math.inf
+    rows = np.array([[inf, 0.0], [-inf, 0.0], [0.0, -inf], [inf, -inf],
+                     [-inf, -inf], [0.3, -0.2]])
+    many = cumulant_many(fam, rows)
+    far = np.array([cumulant(fam, row) for row in np.clip(rows, -1e3, 1e3)])
+    assert many[1] == pytest.approx(math.log(0.5 + 0.25), rel=1e-15)
+    finite = np.isfinite(many)
+    assert list(finite) == [False, True, True, False, True, True]
+    np.testing.assert_allclose(many[finite], far[finite], rtol=1e-15)
+    assert np.all(many[~finite] == inf) and np.all(far[~finite] > 900.0)
+    # the atom (1, 1) has logit inf - inf along (inf, -inf): no limit
+    square = discrete_family([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                             [0.25, 0.25, 0.25, 0.25])
+    with pytest.raises(NumericsError):
+        cumulant_many(square, [[0.3, 0.2], [inf, -inf]])
+
+
 def test_strip_cumulant_many_agrees_with_scalar(rng):
     depth = rng.uniform(0.0, 15.0, size=200)
     thetas = np.column_stack([

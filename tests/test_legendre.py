@@ -271,6 +271,10 @@ class TestGridOracle:
         )
         newton = conjugate_constrained(HW, HW_LINE, [0.3, 0.2])
         assert abs(value - newton.value) <= 1e-4
+        # the grid oracle has no curve form
+        curve = ConstraintSet.curve(builtin_model("gauss-mean-eq-sd"))
+        with pytest.raises(ValueError):
+            conjugate_grid_oracle(GAUSS_PARABOLA, curve, [1.0, 2.0], ((0.5, 2.0, 11),))
 
     def test_stack_of_mean_points_matches_single_calls(self):
         spec = ((-4.0, 4.0, 201), (-4.0, 4.0, 201))

@@ -79,13 +79,9 @@ class TestBuiltinModels:
 
 
 class TestPrior:
-    def test_uniform_density_normalized(self, hw_prior):
-        from scipy.integrate import quad
-
-        total, _ = quad(hw_prior.density, -3.0, 3.0)
-        assert total == pytest.approx(1.0, abs=1e-9)
-        assert hw_prior.density(2.9) > 0.0
-        assert hw_prior.density(3.2) == 0.0
+    def test_zero_length_support_rejected(self):
+        with pytest.raises(ValueError, match="zero length"):
+            uniform_prior(builtin_model("hw-line"), 1.0, 1.0)
 
     def test_unbounded_support_rejected(self):
         with pytest.raises(ValueError):
@@ -274,6 +270,22 @@ class TestLimitingMle:
         seq = check["kappa_sequence"]
         assert seq[-1] > 10.0 > check["kappa_at_point"]
         assert seq[-1] > seq[0]
+
+    def test_strip_adjoined_origin_boundary_maximizer_fails_condition_b(self):
+        # kappa along the curve blows up as z -> 0+ but is finite at the
+        # adjoined boundary point eta(0) = (0, 1), so on [0, 0.05] the
+        # maximum of l sits there, at a discontinuity of kappa
+        model = with_adjoined_origin(builtin_model("strip-curve"))
+        prior = uniform_prior(model, 0.0, 0.05)
+        mle = limiting_mle(prior, np.array([0.3, 0.5]))
+        assert mle.coordinate == 0.0
+        assert mle.boundary_flag
+        cond_b = mle.continuity_report["condition_b"]
+        assert cond_b["mode"] == "boundary-maximizer"
+        assert not cond_b["holds"]
+        check = cond_b["check"]
+        seq = check["kappa_sequence"]
+        assert check["kappa_at_point"] < 3.0 < 10.0 < seq[0] < seq[-1]
 
     def test_continuous_boundary_curve_passes_condition_c(self):
         # replacing the curve by theta2 = 1 - theta1 removes the pathology:

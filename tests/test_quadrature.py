@@ -87,22 +87,20 @@ class TestLogIntegralPeaked:
         # the jump at 0 is a panel edge, so the rule sees a smooth piece
         assert val == pytest.approx(np.log(1.0 - np.exp(-1.0)), rel=1e-12)
 
-    def test_unreachable_tolerance_raises(self):
-        strict = quadrature.QuadraturePolicy(rel_tol=1e-20)
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "REL_TOL", 1e-20)
         with pytest.raises(QuadratureFailure):
-            quadrature.log_integral_peaked(
-                lambda x: -x * x, -5.0, 5.0, 0.0, 1.0, strict
-            )
+            quadrature.log_integral_peaked(lambda x: -x * x, -5.0, 5.0, 0.0, 1.0)
 
-    def test_panel_cap_raises_instead_of_returning(self):
+    def test_panel_cap_raises_instead_of_returning(self, monkeypatch):
         # a kink away from every breakpoint needs many bisections
-        capped = quadrature.QuadraturePolicy(quad_limit=10)
-
         def logf(x):
             return -np.abs(x - 0.123456789)
 
-        with pytest.raises(QuadratureFailure):
-            quadrature.log_integral_peaked(logf, -1.0, 1.0, 0.9, 0.01, capped)
+        with monkeypatch.context() as capped:
+            capped.setattr(quadrature, "QUAD_LIMIT", 10)
+            with pytest.raises(QuadratureFailure):
+                quadrature.log_integral_peaked(logf, -1.0, 1.0, 0.9, 0.01)
         val = quadrature.log_integral_peaked(logf, -1.0, 1.0, 0.9, 0.01)
         exact = 2.0 - np.exp(-1.123456789) - np.exp(-0.876543211)
         assert val == pytest.approx(np.log(exact), rel=1e-9)
