@@ -7,6 +7,8 @@ the exact rate-function infimum over the event.  Useful for picking desk-
 scale schedules and sanity-checking the O(log n / n) correction.
 
 Usage: python scripts/decay_convergence_study.py [max_doublings]
+
+max_doublings is a whole number, at least 2 (default 8).
 """
 
 import sys
@@ -18,10 +20,18 @@ from expldp.families import log_likelihood
 from expldp.models import event_at_least
 
 MU0 = np.array([0.3, 0.2])
+USAGE = "usage: python scripts/decay_convergence_study.py [max_doublings >= 2]"
 
 
 def main():
-    doublings = int(sys.argv[1]) if len(sys.argv) > 1 else 8
+    try:
+        doublings = int(sys.argv[1]) if len(sys.argv) > 1 else 8
+    except ValueError:
+        doublings = 0
+    if doublings < 2:
+        # the r_inf + c/n extrapolation needs at least two sample sizes
+        print(f"{USAGE}\ngot {sys.argv[1]!r}", file=sys.stderr)
+        sys.exit(2)
     model = builtin_model("hw-line")
     prior = uniform_prior(model, -3.0, 3.0)
     event = event_at_least(0.5)

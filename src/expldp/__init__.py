@@ -23,8 +23,6 @@ from .families import (
     builtin_names,
     cumulant,
     discrete_family,
-    family_descriptor,
-    family_from_descriptor,
     hessian,
     log_likelihood,
     mean_map,

@@ -431,8 +431,7 @@ def _suite_nonnegativity(rng):
         worst = max(worst, -rates.cramer_rate(family, th0, t))
         if i < 20:
             coord = rng.uniform(-1.5, 1.5)
-            worst = max(worst, -rates.contraction_rate(
-                model, np.zeros(2), coord, method="pythagoras"))
+            worst = max(worst, -rates.contraction_rate(model, np.zeros(2), coord))
     return worst <= 1e-12, worst
 
 

@@ -148,11 +148,8 @@ def rate_posterior(model_name, mu0_text, support_text, grid_text, out_path):
 @click.option("--theta0-coord", "theta0_coord", required=True, type=float,
               help="model coordinate of the sampling parameter")
 @click.option("--grid", "grid_text", required=True, help="'lo,hi,count'")
-@click.option("--method", type=click.Choice(["pythagoras", "line-minimize",
-                                             "brute"]),
-              default="line-minimize", show_default=True)
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
-def rate_mle(model_name, theta0_coord, grid_text, method, out_path):
+def rate_mle(model_name, theta0_coord, grid_text, out_path):
     model = builtin_model(model_name)
     theta0 = model.map(theta0_coord)
     grid = _parse_grid(grid_text)
@@ -161,13 +158,12 @@ def rate_mle(model_name, theta0_coord, grid_text, method, out_path):
         for coord in grid:
             rows.append(
                 (float(coord),
-                 rates.contraction_rate(model, theta0, float(coord), method))
+                 rates.contraction_rate(model, theta0, float(coord)))
             )
     except ExpLdpError as exc:
         raise click.UsageError(str(exc))
     table = Table("mle_rate", ("coordinate", "rate"), rows,
-                  {"kind": "mle", "method": method,
-                   "theta0_coordinate": theta0_coord})
+                  {"kind": "mle", "theta0_coordinate": theta0_coord})
     _emit_table(table, out_path)
 
 

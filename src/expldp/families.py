@@ -562,37 +562,3 @@ def discrete_family(atoms, weights, name="discrete") -> GeneratingFamily:
         initial_point=np.zeros(d),
     )
     return GeneratingFamily(name=name, dim=d, domain=domain, payload=payload)
-
-
-def family_from_descriptor(obj: dict) -> GeneratingFamily:
-    """Construct a family from its JSON descriptor.
-
-    Accepted forms (field names fixed):
-      {"kind": "builtin", "name": "hardy-weinberg-saturated"}
-      {"kind": "discrete", "atoms": [{"x": [...], "w": ...}, ...]}
-    """
-    match obj.get("kind"):
-        case "builtin":
-            return builtin(obj["name"])
-        case "discrete":
-            atoms = [entry["x"] for entry in obj["atoms"]]
-            weights = [entry["w"] for entry in obj["atoms"]]
-            return discrete_family(atoms, weights)
-        case kind:
-            raise ValueError(f"unknown family descriptor kind {kind!r}")
-
-
-def family_descriptor(family: GeneratingFamily) -> dict:
-    """JSON descriptor for a family (inverse of ``family_from_descriptor``)."""
-    if family.name in _BUILTIN_FACTORIES:
-        return {"kind": "builtin", "name": family.name}
-    if isinstance(family.payload, DiscretePayload):
-        p = family.payload
-        return {
-            "kind": "discrete",
-            "atoms": [
-                {"x": list(map(float, x)), "w": float(w)}
-                for x, w in zip(p.atoms, p.weights)
-            ],
-        }
-    raise ValueError(f"family {family.name!r} has no JSON descriptor form")

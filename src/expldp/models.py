@@ -57,13 +57,6 @@ class ModelEvent:
     def complement(self) -> "ModelEvent":
         return ModelEvent(complement(self.intervals))
 
-    @staticmethod
-    def from_json(obj: dict) -> "ModelEvent":
-        # float() reads the "inf" and "-inf" that to_json writes
-        return ModelEvent(tuple(
-            Interval(float(lo), float(hi)) for lo, hi in obj["intervals"]
-        ))
-
     def to_json(self) -> dict:
         # JSON has no infinity: unbounded ends are written "inf" / "-inf"
         return {"intervals": [
@@ -349,12 +342,15 @@ class DecayEstimate:
 
 def fit_rate_limit(ns, rates) -> float:
     """Least-squares fit of r_n = r_inf + c/n over the last half of the
-    schedule (shared by the posterior and enumeration oracles)."""
+    schedule, and never fewer than its last two points, since the fit has
+    two unknowns (shared by the posterior and enumeration oracles)."""
     ns = np.asarray(ns, dtype=float)
     rates = np.asarray(rates, dtype=float)
+    if len(ns) < 2:
+        raise ValueError("extrapolating r_inf + c/n needs at least two sample sizes")
     if np.any(~np.isfinite(rates)):
         return INF
-    start = len(ns) - len(ns) // 2
+    start = len(ns) - max(2, len(ns) // 2)
     tail_n = ns[start:]
     tail_r = rates[start:]
     design = np.column_stack([np.ones_like(tail_n), 1.0 / tail_n])
@@ -368,6 +364,8 @@ def decay_rate_estimate(
     """Per-n rates r_n = -(1/n) log pi_n(A | xbar_n) and their extrapolated
     limit.  The default data sequence is constant at mu0."""
     schedule = tuple(int(n) for n in schedule)
+    if len(schedule) < 2:
+        raise ValueError("schedule needs at least two sample sizes")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     mu = as_point(mu0, prior.model.family.dim, "limit mean")
@@ -477,47 +475,3 @@ def limiting_mle(prior: Prior, mu0) -> LimitingMle:
         continuity_report=report,
         legendre=res,
     )
-
-
-# ---------------------------------------------------------------------------
-# posterior-study JSON descriptors
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PosteriorStudy:
-    prior: Prior
-    mu0: np.ndarray
-    event: ModelEvent
-    schedule: tuple
-
-
-def posterior_study_from_descriptor(obj: dict) -> PosteriorStudy:
-    """Scenario descriptor:
-    {"model": "hw-line", "prior": {"kind": "uniform", "support": [a, b]},
-     "mu0": [...], "event": {"intervals": [[lo, hi], ...]},
-     "schedule": [n1, n2, ...]}
-    """
-    model = builtin_model(obj["model"])
-    prior_obj = obj["prior"]
-    if prior_obj.get("kind") != "uniform":
-        raise ValueError("only uniform prior descriptors are supported")
-    lo, hi = prior_obj["support"]
-    prior = uniform_prior(model, float(lo), float(hi))
-    mu0 = np.asarray(obj["mu0"], dtype=float)
-    event = ModelEvent.from_json(obj["event"])
-    schedule = tuple(int(n) for n in obj["schedule"])
-    return PosteriorStudy(prior=prior, mu0=mu0, event=event, schedule=schedule)
-
-
-def posterior_study_descriptor(study: PosteriorStudy) -> dict:
-    support = study.prior.support
-    if len(support) != 1:
-        raise ValueError("descriptor form requires a single support interval")
-    return {
-        "model": study.prior.model.name,
-        "prior": {"kind": "uniform", "support": [support[0].lo, support[0].hi]},
-        "mu0": [float(v) for v in study.mu0],
-        "event": study.event.to_json(),
-        "schedule": list(study.schedule),
-    }

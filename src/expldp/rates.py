@@ -3,9 +3,10 @@
 Covered here: Kullback-Leibler divergence inside a family, the posterior
 rate l(theta_nu; mu0) - l(theta; mu0) with its excess-of-divergence form,
 the sample-mean rate kappa*(t) - l(theta0; t), the constrained-MLE rate
-obtained by minimizing that over a registered constant-MLE surface, the
-Pythagorean residual for affine subfamilies, and the divergence identity
-between a family and its dual.
+(a divergence on an affine model, the minimum of the sample-mean rate over
+a registered constant-MLE line on a curved one), the Pythagorean residual
+for affine subfamilies, and the divergence identity between a family and
+its dual.
 
 Extended-real arithmetic: +inf propagates absorbingly, NaN is an error.
 """
@@ -85,17 +86,24 @@ class RateTable:
 
 
 def posterior_rate(prior: models.Prior, mu0, grid) -> RateTable:
-    """Posterior LDP rate over a model-coordinate grid, cross-checked
-    against its excess-of-divergence form."""
+    """Posterior LDP rate l(theta_nu; mu0) - l(eta(z); mu0) over a
+    model-coordinate grid, cross-checked against its excess-of-divergence
+    form.  The posterior puts no mass off the prior's support at any n, so
+    the rate is +inf at every grid point that no support interval contains."""
     family = prior.model.family
     mu = as_point(mu0, family.dim, "limit mean")
     mle = models.limiting_mle(prior, mu)
     grid = np.asarray(grid, dtype=float)
-    values = mle.value - legendre.curve_loglik(family, prior.model, mu)(grid)
+    on_support = np.array(
+        [any(iv.contains(z) for iv in prior.support) for z in grid.tolist()],
+        dtype=bool,
+    )
+    values = np.full(grid.shape, INF)
+    values[on_support] = mle.value - legendre.curve_loglik(
+        family, prior.model, mu)(grid[on_support])
     theta0 = legendre.conjugate(family, mu).argmax
     d_nu = kl_divergence(family, theta0, mle.theta_nu)
-    for i, z in enumerate(grid):
-        direct = values[i]
+    for z, direct in zip(grid[on_support], values[on_support]):
         excess = kl_divergence(family, theta0, prior.model.map(float(z))) - d_nu
         both_inf = math.isinf(direct) and math.isinf(excess)
         if not both_inf and abs(direct - excess) > 1e-10:
@@ -200,14 +208,13 @@ def constant_mle_stationary_points(model, theta0, coord):
     return tuple(x for x in line.stationary_roots(theta0, coord) if lo < x < hi)
 
 
-# scan points on a constant-MLE line: line-minimize, and the brute check
+# scan points on a constant-MLE line
 LINE_SCAN = 24
-BRUTE_SCAN = 4001
 
 
-def _line_minimum(family, theta0, line, coord, n):
-    """Least sample-mean rate over the polished n-point scan of the line
-    and its stationary-root certificate points."""
+def _line_minimum(family, theta0, line, coord):
+    """Least sample-mean rate over the polished LINE_SCAN-point scan of the
+    line and its stationary-root certificate points."""
     lo, hi = line.window(coord)
     inset = 1e-9 * (hi - lo)
     lo, hi = lo + inset, hi - inset
@@ -218,36 +225,30 @@ def _line_minimum(family, theta0, line, coord, n):
     def neg_rate(x):
         return -np.array([rate(v) for v in x]) if np.ndim(x) else -rate(x)
 
-    values = [-v for _, v in legendre.scan_maximize(neg_rate, lo, hi, n)]
+    values = [-v for _, v in legendre.scan_maximize(neg_rate, lo, hi, LINE_SCAN)]
     if line.stationary_roots is not None:
         values += [rate(x) for x in line.stationary_roots(theta0, coord)
                    if lo < x < hi]
     return min(values)
 
 
-def contraction_rate(model: models.CurvedModel, theta0, coord,
-                     method: str = "line-minimize") -> float:
+def contraction_rate(model: models.CurvedModel, theta0, coord) -> float:
     """Rate for the constrained MLE at the model coordinate ``coord`` under
-    sampling from P_theta0.
+    sampling from P_theta0; the model's kind picks the form.
 
-    ``"pythagoras"`` is the shortcut D(P_eta(coord) || P_theta0), exact
-    for affine models (a uniquely defined MLE makes the constant-MLE fibers
-    orthogonal) and the only method for an affine model with no registered
-    line.  The other methods minimize the sample-mean rate over the
-    registered constant-MLE line: ``"line-minimize"`` scans it at 24 points and
-    polishes every local minimum, and ``"brute"`` is the same scan and
-    polish on 4001 points.
+    An affine model gives D(P_eta(coord) || P_theta0): a uniquely defined
+    MLE makes the constant-MLE fibers orthogonal, so the Pythagorean
+    identity reduces the minimization to one divergence.  A curved model
+    has no such identity; its rate is the least sample-mean rate over its
+    registered constant-MLE line, scanned at LINE_SCAN points with every
+    local minimum polished.  A curve with no registered line raises
+    UnsupportedModel.
     """
     family = model.family
     th0 = as_point(theta0, family.dim, "theta0")
-    if method not in ("pythagoras", "line-minimize", "brute"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "pythagoras" or (model.kind == "affine"
-                                  and model.name not in _MLE_LINES):
+    if model.kind == "affine":
         return kl_divergence(family, model.map(float(coord)), th0)
-    line = constant_mle_line(model)
-    n = BRUTE_SCAN if method == "brute" else LINE_SCAN
-    return _line_minimum(family, th0, line, float(coord), n)
+    return _line_minimum(family, th0, constant_mle_line(model), float(coord))
 
 
 # ---------------------------------------------------------------------------

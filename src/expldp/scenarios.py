@@ -95,9 +95,7 @@ def _build_hardy_weinberg():
         theta0_origin, event, HW_ORACLE_SCHEDULE
     )
     extrapolated = models.fit_rate_limit(HW_ORACLE_SCHEDULE, oracle_rates)
-    contraction_target = rates.contraction_rate(
-        model, theta0_origin, 0.5, method="pythagoras"
-    )
+    contraction_target = rates.contraction_rate(model, theta0_origin, 0.5)
     table_oracle = Table(
         name="mle_oracle",
         columns=("n", "rate"),

@@ -14,8 +14,6 @@ from expldp import (
     builtin_names,
     cumulant,
     discrete_family,
-    family_descriptor,
-    family_from_descriptor,
     hessian,
     log_likelihood,
     mean_map,
@@ -270,31 +268,6 @@ class TestDiscreteFamilies:
         assert fam.domain.mean_domain(np.array([0.3, 0.2]))
         assert not fam.domain.mean_domain(np.array([0.6, 0.6]))
         assert not fam.domain.mean_domain(np.array([0.0, 0.2]))
-
-
-class TestDescriptors:
-    def test_builtin_round_trip(self):
-        for name in builtin_names():
-            desc = {"kind": "builtin", "name": name}
-            fam = family_from_descriptor(desc)
-            assert fam.name == name
-            assert family_descriptor(fam) == desc
-
-    def test_discrete_round_trip(self):
-        desc = {
-            "kind": "discrete",
-            "atoms": [
-                {"x": [0.0, 0.0], "w": 0.5},
-                {"x": [1.0, 0.0], "w": 0.25},
-                {"x": [0.0, 1.0], "w": 0.25},
-            ],
-        }
-        fam = family_from_descriptor(desc)
-        assert family_descriptor(fam) == desc
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            family_from_descriptor({"kind": "mystery"})
 
 
 class TestDomainSpec:

@@ -20,8 +20,6 @@ from expldp.models import (
     fit_rate_limit,
     gauss_mean_eq_sd_mle_coordinate,
     hw_line_mle_coordinate,
-    posterior_study_descriptor,
-    posterior_study_from_descriptor,
     validate_model,
     with_adjoined_origin,
 )
@@ -41,13 +39,6 @@ def hw_prior():
 
 
 class TestModelEvents:
-    def test_json_round_trip_lossless(self):
-        obj = {"intervals": [[0.5, "inf"], [-3.0, -1.0]]}
-        ev = ModelEvent.from_json(obj)
-        assert ev.to_json() == {"intervals": [[-3.0, -1.0], [0.5, "inf"]]}
-        again = ModelEvent.from_json(ev.to_json())
-        assert again == ev
-
     def test_interior_closure(self):
         ev = event_interval(0.0, 1.0)
         assert ev.interior().intervals[0].lo_closed is False
@@ -227,10 +218,30 @@ class TestDecayRates:
         with pytest.raises(ValueError):
             decay_rate_estimate(hw_prior, MU0, event_at_least(0.5), (64, 64))
 
-    def test_fit_rate_limit_exact_on_model(self):
-        ns = np.array([100, 200, 400, 800, 1600])
+    def test_schedule_needs_two_sizes(self, hw_prior):
+        with pytest.raises(ValueError):
+            decay_rate_estimate(hw_prior, MU0, event_at_least(0.5), (64,))
+
+    def test_two_point_schedule_extrapolates(self, hw_prior):
+        # r_n = r_inf + c/n through both points: r_inf = 2 r_128 - r_64,
+        # closer to the event infimum 0.02188 than r_128 = 0.03668
+        est = decay_rate_estimate(hw_prior, MU0, event_at_least(0.5), (64, 128))
+        assert est.extrapolated == pytest.approx(
+            2.0 * est.rates[1] - est.rates[0], abs=1e-12
+        )
+        assert est.extrapolated < est.rates[1] - 0.01
+
+    @pytest.mark.parametrize("ns", [
+        [100, 200], [100, 200, 400], [100, 200, 400, 800, 1600],
+    ])
+    def test_fit_rate_limit_exact_on_model(self, ns):
+        ns = np.array(ns)
         rates = 0.25 + 3.0 / ns
         assert fit_rate_limit(ns, rates) == pytest.approx(0.25, abs=1e-12)
+
+    def test_fit_rate_limit_needs_two_points(self):
+        with pytest.raises(ValueError):
+            fit_rate_limit([64], [0.05])
 
 
 class TestLimitingMle:
@@ -306,28 +317,3 @@ class TestLimitingMle:
         assert report["holds"]
         (check,) = report["boundary_points"]
         assert check["is_continuity_point"]
-
-
-class TestStudyDescriptor:
-    def test_round_trip_lossless(self):
-        obj = {
-            "model": "hw-line",
-            "prior": {"kind": "uniform", "support": [-3.0, 3.0]},
-            "mu0": [0.3, 0.2],
-            "event": {"intervals": [[0.5, "inf"]]},
-            "schedule": [64, 128, 256, 512, 1024, 2048, 4096],
-        }
-        study = posterior_study_from_descriptor(obj)
-        assert posterior_study_descriptor(study) == obj
-
-    def test_unknown_prior_kind_rejected(self):
-        with pytest.raises(ValueError):
-            posterior_study_from_descriptor(
-                {
-                    "model": "hw-line",
-                    "prior": {"kind": "beta", "support": [0, 1]},
-                    "mu0": [0.3, 0.2],
-                    "event": {"intervals": [[0.5, "inf"]]},
-                    "schedule": [64],
-                }
-            )

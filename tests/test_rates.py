@@ -91,6 +91,19 @@ class TestPosteriorRate:
         assert near_zero.size in (1, 2)
         assert np.all(np.diff(near_zero) == 1)
 
+    @pytest.mark.parametrize("model, support, mu0, grid", [
+        (HW_LINE_MODEL, (-1.0, 1.0), MU0, [-3.0, -1.5, 1.5, 3.0]),
+        # z = -1 lies outside the model's coordinate set (0, inf)
+        (GAUSS_MODEL, (0.5, 3.0), [1.0, 3.0], [-1.0, 0.25, 3.5]),
+    ])
+    def test_infinite_off_the_support(self, model, support, mu0, grid):
+        # the posterior puts no mass off the support at any n; the support's
+        # closed lower end and the point 1.0 on it stay finite
+        prior = uniform_prior(model, *support)
+        table = posterior_rate(prior, mu0, np.array(grid + [support[0], 1.0]))
+        assert np.all(table.rates[:-2] == math.inf)
+        assert np.all(np.isfinite(table.rates[-2:]))
+
     def test_metadata_carries_maximizers(self):
         prior = uniform_prior(HW_LINE_MODEL, -3.0, 3.0)
         table = posterior_rate(prior, MU0, np.array([0.0, 0.5]))
@@ -135,28 +148,29 @@ class TestContractionRate:
         )
 
     def test_affine_model_equals_kl(self, rng):
+        # the Pythagorean identity: on an affine model the minimum over the
+        # constant-MLE line is the divergence from the model point
         theta0 = np.zeros(2)
+        line = constant_mle_line(HW_LINE_MODEL)
         for z in rng.uniform(-1.2, 1.2, size=8):
             direct = kl_divergence(HW, HW_LINE_MODEL.map(float(z)), theta0)
-            assert contraction_rate(
-                HW_LINE_MODEL, theta0, float(z), "line-minimize"
+            assert rates._line_minimum(
+                HW, theta0, line, float(z)
             ) == pytest.approx(direct, abs=1e-8)
 
-    @pytest.mark.parametrize("method", ["line-minimize", "brute"])
-    def test_registered_affine_line_skips_kl(self, monkeypatch, method):
-        # hw-line is affine with a registered constant-MLE line, so the
-        # line minimum is returned and no divergence is needed; a short
-        # brute scan takes the same path as the full one
+    def test_affine_model_takes_kl_without_line_scan(self, monkeypatch):
+        # hw-line is affine, so its rate is the divergence itself, even
+        # though a constant-MLE line is registered for it
         calls = []
-        monkeypatch.setattr(rates, "BRUTE_SCAN", 49)
 
-        def counted_kl(*args):
+        def counted(*args):
             calls.append(args)
-            return kl_divergence(*args)
+            return cramer_rate(*args)
 
-        monkeypatch.setattr(rates, "kl_divergence", counted_kl)
-        contraction_rate(HW_LINE_MODEL, np.zeros(2), 0.5, method)
+        monkeypatch.setattr(rates, "cramer_rate", counted)
+        rate = contraction_rate(HW_LINE_MODEL, np.zeros(2), 0.5)
         assert not calls
+        assert rate == kl_divergence(HW, HW_LINE_MODEL.map(0.5), np.zeros(2))
 
     def test_curved_model_strictly_below_kl(self):
         theta0 = GAUSS_MODEL.map(1.0)
@@ -165,12 +179,6 @@ class TestContractionRate:
             direct = kl_divergence(GAUSS_PARABOLA, GAUSS_MODEL.map(coord), theta0)
             assert tilde <= direct + 1e-9
             assert direct - tilde > 1e-4
-
-    def test_brute_matches_line_minimize(self):
-        theta0 = GAUSS_MODEL.map(1.0)
-        a = contraction_rate(GAUSS_MODEL, theta0, 2.0, "line-minimize")
-        b = contraction_rate(GAUSS_MODEL, theta0, 2.0, "brute")
-        assert a == pytest.approx(b, abs=1e-9)
 
     @pytest.mark.parametrize("coord, oracle", [
         (0.468, 1.4718781479), (0.61, 0.5380482692),
@@ -184,11 +192,6 @@ class TestContractionRate:
         exact, _ = curved_line_min_oracle(1.0, coord)
         assert exact == pytest.approx(oracle, abs=1e-10)
         assert rate == pytest.approx(exact, abs=1e-8)
-
-    def test_near_degenerate_line_points_converge_brute(self):
-        # the brute grid (about 2 s a coordinate) meets the same means
-        rate = contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), 0.468, "brute")
-        assert rate == pytest.approx(curved_line_min_oracle(1.0, 0.468)[0], abs=1e-8)
 
     @pytest.mark.parametrize("coord", [0.468, 1.0, 2.0])
     def test_cramer_rate_calls_per_coordinate(self, monkeypatch, coord):
@@ -248,7 +251,7 @@ class TestContractionRate:
 
         weird = dataclasses.replace(GAUSS_MODEL, name="unregistered-curve")
         with pytest.raises(UnsupportedModel):
-            contraction_rate(weird, GAUSS_MODEL.map(1.0), 2.0, "line-minimize")
+            contraction_rate(weird, GAUSS_MODEL.map(1.0), 2.0)
 
     def test_mle_line_window_stays_in_mean_domain(self):
         line = constant_mle_line(GAUSS_MODEL)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -172,7 +173,24 @@ def test_json_only_format(tmp_path):
     assert not any(p.endswith(".csv") for p in paths)
 
 
+def _readme_cli_lines():
+    """The commands of the fenced block under README's ``## CLI``."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.strip()]
+
+
 class TestCli:
+    @pytest.mark.parametrize("line", _readme_cli_lines())
+    def test_readme_command_runs(self, line, tmp_path):
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "expldp"
+        args = argv[1:]
+        if "--outdir" in args:
+            args[args.index("--outdir") + 1] = str(tmp_path)
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+
     def test_scenario_list(self):
         result = CliRunner().invoke(main, ["scenario", "list"])
         assert result.exit_code == 0
@@ -295,7 +313,7 @@ class TestCli:
         result = CliRunner().invoke(
             main,
             ["rate", "mle", "--model", "hw-line", "--theta0-coord", "0",
-             "--grid", "0.5,0.5,1", "--method", "pythagoras"],
+             "--grid", "0.5,0.5,1"],
         )
         assert result.exit_code == 0
         rate = float(result.output.strip().split("\n")[1].split(",")[1])
