@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Scan contraction rates on the mean=sd curve against the exhaustive oracle.
 
-Evaluates `contraction_rate` (line-minimize) on `gauss-mean-eq-sd` with the
+Evaluates `contraction_rate` on `gauss-mean-eq-sd` with the
 truth at coordinate 1.0, over [0.4, 0.8] in steps of 0.002 and [1.25, 3.0]
 in steps of 0.01 (377 coordinates, including the near-degenerate line
 points where the Newton conjugates are flat to rounding), and compares each
@@ -10,8 +10,12 @@ the worst gap to the oracle and where it occurred; exits 1 if any
 coordinate raised or the worst gap exceeds the tolerance.
 
 Usage: python scripts/contraction_scan.py [tolerance]   (default 1e-8)
+
+tolerance is a finite positive number; anything else prints the usage and
+exits 2 before the scan starts.
 """
 
+import math
 import sys
 import time
 
@@ -21,6 +25,7 @@ from expldp import builtin_model, contraction_rate, curved_line_min_oracle
 from expldp.errors import ExpLdpError
 
 TRUTH = 1.0
+USAGE = "usage: python scripts/contraction_scan.py [tolerance > 0]"
 
 
 def coordinates():
@@ -30,7 +35,14 @@ def coordinates():
 
 
 def main():
-    tol = float(sys.argv[1]) if len(sys.argv) > 1 else 1e-8
+    try:
+        tol = float(sys.argv[1]) if len(sys.argv) > 1 else 1e-8
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        # a NaN tolerance would pass every gap: worst > nan is always false
+        print(f"{USAGE}\ngot {sys.argv[1]!r}", file=sys.stderr)
+        return 2
     model = builtin_model("gauss-mean-eq-sd")
     theta0 = model.map(TRUTH)
     coords = coordinates()

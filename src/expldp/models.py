@@ -15,6 +15,7 @@ with one ``cumulant_many`` call on the stacked images eta(z).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -281,15 +282,18 @@ def uniform_prior(model: CurvedModel, lo: float, hi: float) -> Prior:
 PEAK_SCAN = 33
 
 
-def _log_weighted_integral(prior: Prior, xbar, n: int, pieces) -> float:
-    """log ∫ exp(n l(eta(z); xbar)) dz over a union of bounded intervals
-    inside the prior support, with per-piece max subtraction."""
-    l_of = legendre.curve_loglik(prior.model.family, prior.model, xbar)
+def _sample_size(n) -> int:
+    """A sample size as an int; anything but a whole number >= 1 raises."""
+    if isinstance(n, numbers.Real) and float(n).is_integer() and n >= 1:
+        return int(n)
+    raise ValueError(f"sample size must be a whole number >= 1, got {n!r}")
 
-    def logf(z):
-        return n * l_of(z)
 
-    total = -INF
+def _piece_peaks(l_of, pieces):
+    """(lo, hi, peak, curvature) of l = l(eta(.); xbar) on each
+    non-degenerate piece where l is finite somewhere: the part of a
+    posterior integral that does not depend on n."""
+    peaks = []
     for iv in pieces:
         if iv.degenerate:
             continue
@@ -301,26 +305,51 @@ def _log_weighted_integral(prior: Prior, xbar, n: int, pieces) -> float:
         peak = maxima[0][0]
         h = 1e-5 * max(1.0, b - a)
         l_p, l_right, l_left = l_of(np.array([peak, peak + h, peak - h]))
-        curv = abs(l_right + l_left - 2.0 * l_p) / (h * h)
+        peaks.append((a, b, peak, abs(l_right + l_left - 2.0 * l_p) / (h * h)))
+    return peaks
+
+
+def _log_weighted_integral(l_of, n: int, peaks) -> float:
+    """log ∫ exp(n l(eta(z); xbar)) dz over the pieces of ``peaks``, with
+    per-piece max subtraction.  The peaks come from ``_piece_peaks`` and
+    serve every n; only the width and the quadrature are redone per n."""
+
+    def logf(z):
+        return n * l_of(z)
+
+    total = -INF
+    for a, b, peak, curv in peaks:
         width = 1.0 / math.sqrt(max(n * curv, (2.0 / (b - a)) ** 2))
         piece_log = log_integral_peaked(logf, a, b, peak, width)
         total = float(np.logaddexp(total, piece_log))
     return total
 
 
+def _log_mass_at(prior: Prior, xbar, pieces_num):
+    """n -> log pi_n(A | xbar), with A ∩ support given as ``pieces_num``.
+    The peaks of both integrals are found here, once for every n."""
+    l_of = legendre.curve_loglik(prior.model.family, prior.model, xbar)
+    den_peaks = _piece_peaks(l_of, prior.support)
+    num_peaks = _piece_peaks(l_of, pieces_num)
+
+    def log_mass(n):
+        log_den = _log_weighted_integral(l_of, n, den_peaks)
+        if log_den == -INF:
+            raise DegeneratePosterior(
+                "posterior normalizer underflowed: support is off the domain"
+            )
+        log_num = _log_weighted_integral(l_of, n, num_peaks)
+        return min(log_num - log_den, 0.0)
+
+    return log_mass
+
+
 def log_posterior_mass(prior: Prior, xbar, n: int, event: ModelEvent) -> float:
     """log pi_n(A | xbar): exact Bayes ratio in the log domain."""
+    n = _sample_size(n)
     xb = as_point(xbar, prior.model.family.dim, "sample mean")
-    log_den = _log_weighted_integral(prior, xb, n, prior.support)
-    if log_den == -INF:
-        raise DegeneratePosterior(
-            "posterior normalizer underflowed: support is off the domain"
-        )
     pieces_num = intersect_unions(event.intervals, prior.support)
-    if not pieces_num:
-        return -INF
-    log_num = _log_weighted_integral(prior, xb, n, pieces_num)
-    return min(log_num - log_den, 0.0)
+    return _log_mass_at(prior, xb, pieces_num)(n)
 
 
 def posterior_mass(prior: Prior, xbar, n: int, event: ModelEvent) -> float:
@@ -362,22 +391,31 @@ def decay_rate_estimate(
     prior: Prior, mu0, event: ModelEvent, schedule, sequence=None
 ) -> DecayEstimate:
     """Per-n rates r_n = -(1/n) log pi_n(A | xbar_n) and their extrapolated
-    limit.  The default data sequence is constant at mu0."""
-    schedule = tuple(int(n) for n in schedule)
+    limit.  The default data sequence is constant at mu0.
+
+    A ∩ support is intersected once per call.  The integrands' peaks and
+    curvatures are found again only where xbar_n differs from the previous
+    n's, so once per call for the constant sequence; each n redoes only
+    its widths and quadratures."""
+    schedule = tuple(_sample_size(n) for n in schedule)
     if len(schedule) < 2:
         raise ValueError("schedule needs at least two sample sizes")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
-    mu = as_point(mu0, prior.model.family.dim, "limit mean")
+    dim = prior.model.family.dim
+    mu = as_point(mu0, dim, "limit mean")
     seq = sequence if sequence is not None else (lambda n: mu)
     pieces_num = intersect_unions(event.intervals, prior.support)
-    effective = [iv for iv in pieces_num if not iv.degenerate]
-    if not effective:
+    if all(iv.degenerate for iv in pieces_num):
         rates = np.full(len(schedule), INF)
         return DecayEstimate(schedule, rates, INF)
-    rates = []
+    rates, last = [], None
     for n in schedule:
-        lm = log_posterior_mass(prior, seq(n), n, event)
+        xb = as_point(seq(n), dim, "sample mean")
+        if last is None or not np.array_equal(xb, last):
+            # a copy, in case the sequence refills one array in place
+            log_mass, last = _log_mass_at(prior, xb, pieces_num), xb.copy()
+        lm = log_mass(n)
         if lm == -INF:
             raise RateUnbounded(
                 f"posterior mass is exactly zero at n={n} for a non-null event"

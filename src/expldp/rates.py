@@ -242,13 +242,18 @@ def contraction_rate(model: models.CurvedModel, theta0, coord) -> float:
     has no such identity; its rate is the least sample-mean rate over its
     registered constant-MLE line, scanned at LINE_SCAN points with every
     local minimum polished.  A curve with no registered line raises
-    UnsupportedModel.
+    UnsupportedModel.  The MLE never takes a coordinate outside the
+    model's coordinate set, so the rate there is +inf, as the posterior
+    rate is off the prior's support.
     """
     family = model.family
     th0 = as_point(theta0, family.dim, "theta0")
+    coord = float(coord)
+    if not any(iv.contains(coord) for iv in model.coord_intervals):
+        return INF
     if model.kind == "affine":
-        return kl_divergence(family, model.map(float(coord)), th0)
-    return _line_minimum(family, th0, constant_mle_line(model), float(coord))
+        return kl_divergence(family, model.map(coord), th0)
+    return _line_minimum(family, th0, constant_mle_line(model), coord)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,72 @@ class TestDecayRates:
         with pytest.raises(ValueError):
             fit_rate_limit([64], [0.05])
 
+    @pytest.mark.parametrize("schedule", [(0, 64), (-64, 64), (64.7, 128)])
+    def test_schedule_needs_whole_sizes_from_one(self, hw_prior, schedule):
+        with pytest.raises(ValueError, match="whole number >= 1"):
+            decay_rate_estimate(hw_prior, MU0, event_at_least(0.5), schedule)
+
+    @pytest.mark.parametrize("n", [0, -5, 64.7, math.nan])
+    def test_mass_needs_whole_size_from_one(self, hw_prior, n):
+        with pytest.raises(ValueError, match="whole number >= 1"):
+            models.log_posterior_mass(hw_prior, MU0, n, event_at_least(0.5))
+
+
+HW_SCHEDULE = tuple(64 * 2 ** k for k in range(7))
+
+
+def drifting(n):
+    # a data sequence whose sample mean differs at every n
+    return MU0 + np.array([0.05 / n, -0.05 / n])
+
+
+class TestSharedPeaks:
+    """A decay schedule finds each integrand's peak once per distinct
+    sample mean, and its rates are exactly the one-n masses'."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        scan = models.legendre.scan_maximize
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(models.legendre, "scan_maximize", counted)
+        return calls
+
+    def test_constant_sequence_scans_each_piece_once(self, hw_prior, scans):
+        decay_rate_estimate(hw_prior, MU0, event_at_least(0.5), HW_SCHEDULE)
+        # one scan of the support and one of the event inside it
+        assert len(scans) == 2
+
+    def test_drifting_sequence_scans_each_piece_per_n(self, hw_prior, scans):
+        decay_rate_estimate(
+            hw_prior, MU0, event_at_least(0.5), HW_SCHEDULE, sequence=drifting
+        )
+        assert len(scans) == 2 * len(HW_SCHEDULE)
+
+    def test_constant_sequence_equals_one_n_masses(self, hw_prior):
+        event = event_at_least(0.5)
+        est = decay_rate_estimate(hw_prior, MU0, event, HW_SCHEDULE)
+        expected = [
+            -models.log_posterior_mass(hw_prior, MU0, n, event) / n
+            for n in HW_SCHEDULE
+        ]
+        assert est.rates.tolist() == expected
+
+    def test_drifting_sequence_equals_one_n_masses(self, hw_prior):
+        event = event_interval(0.5, 2.0)
+        est = decay_rate_estimate(
+            hw_prior, MU0, event, HW_SCHEDULE, sequence=drifting
+        )
+        expected = [
+            -models.log_posterior_mass(hw_prior, drifting(n), n, event) / n
+            for n in HW_SCHEDULE
+        ]
+        assert est.rates.tolist() == expected
+
 
 class TestLimitingMle:
     def test_hw_example(self, hw_prior):

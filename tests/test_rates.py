@@ -246,6 +246,11 @@ class TestContractionRate:
         roots = constant_mle_stationary_points(GAUSS_MODEL, GAUSS_MODEL.map(1.0), 1.0)
         assert any(abs(x - 1.0) < 1e-12 for x in roots)
 
+    @pytest.mark.parametrize("coord", [-1.0, 0.0])
+    def test_infinite_off_the_coordinate_set(self, coord):
+        # M = (0, inf): the constrained MLE never takes these coordinates
+        assert contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), coord) == math.inf
+
     def test_unregistered_curve_rejected(self):
         import dataclasses
 

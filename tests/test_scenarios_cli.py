@@ -319,6 +319,23 @@ class TestCli:
         rate = float(result.output.strip().split("\n")[1].split(",")[1])
         assert rate == pytest.approx(0.060599723961, abs=1e-9)
 
+    @pytest.mark.parametrize("grid, off_rows", [
+        ("-1,1,3", ["-1,inf", "0,inf"]),
+        ("0,1,2", ["0,inf"]),
+    ])
+    def test_rate_mle_off_the_coordinate_set_is_inf(self, grid, off_rows):
+        def rows(grid_text):
+            result = CliRunner().invoke(
+                main,
+                ["rate", "mle", "--model", "gauss-mean-eq-sd",
+                 "--theta0-coord", "1", "--grid", grid_text],
+            )
+            assert result.exit_code == 0, result.output
+            return result.output.strip().split("\n")[1:]
+
+        # M = (0, inf); the coordinate-1 row is the one of a grid inside M
+        assert rows(grid) == off_rows + rows("1,1,1")
+
     def test_verify_filter_single_criterion(self):
         result = CliRunner().invoke(main, ["verify", "--filter", "1-closed"])
         assert result.exit_code == 0

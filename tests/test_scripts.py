@@ -1,0 +1,39 @@
+"""Smoke tests of the scripts' argument handling, run in-process as
+``__main__`` with their command line in ``sys.argv``."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, name, *args):
+    """Exit code of scripts/<name> run with ``args``."""
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    try:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    except SystemExit as exc:
+        return exc.code
+    return 0
+
+
+def test_decay_convergence_study_runs(monkeypatch, capsys):
+    assert run_script(monkeypatch, "decay_convergence_study.py", "2") == 0
+    assert "extrapolated:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("arg", ["1", "x"])
+def test_decay_convergence_study_rejects(monkeypatch, capsys, arg):
+    assert run_script(monkeypatch, "decay_convergence_study.py", arg) == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arg", ["nan", "abc"])
+def test_contraction_scan_rejects_before_scanning(monkeypatch, capsys, arg):
+    assert run_script(monkeypatch, "contraction_scan.py", arg) == 2
+    out = capsys.readouterr()
+    assert "usage:" in out.err
+    assert "coordinates:" not in out.out
