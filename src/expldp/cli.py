@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -35,9 +36,13 @@ def _parse_vector(text: str, size: int | None = None) -> np.ndarray:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """'lo,hi,count' as an equispaced grid; the count must be a whole
-    number, at least 0."""
+    """'lo,hi,count' as an equispaced grid; the endpoints must be finite
+    and a finite distance apart, the count a whole number, at least 0."""
     lo, hi, count = _parse_vector(text, 3)
+    if not math.isfinite(float(hi) - float(lo)):
+        raise click.UsageError(
+            f"--grid endpoints must be finite and a finite distance apart: {text!r}"
+        )
     if count < 0 or not float(count).is_integer():
         raise click.UsageError(f"grid count must be a whole number >= 0: {text!r}")
     return np.linspace(lo, hi, int(count))

@@ -31,7 +31,9 @@ class Interval:
             object.__setattr__(self, "hi_closed", False)
 
     def contains(self, z: float) -> bool:
-        if z < self.lo or z > self.hi:
+        # negated, so that NaN, which every comparison rejects, is in no
+        # interval
+        if not self.lo <= z <= self.hi:
             return False
         if z == self.lo and not self.lo_closed:
             return False

@@ -89,11 +89,15 @@ def posterior_rate(prior: models.Prior, mu0, grid) -> RateTable:
     """Posterior LDP rate l(theta_nu; mu0) - l(eta(z); mu0) over a
     model-coordinate grid, cross-checked against its excess-of-divergence
     form.  The posterior puts no mass off the prior's support at any n, so
-    the rate is +inf at every grid point that no support interval contains."""
+    the rate is +inf at every grid point that no support interval contains.
+    A NaN grid point raises ValueError."""
     family = prior.model.family
     mu = as_point(mu0, family.dim, "limit mean")
-    mle = models.limiting_mle(prior, mu)
     grid = np.asarray(grid, dtype=float)
+    nan = np.flatnonzero(np.isnan(grid))
+    if nan.size:
+        raise ValueError(f"grid point {int(nan[0])} is NaN")
+    mle = models.limiting_mle(prior, mu)
     on_support = np.array(
         [any(iv.contains(z) for iv in prior.support) for z in grid.tolist()],
         dtype=bool,

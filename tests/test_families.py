@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -341,6 +342,64 @@ def test_discrete_cumulant_many_takes_limits_at_infinite_rows():
                              [0.25, 0.25, 0.25, 0.25])
     with pytest.raises(NumericsError):
         cumulant_many(square, [[0.3, 0.2], [inf, -inf]])
+
+
+class TestHardyWeinbergBatchedKernel:
+    """The unshifted exp/log kernel below |theta| = 700 and the shifted
+    logaddexp form that an array past it takes, against the scalar
+    cumulant."""
+
+    @staticmethod
+    def _rows(rng):
+        # 4096 rows: most of moderate size, some out to |theta| = 700
+        return np.vstack([
+            rng.uniform(-5.0, 5.0, size=(3584, 2)),
+            rng.uniform(-700.0, 700.0, size=(508, 2)),
+            [[700.0, 700.0], [700.0, -700.0], [-700.0, -700.0], [0.0, 0.0]],
+        ])
+
+    @staticmethod
+    def _many(arr):
+        # neither kernel may warn on a NaN-free array, about overflow or
+        # anything else
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return cumulant_many(HW, arr)
+
+    def test_agrees_with_scalar_up_to_700(self, rng):
+        thetas = self._rows(rng)
+        scalar = np.array([cumulant(HW, row) for row in thetas])
+        np.testing.assert_allclose(self._many(thetas), scalar, rtol=1e-14, atol=1e-13)
+
+    def test_rows_past_700_take_the_shifted_form(self, rng):
+        thetas = np.vstack([self._rows(rng), [[710.0, 0.0], [0.0, 1e4], [1e4, -1e4]]])
+        many = self._many(thetas)
+        assert np.all(np.isfinite(many))
+        assert many[-3] == pytest.approx(710.0 - math.log(4.0), rel=1e-15)
+        scalar = np.array([cumulant(HW, row) for row in thetas])
+        np.testing.assert_allclose(many, scalar, rtol=1e-14, atol=1e-13)
+
+    def test_infinite_empty_and_nan_rows(self):
+        inf = math.inf
+        minus = np.array([[-inf, 0.0], [-inf, -inf], [3.0, -inf]])
+        want = np.log(np.array([3.0, 2.0, 2.0 + math.exp(3.0)]) / 4.0)
+        np.testing.assert_allclose(self._many(minus), want, rtol=1e-15)
+        plus = self._many(np.vstack([minus, [[inf, 0.0], [-inf, inf]]]))
+        np.testing.assert_allclose(plus[:3], want, rtol=1e-15)
+        assert np.all(plus[3:] == inf)
+        assert self._many(np.empty((0, 2))).shape == (0,)
+        # a NaN row stays NaN, for the callers to raise on
+        with np.errstate(invalid="ignore"):
+            nan = cumulant_many(HW, np.array([[0.3, 0.2], [math.nan, 0.0]]))
+        assert math.isfinite(nan[0]) and math.isnan(nan[1])
+
+    def test_a_row_does_not_depend_on_its_batch(self, rng):
+        thetas = self._rows(rng)
+        many = self._many(thetas)
+        for i, j in [(0, 1), (5, 23), (17, 2065), (1000, 4096), (4095, 4096)]:
+            assert np.array_equal(many[i:j], self._many(thetas[i:j]))
+        # curve_loglik passes the transposed, column-major images
+        assert np.array_equal(many, self._many(np.asfortranarray(thetas)))
 
 
 def test_strip_cumulant_many_agrees_with_scalar(rng):

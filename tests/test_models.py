@@ -45,6 +45,13 @@ class TestModelEvents:
         assert ev.closure() == ev
         assert ev.contains(0.0) and not ev.interior().contains(0.0)
 
+    def test_nan_is_in_no_interval(self):
+        for iv in (Interval(0.0, 1.0), Interval(-math.inf, math.inf),
+                   Interval(2.0, 2.0), Interval(0.0, 1.0, False, False)):
+            assert not iv.contains(math.nan)
+        ev = event_interval(0.0, 1.0)
+        assert not ev.contains(math.nan) and not ev.complement().contains(math.nan)
+
     def test_complement_partitions_line(self):
         ev = event_at_least(0.5)
         comp = ev.complement()

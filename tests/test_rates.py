@@ -104,6 +104,12 @@ class TestPosteriorRate:
         assert np.all(table.rates[:-2] == math.inf)
         assert np.all(np.isfinite(table.rates[-2:]))
 
+    def test_nan_grid_point_is_named(self):
+        prior = uniform_prior(HW_LINE_MODEL, -3.0, 3.0)
+        grid = np.array([0.0, 0.5, math.nan, 1.0, math.nan])
+        with pytest.raises(ValueError, match="grid point 2 is NaN"):
+            posterior_rate(prior, MU0, grid)
+
     def test_metadata_carries_maximizers(self):
         prior = uniform_prior(HW_LINE_MODEL, -3.0, 3.0)
         table = posterior_rate(prior, MU0, np.array([0.0, 0.5]))

@@ -259,6 +259,23 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["rate", "posterior", "--model", "hw-line", "--mu0", "0.3,0.2",
+         "--support", "-3,3", "--grid=-inf,1,3"],
+        ["rate", "posterior", "--model", "hw-line", "--mu0", "0.3,0.2",
+         "--support", "-3,3", "--grid=-1e308,1e308,3"],
+        ["rate", "mle", "--model", "hw-line", "--theta0-coord", "0",
+         "--grid=-inf,1,3"],
+        ["rate", "mle", "--model", "hw-line", "--theta0-coord", "0",
+         "--grid=0,inf,0"],
+    ], ids=["posterior-infinite-lo", "posterior-overflowing-span",
+            "mle-infinite-lo", "mle-infinite-hi-empty"])
+    def test_non_finite_grid_endpoint_is_usage_error(self, args):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert "--grid endpoints must be finite" in result.output
+        assert "Warning" not in result.output
+
     def test_rate_cramer(self):
         result = CliRunner().invoke(
             main,
