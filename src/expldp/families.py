@@ -58,7 +58,7 @@ class DomainSpec:
 
     interior: Callable[[np.ndarray], bool]
     mean_domain: Callable[[np.ndarray], bool]
-    initial_point: np.ndarray
+    initial_point: np.ndarray        # interior; Newton conjugation starts here
     boundary_points: tuple = ()
 
     def is_boundary(self, theta) -> bool:

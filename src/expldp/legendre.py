@@ -1,11 +1,11 @@
 """Numerical convex conjugation.
 
 The conjugate kappa*(t) = sup_theta {theta.t - kappa(theta)} is computed by
-damped Newton on the strictly concave log-likelihood; the constrained
-variant kappa*_B restricts the supremum to an affine subspace (the same
-Newton, with its steps reduced onto the subspace) or to a parametrized
-curve (a scan of the model coordinate whose local maxima are polished by a
-derivative root).
+damped Newton on the strictly concave log-likelihood over the full domain;
+the constrained variant kappa*_B restricts the supremum to a model's
+parametrized curve (a scan of the model coordinate whose local maxima are
+polished by a derivative root).  An affine subfamily is a model whose map
+is affine, such as ``hw-line``, and takes the same curve path.
 
 ``scan_maximize``, the package's one 1-D maximizer, also serves the
 posterior peaks in ``models`` and the constant-MLE line minima in ``rates``.
@@ -25,7 +25,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from . import families
 from .errors import MeanOutsideDomain, NoConvergence, NumericsError, OutsideDomain
-from .families import as_point, cumulant, log_likelihood, mean_map
+from .families import as_point, log_likelihood, mean_map
 from .intervals import Interval
 
 # the contract requires gradient norm <= 1e-10 at convergence; aiming two
@@ -60,28 +60,16 @@ class LegendreResult:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Constraint B for kappa*_B: the full domain, an affine subspace
-    (base point plus independent spanning directions, intersected with the
-    essential domain), or a parametrized curve restricted to coordinate
-    intervals."""
+    """Constraint B for kappa*_B: the full domain, or a model's
+    parametrized curve restricted to coordinate intervals."""
 
-    kind: str                         # "full" | "affine" | "curve"
-    base: np.ndarray | None = None
-    directions: np.ndarray | None = None     # (k, d)
+    kind: str                         # "full" | "curve"
     model: object | None = None              # duck-typed CurvedModel
     intervals: tuple | None = None            # model-coordinate restriction
 
     @staticmethod
     def full() -> "ConstraintSet":
         return ConstraintSet(kind="full")
-
-    @staticmethod
-    def affine(base, directions) -> "ConstraintSet":
-        base = np.asarray(base, dtype=float)
-        directions = np.atleast_2d(np.asarray(directions, dtype=float))
-        if np.linalg.matrix_rank(directions) < directions.shape[0]:
-            raise ValueError("affine directions must be linearly independent")
-        return ConstraintSet(kind="affine", base=base, directions=directions)
 
     @staticmethod
     def curve(model, intervals=None) -> "ConstraintSet":
@@ -98,34 +86,26 @@ def _require_mean_point(family, t):
     return tt
 
 
-def _newton_max(family, t, theta0, dirs):
-    """Damped Newton ascent of l(.; t) over theta0 + span(dirs).
+def _newton_max(family, t):
+    """Damped Newton ascent of l(.; t) over the domain of kappa, from the
+    family's initial point.
 
-    ``dirs`` is a (k, d) array of independent directions; the identity
-    gives the full domain.  Every iterate stays in theta0 + span(dirs):
-    the gradient and Hessian are reduced onto the directions, and the
-    reduced step moves theta along ``step @ dirs``.  Returns (theta,
-    iterations).  Backtracking halves the step until the strictly concave
-    objective increases, which guarantees global convergence from any
-    interior start, or until the step's predicted gain falls below the
-    rounding floor of the objective; then the flat-step path below takes
-    the full step.  ``t`` must already be a validated mean point: the
-    iterates go to the families' trusted kernels, and only a non-finite
-    Newton step is checked here.
+    Returns (theta, iterations).  Backtracking halves the step until the
+    strictly concave objective increases, which guarantees global
+    convergence from any interior start, or until the step's predicted
+    gain falls below the rounding floor of the objective; then the
+    flat-step path below takes the full step.  ``t`` must already be a
+    validated mean point: the iterates go to the families' trusted
+    kernels, and only a non-finite Newton step is checked here.
     """
-    theta = np.array(theta0, dtype=float)
+    theta = np.array(family.domain.initial_point, dtype=float)
     val = families._log_likelihood(family, theta, t)
-    if not math.isfinite(val):
-        raise NoConvergence(
-            f"initial point theta={theta} is outside the domain of {family.name}"
-        )
     flat_budget = 6
     for it in range(1, MAX_NEWTON_ITER + 1):
-        mean, hess_full = families._moments(family, theta)
-        grad = dirs @ (t - mean)
+        mean, hess = families._moments(family, theta)
+        grad = t - mean
         if np.max(np.abs(grad)) <= GRAD_TOL:
             return theta, it - 1
-        hess = dirs @ hess_full @ dirs.T
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -140,11 +120,10 @@ def _newton_max(family, t, theta0, dirs):
         # first-order gain of the unit step; it is positive for a positive
         # definite Hessian, and otherwise halving runs its full course
         slope = float(grad @ step)
-        direction = step @ dirs
         scale = 1.0
         improved = False
         for _ in range(70):
-            theta_new = theta + scale * direction
+            theta_new = theta + scale * step
             val_new = families._log_likelihood(family, theta_new, t)
             # kappa can be finite at listed boundary points where the
             # gradient is not defined; iterates must stay interior
@@ -163,7 +142,7 @@ def _newton_max(family, t, theta0, dirs):
         if not improved:
             # the objective is flat to double precision near the optimum;
             # full Newton steps still contract the gradient quadratically
-            theta_new = theta + direction
+            theta_new = theta + step
             val_new = families._log_likelihood(family, theta_new, t)
             acceptable = (
                 math.isfinite(val_new)
@@ -184,37 +163,31 @@ def _newton_max(family, t, theta0, dirs):
     )
 
 
-def _newton_result(family, t, theta0, dirs) -> LegendreResult:
-    theta, iters = _newton_max(family, t, theta0, dirs)
+def conjugate(family, t) -> LegendreResult:
+    """kappa*(t) with its maximizer (the saturated-model MLE for data mean t)."""
+    tt = _require_mean_point(family, t)
+    theta, iters = _newton_max(family, tt)
     return LegendreResult(
-        t=t,
-        value=log_likelihood(family, theta, t),
+        t=tt,
+        value=log_likelihood(family, theta, tt),
         argmax=theta,
         converged=True,
         iterations=iters,
     )
 
 
-def conjugate(family, t) -> LegendreResult:
-    """kappa*(t) with its maximizer (the saturated-model MLE for data mean t)."""
-    tt = _require_mean_point(family, t)
-    return _newton_result(
-        family, tt, family.domain.initial_point, np.eye(family.dim)
-    )
-
-
 def conjugate_constrained(family, constraint: ConstraintSet, t) -> LegendreResult:
-    """kappa*_B(t) = sup over the constraint set of l(.; t)."""
+    """kappa*_B(t) = sup over the constraint set of l(.; t).  A curve
+    constraint must be a model of ``family`` itself."""
     tt = _require_mean_point(family, t)
     if constraint.kind == "full":
         return conjugate(family, tt)
-    if constraint.kind == "affine":
-        base = constraint.base
-        if not math.isfinite(cumulant(family, base)):
-            raise NoConvergence("affine base point lies outside the domain")
-        return _newton_result(family, tt, base, constraint.directions)
     if constraint.kind == "curve":
-        return _maximize_on_curve(family, constraint.model, tt, constraint.intervals)
+        model = constraint.model
+        if model.family is not family:
+            raise ValueError(f"{model.name} is a curve in {model.family.name}, "
+                             f"not in {family.name}")
+        return _maximize_on_curve(family, model, tt, constraint.intervals)
     raise ValueError(f"unknown constraint kind {constraint.kind!r}")
 
 
@@ -412,12 +385,28 @@ def _maximize_on_curve(family, model, t, intervals) -> LegendreResult:
 GRID_BLOCK_POINTS = 1 << 15
 
 
-def _full_grid_blocks(grid_spec):
-    """The full-domain grid in C order, as (m, dim) blocks of whole rows
-    along the leading axis.  Every block is a view of one buffer whose
-    trailing-axis columns are filled once; each block rewrites only the
-    leading coordinate, so a block is valid until the next one is drawn."""
-    axes = [np.linspace(lo, hi, int(n)) for lo, hi, n in grid_spec]
+def _grid_axes(grid_spec, dim):
+    """The axes of a full-domain grid: ``dim`` (lo, hi, count) triples,
+    each with finite endpoints a finite distance apart and a whole count,
+    at least 0; anything else raises ValueError naming the axis."""
+    if len(grid_spec) != dim:
+        raise ValueError(f"grid_spec has {len(grid_spec)} axes; the family has {dim}")
+    axes = []
+    for k, (lo, hi, n) in enumerate(grid_spec):
+        if not math.isfinite(float(hi) - float(lo)):
+            raise ValueError(f"grid axis {k} endpoints must be finite and a "
+                             f"finite distance apart: ({lo}, {hi})")
+        if not (float(n).is_integer() and n >= 0):
+            raise ValueError(f"grid axis {k} count must be a whole number >= 0: {n}")
+        axes.append(np.linspace(lo, hi, int(n)))
+    return axes
+
+
+def _full_grid_blocks(axes):
+    """The full-domain grid on ``axes`` in C order, as (m, dim) blocks of
+    whole rows along the leading axis.  Every block is a view of one buffer
+    whose trailing-axis columns are filled once; each block rewrites only
+    the leading coordinate, so a block is valid until the next one is drawn."""
     row_points = math.prod(len(ax) for ax in axes[1:])
     if row_points == 0 or len(axes[0]) == 0:
         return
@@ -435,9 +424,10 @@ def _full_grid_blocks(grid_spec):
 def conjugate_grid_oracle(family, constraint, t, grid_spec):
     """Exhaustive maximization of l(.; t) on an explicit grid.
 
-    grid_spec: per-axis (lo, hi, count) triples; one triple for an affine
-    constraint (reduced coordinate), ``dim`` triples for the full domain;
-    other constraint kinds raise ValueError.
+    grid_spec: ``dim`` per-axis (lo, hi, count) triples over the full
+    domain, checked before any work: finite endpoints a finite distance
+    apart and a whole count >= 0, else ValueError naming the axis.  Other
+    constraint kinds raise ValueError, and so does a grid with no points.
     Degenerate grids of a single point are allowed.  ``t`` is one mean
     point, giving (value, argmax), or an (m, dim) stack of them, giving
     arrays of the m values and argmaxes.  The full-domain grid is walked in
@@ -448,20 +438,15 @@ def conjugate_grid_oracle(family, constraint, t, grid_spec):
     must be copied out of its block (``np.repeat`` and row assignment do)
     and never kept as a view.
     """
+    if constraint.kind != "full":
+        raise ValueError(f"the grid oracle has no {constraint.kind} form")
+    axes = _grid_axes(grid_spec, family.dim)
     stack = np.ndim(t) == 2
     ts = [as_point(row, family.dim, "mean point") for row in (t if stack else [t])]
-    if constraint.kind == "full":
-        blocks = _full_grid_blocks(grid_spec)
-    elif constraint.kind == "affine":
-        (lo, hi, n), = grid_spec
-        us = np.linspace(lo, hi, int(n))
-        blocks = [constraint.base[None, :] + us[:, None] * constraint.directions[0][None, :]]
-    else:
-        raise ValueError(constraint.kind)
     values = np.full(len(ts), -np.inf)
     argmaxes = None     # set by the first block: a grid that is -inf
                         # everywhere gives its first point, as argmax does
-    for thetas in blocks:
+    for thetas in _full_grid_blocks(axes):
         kappas = families.cumulant_many(family, thetas)
         if argmaxes is None:
             argmaxes = np.repeat(thetas[:1], len(ts), axis=0)

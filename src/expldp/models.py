@@ -437,7 +437,6 @@ class LimitingMle:
     value: float
     boundary_flag: bool
     continuity_report: dict
-    legendre: legendre.LegendreResult
 
 
 def _continuity_check(family, model, z_point, z_inner):
@@ -511,5 +510,4 @@ def limiting_mle(prior: Prior, mu0) -> LimitingMle:
         value=res.value,
         boundary_flag=boundary_flag,
         continuity_report=report,
-        legendre=res,
     )

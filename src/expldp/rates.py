@@ -269,8 +269,7 @@ def pythagorean_residual(family: GeneratingFamily, constraint, theta0, theta,
                          mu0) -> float:
     """D(P_theta0||P_theta) - D(P_theta0||P_theta_nu) - D(P_theta_nu||P_theta)
     with theta_nu the constrained maximizer for mu0.  Vanishes identically
-    on affine constraint sets; bounded away from zero on genuinely curved
-    ones."""
+    on affine models; bounded away from zero on genuinely curved ones."""
     th0 = as_point(theta0, family.dim, "theta0")
     mu = as_point(mu0, family.dim, "mu0")
     grad0 = mean_map(family, th0)

@@ -73,9 +73,7 @@ def _build_hardy_weinberg():
     )
 
     theta0 = legendre.conjugate(family, mu0).argmax
-    constraint = legendre.ConstraintSet.affine(
-        base=(0.0, 0.0), directions=[(1.0, -1.0)]
-    )
+    constraint = legendre.ConstraintSet.curve(model)
     zs = np.linspace(-2.0, 2.0, 50)
     rows = []
     for z in zs:

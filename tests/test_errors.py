@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from expldp import (
-    ConstraintSet,
     DegeneratePosterior,
-    NoConvergence,
     OutsideDomain,
     RateUnbounded,
     builtin,
     builtin_model,
-    conjugate_constrained,
     cramer_rate,
     decay_rate_estimate,
     hessian,
@@ -40,12 +37,6 @@ def test_kl_requires_interior_theta0():
 def test_cramer_requires_interior_theta0():
     with pytest.raises(OutsideDomain):
         cramer_rate(builtin("landau-dual"), [0.0], [1.0])
-
-
-def test_affine_base_off_domain_is_no_convergence():
-    constraint = ConstraintSet.affine((0.0, 0.5), [(1.0, 0.0)])
-    with pytest.raises(NoConvergence):
-        conjugate_constrained(builtin("gauss-parabola"), constraint, [0.0, 1.0])
 
 
 def test_degenerate_posterior_when_support_off_domain():

@@ -25,7 +25,8 @@ GAUSS_MEAN = builtin("gauss-mean")
 GAUSS_PARABOLA = builtin("gauss-parabola")
 LANDAU = builtin("landau-dual")
 
-HW_LINE = ConstraintSet.affine((0.0, 0.0), [(1.0, -1.0)])
+# the affine subfamily theta = (z, -z), solved as the curve of its model
+HW_LINE = ConstraintSet.curve(builtin_model("hw-line"))
 LOG_11_9 = math.log(11.0 / 9.0)
 
 
@@ -110,9 +111,8 @@ class TestConstrainedAffine:
 
 
 class TestConstrainedCurve:
-    def test_hw_line_as_curve_matches_affine(self):
-        model = builtin_model("hw-line")
-        res = conjugate_constrained(HW, ConstraintSet.curve(model), [0.3, 0.2])
+    def test_hw_line_coordinate_is_paper_root(self):
+        res = conjugate_constrained(HW, HW_LINE, [0.3, 0.2])
         assert res.converged
         assert res.coordinate == pytest.approx(LOG_11_9, abs=1e-10)
 
@@ -159,6 +159,13 @@ class TestConstrainedCurve:
         res = conjugate_constrained(strip, constraint, [0.3, 0.5])
         assert res.converged
         assert 0.9 < res.coordinate <= 1.0
+
+    def test_curve_of_another_family_rejected(self):
+        # the gauss-mean-eq-sd curve lives in gauss-parabola; read as a
+        # curve of Hardy–Weinberg it would give a meaningless supremum
+        curve = ConstraintSet.curve(builtin_model("gauss-mean-eq-sd"))
+        with pytest.raises(ValueError, match="not in hardy-weinberg-saturated"):
+            conjugate_constrained(HW, curve, [0.3, 0.2])
 
 
 class TestScanMaximize:
@@ -266,6 +273,26 @@ class TestGridOracle:
         with pytest.raises(ValueError, match="no points"):
             conjugate_grid_oracle(HW, ConstraintSet.full(), [0.3, 0.2], spec)
 
+    @pytest.mark.parametrize("spec, message", [
+        (((math.nan, 1.0, 5), (-1.0, 1.0, 5)), "axis 0 endpoints"),
+        (((-1.0, 1.0, 5), (-math.inf, 1.0, 5)), "axis 1 endpoints"),
+        (((-1e308, 1e308, 5), (-1.0, 1.0, 5)), "axis 0 endpoints"),
+        (((-1.0, 1.0, 5), (-1.0, 1.0, 2.5)), "axis 1 count"),
+        (((-1.0, 1.0, -1), (-1.0, 1.0, 5)), "axis 0 count"),
+        (((-1.0, 1.0, math.nan), (-1.0, 1.0, 5)), "axis 0 count"),
+        (((-1.0, 1.0, 5),), "1 axes"),
+        (((-1.0, 1.0, 5),) * 3, "3 axes"),
+    ], ids=["nan-endpoint", "infinite-endpoint", "infinite-span",
+            "fractional-count", "negative-count", "nan-count",
+            "too-few-axes", "too-many-axes"])
+    def test_malformed_grid_spec_rejected_before_work(self, monkeypatch, spec, message):
+        def no_kernel(*args):
+            raise AssertionError("the kernel ran on a malformed grid")
+
+        monkeypatch.setattr(legendre.families, "cumulant_many", no_kernel)
+        with pytest.raises(ValueError, match=message):
+            conjugate_grid_oracle(HW, ConstraintSet.full(), [0.3, 0.2], spec)
+
     def test_poisson_against_newton(self):
         value, argmax = conjugate_grid_oracle(
             POISSON, ConstraintSet.full(), [2.0], ((-4.0, 4.0, 80001),)
@@ -273,12 +300,7 @@ class TestGridOracle:
         newton = conjugate(POISSON, [2.0])
         assert abs(value - newton.value) <= 1e-4
 
-    def test_constrained_against_newton(self):
-        value, argmax = conjugate_grid_oracle(
-            HW, HW_LINE, [0.3, 0.2], ((-3.0, 3.0, 60001),)
-        )
-        newton = conjugate_constrained(HW, HW_LINE, [0.3, 0.2])
-        assert abs(value - newton.value) <= 1e-4
+    def test_curve_constraint_rejected(self):
         # the grid oracle has no curve form
         curve = ConstraintSet.curve(builtin_model("gauss-mean-eq-sd"))
         with pytest.raises(ValueError):

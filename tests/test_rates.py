@@ -276,7 +276,7 @@ class TestContractionRate:
 class TestPythagoreanResidual:
     def test_exact_zero_at_theta_nu(self):
         theta0 = conjugate(HW, MU0).argmax
-        constraint = ConstraintSet.affine((0.0, 0.0), [(1.0, -1.0)])
+        constraint = ConstraintSet.curve(HW_LINE_MODEL)
         res = pythagorean_residual(
             HW, constraint, theta0, [LOG_11_9, -LOG_11_9], MU0
         )
@@ -284,7 +284,7 @@ class TestPythagoreanResidual:
 
     def test_affine_identity_on_grid(self):
         theta0 = conjugate(HW, MU0).argmax
-        constraint = ConstraintSet.affine((0.0, 0.0), [(1.0, -1.0)])
+        constraint = ConstraintSet.curve(HW_LINE_MODEL)
         for z in np.linspace(-2.0, 2.0, 50):
             res = pythagorean_residual(
                 HW, constraint, theta0, HW_LINE_MODEL.map(float(z)), MU0
@@ -304,7 +304,7 @@ class TestPythagoreanResidual:
         assert max(residuals) > 1e-3
 
     def test_mean_mismatch_rejected(self):
-        constraint = ConstraintSet.affine((0.0, 0.0), [(1.0, -1.0)])
+        constraint = ConstraintSet.curve(HW_LINE_MODEL)
         with pytest.raises(ValueError):
             pythagorean_residual(HW, constraint, [0.0, 0.0], [0.1, -0.1], MU0)
 

@@ -396,8 +396,6 @@ class TestVerifySensitivity:
                 z = res.coordinate + 1e-3
                 res.coordinate = z
                 res.argmax = np.asarray(constraint.model.map(z), dtype=float)
-            elif constraint.kind == "affine":
-                res.argmax = res.argmax + 1e-3 * constraint.directions[0]
             return res
 
         monkeypatch.setattr(legendre_mod, "conjugate_constrained", biased)
