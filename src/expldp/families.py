@@ -311,6 +311,20 @@ def _poisson_moments(th):
     return np.array([rate]), np.array([[rate]])
 
 
+# the largest argument at which expm1 is finite; past it kappa is +inf
+_EXPM1_BOUND = math.log(np.finfo(float).max)
+
+
+def _poisson_cumulant(th):
+    return INF if th[0] > _EXPM1_BOUND else float(np.expm1(th[0]))
+
+
+def _poisson_cumulant_many(arr):
+    x = arr[:, 0]
+    # NaN stays NaN: it fails the comparison and passes through the minimum
+    return np.where(x > _EXPM1_BOUND, INF, np.expm1(np.minimum(x, _EXPM1_BOUND)))
+
+
 def _make_poisson():
     domain = DomainSpec(
         interior=lambda th: True,
@@ -322,9 +336,9 @@ def _make_poisson():
         dim=1,
         domain=domain,
         payload=AnalyticPayload(
-            cumulant=lambda th: float(np.expm1(th[0])),
+            cumulant=_poisson_cumulant,
             moments=_poisson_moments,
-            cumulant_many=lambda arr: np.expm1(arr[:, 0]),
+            cumulant_many=_poisson_cumulant_many,
         ),
     )
 

@@ -1,11 +1,13 @@
 """Independent brute-force validators.
 
-Exact finite-n enumeration over the three-outcome sample space gives tail
-probabilities of the constrained-MLE statistic without any asymptotics,
-and an exhaustive grid search minimizes the sample-mean rate along a
-constant-MLE line.  Both exist to cross-check the analytic machinery and
-share the r_n = r_inf + c/n extrapolation with the posterior decay
-estimator for comparability.
+Exact finite-n tail probabilities of the constrained-MLE statistic over
+the three-outcome sample space, without any asymptotics: the statistic
+depends on the counts through n1 - n2 only, so conditioning on
+r = n1 + n2 turns the sum over all (n+1)(n+2)/2 count triples into n + 1
+binomial tail terms per run of the event.  An exhaustive grid search
+minimizes the sample-mean rate along a constant-MLE line.  Both exist to
+cross-check the analytic machinery and share the r_n = r_inf + c/n
+extrapolation with the posterior decay estimator for comparability.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import TooLarge
 from .families import builtin, mean_map
 from .models import ModelEvent, builtin_model
 from .rates import constant_mle_line
 
+# the sums take O(n) time and memory, but a deep-tail row sums its O(n)
+# pmf terms (``_log_window``), so a tail whose rows are all deep costs
+# O(n^2); the cap bounds that worst case
 ENUMERATION_CAP = 2000
 
 
@@ -90,55 +94,114 @@ def _log_sum_exp(values) -> float:
     return top + math.log(float(np.exp(shifted, out=shifted).sum()))
 
 
+def _log_diff(a, b):
+    """log(exp(a) - exp(b)) for b <= a; NaN where both are -inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a + np.log1p(-np.exp(b - a))
+
+
+# scipy's binomial ``logsf`` and ``logcdf`` lose digits, and then return
+# -inf, on tails far below 1e-200: a scan of r <= 2000 and q <= 1/2 found
+# the first wrong digits at about exp(-555) (lower tail, r = 1837,
+# q = 0.32), long before the doubles run out
+_DEEP_LOG_TAIL = math.log(1e-200)
+
+
+def _log_window(binom, lo, hi, r, q):
+    """log P(lo <= K <= hi) for K ~ Bin(r, q), one row per r; the window is
+    already clipped to 0..r and is empty where lo > hi.
+
+    A window below the conditional mean r q is a difference of lower tails,
+    and any other a difference of upper tails, so no difference of two
+    near-equal CDFs cancels: a window that holds the mean also holds the
+    mode, whose mass of about 1 / sqrt(r) bounds the cancellation.  A row
+    whose result is deep sums its log pmf terms directly."""
+    rows = lo <= hi
+    below = rows & (hi < r * q)
+    above = rows & ~below
+    out = np.full(r.shape, -math.inf)
+    # scipy gives -inf, without a warning, for logsf(r) and logcdf(-1)
+    out[above] = _log_diff(binom.logsf(lo[above] - 1, r[above], q),
+                           binom.logsf(hi[above], r[above], q))
+    out[below] = _log_diff(binom.logcdf(hi[below], r[below], q),
+                           binom.logcdf(lo[below] - 1, r[below], q))
+    deep = np.flatnonzero(rows & ~(out >= _DEEP_LOG_TAIL))
+    if deep.size:
+        # all deep rows' terms in one flat array, summed row by row
+        width = hi[deep] - lo[deep] + 1
+        start = np.cumsum(width) - width
+        row = np.repeat(deep, width)
+        k = lo[row] + np.arange(width.sum()) - np.repeat(start, width)
+        terms = binom.logpmf(k, r[row], q)
+        top = np.maximum.reduceat(terms, start)
+        out[deep] = top + np.log(
+            np.add.reduceat(np.exp(terms - np.repeat(top, width)), start))
+    return out
+
+
 def multinomial_mle_tail(spec: TrinomialSpec) -> MultinomialTailResult:
     """Exact probability that the constrained-MLE coordinate of an n-sample
-    empirical mean falls in the event, by full enumeration of counts.
+    empirical mean falls in the event, summed over r = n1 + n2.
 
-    The log pmf is laid out one row per n0 = m: with r = n - m, the row over
-    n1 = 0..r is a[n1] + b[r - n1] + c[m], where a, b and c carry the
-    factorial and probability terms of n1, n2 and n0, and c also log n!.  Its count
-    differences d = 2 n1 - r step by 2, so the row's event mask is a strided
-    slice of the mask over d."""
+    The coordinate depends on the counts through d = n1 - n2 only.  Given
+    r ~ Bin(n, p1 + p2), n1 is Bin(r, p1 / (p1 + p2)) and d = 2 n1 - r, so
+    each run [d_a, d_b] of the event over d is, in row r, the n1 window
+    [ceil((d_a + r)/2), floor((d_b + r)/2)] clipped to 0..r, whose binomial
+    mass is taken from the tail it lies in (``_log_window``).  log P is one
+    log-sum-exp over r of the marginal log pmf plus the window's log mass.
+    Each binomial takes the smaller of its two cell probabilities as its
+    success probability (counting n0 instead of r, or n2 instead of n1),
+    so that 1 - p is never a rounded complement of a number near 1.
+
+    A row whose window mass lies below 1e-200 sums its log pmf terms
+    directly, which keeps deep tails finite and exact at O(n) per such row.
+    ``outcomes`` counts the terms of the sum over r: n + 1 per run."""
     n = int(spec.n)
     if n > ENUMERATION_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    log_p0, log_p1, log_p2 = (math.log(p) for p in spec.probabilities)
-    k = np.arange(n + 1, dtype=float)
-    log_fact = gammaln(k + 1.0)
-    a = k * log_p1 - log_fact
-    b = k * log_p2 - log_fact
-    c = log_fact[n] + k * log_p0 - log_fact
-    d_mask = _event_mask(spec.event, _mle_coordinates(n))
-    outcomes = (n + 1) * (n + 2) // 2
-    log_pmf = np.empty(outcomes)
-    mask = np.empty(outcomes, dtype=bool)
-    start = 0
-    for m in range(n + 1):
-        r = n - m
-        row = log_pmf[start:start + r + 1]
-        np.add(a[:r + 1], b[r::-1], out=row)
-        row += c[m]
-        mask[start:start + r + 1] = d_mask[n - r:n + r + 1:2]
-        start += r + 1
-    total = _log_sum_exp(log_pmf)
+    # imported here: scipy.stats adds about 0.5 s and 20 MB to
+    # ``import expldp``, and only the exact tails need it
+    from scipy.stats import binom
+
+    p0, p1, p2 = spec.probabilities
+    r = np.arange(n + 1)
+    if p0 < p1 + p2:
+        log_marginal = binom.logpmf(n - r, n, p0)
+    else:
+        log_marginal = binom.logpmf(r, n, p1 + p2)
+    total = _log_sum_exp(log_marginal)
     if abs(total) > 1e-11:
-        raise AssertionError(f"enumeration mass check failed: {total!r}")
-    if not mask.any():
-        return MultinomialTailResult(0.0, -math.inf, math.inf, outcomes)
-    # shifting by the largest term of the event keeps deep tails finite
-    log_p = _log_sum_exp(log_pmf[mask])
+        raise AssertionError(f"r-marginal mass check failed: {total!r}")
+    # counting n2 = r - n1 instead of n1 mirrors d, and a run [d_a, d_b]
+    # becomes [-d_b, -d_a]
+    d_mask = _event_mask(spec.event, _mle_coordinates(n))
+    q = p1 / (p1 + p2)
+    if q > 0.5:
+        d_mask, q = d_mask[::-1], p2 / (p1 + p2)
+    edges = np.diff(d_mask.astype(np.int8), prepend=0, append=0)
+    d_a = np.flatnonzero(edges == 1) - n
+    d_b = np.flatnonzero(edges == -1) - 1 - n
+    if d_a.size == 0:
+        return MultinomialTailResult(0.0, -math.inf, math.inf, 0)
+    terms = [
+        log_marginal + _log_window(binom, np.maximum(-((-a - r) // 2), 0),
+                                   np.minimum((b + r) // 2, r), r, q)
+        for a, b in zip(d_a, d_b)
+    ]
+    log_p = _log_sum_exp(np.concatenate(terms))
     return MultinomialTailResult(
         probability=math.exp(log_p),
         log_probability=log_p,
         rate=-log_p / n,
-        outcomes=outcomes,
+        outcomes=(n + 1) * len(terms),
     )
 
 
 def enumeration_rates(theta0, event: ModelEvent, schedule):
-    """Tail rates over a sample-size schedule, one exact enumeration per n."""
+    """Tail rates over a sample-size schedule, one exact conditional-binomial
+    sum (``multinomial_mle_tail``) per n."""
     rates = []
     for n in schedule:
         spec = TrinomialSpec.from_theta0(int(n), theta0, event)

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import mpmath
@@ -323,6 +324,20 @@ def test_cumulant_many_agrees_with_scalar(rng, name):
     np.testing.assert_allclose(many[finite], scalar[finite], rtol=1e-14, atol=1e-13)
 
 
+def test_poisson_cumulant_is_inf_past_expm1_overflow():
+    # e^theta - 1 is finite up to log of the largest double and +inf past
+    # it, with no numpy overflow warning (pytest makes one an error)
+    bound = math.log(sys.float_info.max)
+    past = float(np.nextafter(bound, math.inf))
+    assert math.isfinite(cumulant(POISSON, [bound]))
+    assert cumulant(POISSON, [past]) == math.inf
+    assert cumulant(POISSON, [800.0]) == math.inf
+    many = cumulant_many(POISSON, [[bound], [past], [800.0], [math.inf], [1.0]])
+    assert list(np.isinf(many)) == [False, True, True, True, False]
+    assert many[0] == cumulant(POISSON, [bound])
+    assert many[4] == cumulant(POISSON, [1.0])
+
+
 def test_discrete_cumulant_many_takes_limits_at_infinite_rows():
     # an atom with 0 in an infinite coordinate does not see it; the limit
     # along the row is the scalar cumulant far out, with ±1e3 for ±inf
@@ -518,8 +533,6 @@ class TestStripAgainstMpmath:
 def test_strip_curve_mass_makes_no_peak_search(monkeypatch):
     # the strip cumulant is a closed form: a posterior mass on the strip
     # curve integrates it without any peak search
-    import sys
-
     from expldp import models, quadrature
 
     calls = []

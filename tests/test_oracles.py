@@ -7,9 +7,9 @@ from scipy.stats import binom
 
 from expldp import TrinomialSpec, builtin_model, curved_line_min_oracle, multinomial_mle_tail
 from expldp.errors import TooLarge
-from expldp.models import ModelEvent, event_at_least, fit_rate_limit
+from expldp.models import ModelEvent, event_at_least, event_interval, fit_rate_limit
 from expldp.intervals import Interval
-from expldp.oracles import enumeration_rates
+from expldp.oracles import _mle_coordinates, enumeration_rates
 from expldp.rates import contraction_rate
 
 
@@ -26,10 +26,11 @@ class TestTrinomialSpec:
 
 class TestEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 200])
-    def test_outcome_count_stars_and_bars(self, n):
+    def test_outcome_count_stars_and_bars(self, n, enumerate_outcomes):
         spec = TrinomialSpec.from_theta0(n, [0.0, 0.0], event_at_least(0.0))
-        result = multinomial_mle_tail(spec)
-        assert result.outcomes == (n + 1) * (n + 2) // 2
+        assert enumerate_outcomes(spec)[1] == (n + 1) * (n + 2) // 2
+        # the conditional sum has one term per r = n1 + n2 for its one run
+        assert multinomial_mle_tail(spec).outcomes == n + 1
 
     def test_n2_zero_mle_event(self):
         # counts with n1 = n2 have MLE coordinate exactly zero:
@@ -149,9 +150,91 @@ class TestEnumerationAgainstIndependentSums:
                         ways = math.factorial(n) // (
                             math.factorial(n0) * math.factorial(n1) * math.factorial(n2))
                         want += ways * p0 ** n0 * p1 ** n1 * p2 ** n2
+            # one term per r = n1 + n2 for each run of member count differences
+            members = [False] + [member(_coordinate(n, d)) for d in range(-n, n + 1)]
+            runs = sum(b and not a for a, b in zip(members, members[1:]))
             got = multinomial_mle_tail(spec)
-            assert got.outcomes == (n + 1) * (n + 2) // 2
+            assert got.outcomes == (n + 1) * runs
             assert got.probability == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@pytest.fixture
+def against_reference(enumerate_outcomes):
+    """Asserts the conditional sum's log P equals the enumeration's at rel
+    1e-12, and returns it."""
+    def check(spec):
+        want, _ = enumerate_outcomes(spec)
+        got = multinomial_mle_tail(spec).log_probability
+        assert got == pytest.approx(want, rel=1e-12)
+        return got
+    return check
+
+
+class TestConditionalSumAgainstEnumeration:
+    @pytest.mark.parametrize("d", [-7, 0, 3, 20])
+    def test_endpoints_hit_exactly_by_a_count(self, against_reference, d):
+        # the endpoints are the coordinates of the count differences d and
+        # d + 15 themselves, so closing or opening an end adds or drops a count
+        n = 100
+        coords = _mle_coordinates(n)
+        lo, hi = float(coords[n + d]), float(coords[n + d + 15])
+        got = {
+            (lo_closed, hi_closed): against_reference(TrinomialSpec.from_theta0(
+                n, [0.3, 0.2], event_interval(lo, hi, lo_closed, hi_closed)))
+            for lo_closed in (True, False) for hi_closed in (True, False)
+        }
+        assert got[True, True] > got[False, True]
+        assert got[True, False] > got[False, False]
+        assert len(set(got.values())) == 4
+
+    @pytest.mark.parametrize("lo,hi", [(0.5, 1.0), (-1.0, -0.5), (-0.2, 0.3)],
+                             ids=["upper-tail", "lower-tail", "straddles-mode"])
+    @pytest.mark.parametrize("n", [1, 2, 300, 2000])
+    def test_bounded_window(self, against_reference, n, lo, hi):
+        # at theta0 = 0 the conditional law of n1 given r is Bin(r, 1/2), so
+        # a window of positive coordinates lies in every row's upper tail,
+        # one of negative coordinates in the lower tail, and one around 0
+        # holds the conditional mode
+        against_reference(
+            TrinomialSpec.from_theta0(n, [0.0, 0.0], event_interval(lo, hi)))
+
+    @pytest.mark.parametrize("theta0", [(0.3, 0.2), (-1.0, 0.5)])
+    @pytest.mark.parametrize("name", sorted(_EVENTS))
+    @pytest.mark.parametrize("n", [1, 2, 57, 400])
+    def test_off_model_theta0(self, against_reference, n, name, theta0):
+        against_reference(TrinomialSpec.from_theta0(n, theta0, _EVENTS[name][0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 2000])
+    def test_corners_alone(self, against_reference, n):
+        # past the largest finite coordinate log(2n - 1) only the corner
+        # d = n (every draw e1) is left, and below its negative only d = -n
+        spec = TrinomialSpec.from_theta0(n, [-1.0, 0.5], event_at_least(50.0))
+        got = against_reference(spec)
+        assert got == pytest.approx(n * math.log(spec.probabilities[1]), rel=1e-12)
+        spec = TrinomialSpec.from_theta0(
+            n, [-1.0, 0.5], ModelEvent((Interval(-math.inf, -50.0),)))
+        got = against_reference(spec)
+        assert got == pytest.approx(n * math.log(spec.probabilities[2]), rel=1e-12)
+
+    def test_rare_cell_counted_by_its_own_probability(self, against_reference):
+        # with p0 = 3e-14, p1 + p2 is 1 - p0 rounded to a double, whose
+        # complement is off in the third digit; only the counts (n0, n1,
+        # n2) = (1, n - 1, 0) reach d = n - 1, so log P carries log p0 exactly
+        n = 40
+        z = float(_mle_coordinates(n)[2 * n - 1])
+        spec = TrinomialSpec(n, (3e-14, 0.6, 0.4 - 3e-14), event_interval(z, z))
+        got = against_reference(spec)
+        assert got == pytest.approx(
+            math.log(n * 3e-14) + (n - 1) * math.log(0.6), rel=1e-12)
+
+    def test_deep_row_fallback(self, against_reference):
+        # q = p2 / (p1 + p2) is about 2.5e-15, and the rows r = 44..46 have
+        # window masses near 1e-294: scipy's binomial logsf is wrong there in
+        # the fourth digit, so only summing the pmf terms matches
+        event = ModelEvent((Interval(-math.inf, 0.19339403794577592,
+                                     hi_closed=False),))
+        spec = TrinomialSpec.from_theta0(48, [21.55527577, -12.04864176], event)
+        assert against_reference(spec) == pytest.approx(-708.26248127, rel=1e-10)
 
 
 class TestCurvedLineOracle:

@@ -144,6 +144,39 @@ def test_enumeration_total_mass(n, t1, t2):
     assert multinomial_mle_tail(spec).probability == pytest.approx(1.0, abs=1e-12)
 
 
+endpoint = st.one_of(st.floats(min_value=-8.0, max_value=8.0),
+                     st.sampled_from([-math.inf, math.inf]))
+
+
+@st.composite
+def event_unions(draw):
+    ivs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        lo, hi = sorted((draw(endpoint), draw(endpoint)))
+        ivs.append(Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    return ModelEvent(tuple(ivs))
+
+
+@settings(max_examples=100, **COMMON)
+@given(
+    n=st.integers(min_value=1, max_value=60),
+    t1=st.floats(min_value=-30.0, max_value=30.0),
+    t2=st.floats(min_value=-30.0, max_value=30.0),
+    event=event_unions(),
+)
+def test_conditional_tail_matches_enumeration(enumerate_outcomes, n, t1, t2, event):
+    # |theta| up to 30 puts a cell probability near 1e-13 and rows deep in
+    # their binomial tails; the reference sums every count triple, and its
+    # rounding (log-factorials near 190 at n = 60) sets the absolute floor
+    spec = TrinomialSpec.from_theta0(n, [t1, t2], event)
+    want, _ = enumerate_outcomes(spec)
+    got = multinomial_mle_tail(spec).log_probability
+    if math.isinf(want):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+
 @settings(max_examples=40, **COMMON)
 @given(
     x=st.floats(min_value=0.05, max_value=0.6),

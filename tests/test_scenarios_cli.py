@@ -285,6 +285,18 @@ class TestCli:
         assert result.exit_code == 0
         assert float(result.output) == pytest.approx(2 * math.log(2) - 1, abs=1e-10)
 
+    def test_rate_cramer_past_cumulant_overflow(self):
+        # kappa(800) = e^800 - 1 overflows a double, so the rate is +inf,
+        # reached without a numpy overflow warning (pytest makes one an error)
+        result = CliRunner().invoke(
+            main,
+            ["rate", "cramer", "--family", "poisson", "--theta0", "800",
+             "--t", "2"],
+        )
+        assert result.exit_code == 0, result.output
+        assert float(result.output) == math.inf
+        assert "Warning" not in result.output
+
     def test_rate_posterior_to_file(self, tmp_path):
         out = tmp_path / "rate.csv"
         result = CliRunner().invoke(
