@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Scan contraction rates on the mean=sd curve against the exhaustive oracle.
 
-Evaluates `contraction_rate` on `gauss-mean-eq-sd` with the
-truth at coordinate 1.0, over [0.4, 0.8] in steps of 0.002 and [1.25, 3.0]
-in steps of 0.01 (377 coordinates, including the near-degenerate line
-points where the Newton conjugates are flat to rounding), and compares each
-rate with `curved_line_min_oracle`.  Prints how many coordinates raised,
-the worst gap to the oracle and where it occurred; exits 1 if any
-coordinate raised or the worst gap exceeds the tolerance.
+Evaluates `contraction_rate` on `gauss-mean-eq-sd` with the truth at
+coordinate 1.0, over [0.4, 0.8] in steps of 0.002 and [1.25, 3.0] in steps
+of 0.01 (377 coordinates, including the near-degenerate ends of the
+constant-MLE lines), in one array call, and compares each rate with
+`curved_line_min_oracle`.  Prints how many coordinates raised (the call
+raises for all of them or for none), the worst gap to the oracle and where
+it occurred; exits 1 if the call raised or the worst gap exceeds the
+tolerance.  The rates take about 0.15 s and the oracle about 0.5 s on a
+2-core Xeon.
 
 Usage: python scripts/contraction_scan.py [tolerance]   (default 1e-8)
 
@@ -46,23 +48,19 @@ def main():
     model = builtin_model("gauss-mean-eq-sd")
     theta0 = model.map(TRUTH)
     coords = coordinates()
-    raised, worst, worst_at = [], 0.0, None
     start = time.perf_counter()
-    for c in coords:
-        try:
-            rate = contraction_rate(model, theta0, float(c))
-        except ExpLdpError as exc:
-            raised.append((float(c), type(exc).__name__))
-            continue
-        gap = abs(rate - curved_line_min_oracle(TRUTH, float(c))[0])
-        if gap > worst:
-            worst, worst_at = gap, float(c)
+    try:
+        rates = contraction_rate(model, theta0, coords)
+    except ExpLdpError as exc:
+        print(f"coordinates: {len(coords)}  raised: {len(coords)}  "
+              f"({type(exc).__name__}: {exc})")
+        return 1
     elapsed = time.perf_counter() - start
-    print(f"coordinates: {len(coords)}  raised: {len(raised)}  "
-          f"worst gap: {worst:.3e} at c={worst_at}  ({elapsed:.1f}s)")
-    for c, name in raised:
-        print(f"  raised {name} at c={c}")
-    return 1 if raised or worst > tol else 0
+    gaps = np.abs(rates - [curved_line_min_oracle(TRUTH, c)[0] for c in coords])
+    worst = int(np.argmax(gaps))
+    print(f"coordinates: {len(coords)}  raised: 0  worst gap: {gaps[worst]:.3e} "
+          f"at c={coords[worst]}  ({elapsed:.3f}s)")
+    return 1 if gaps[worst] > tol else 0
 
 
 if __name__ == "__main__":

@@ -158,15 +158,11 @@ def rate_mle(model_name, theta0_coord, grid_text, out_path):
     model = builtin_model(model_name)
     theta0 = model.map(theta0_coord)
     grid = _parse_grid(grid_text)
-    rows = []
     try:
-        for coord in grid:
-            rows.append(
-                (float(coord),
-                 rates.contraction_rate(model, theta0, float(coord)))
-            )
+        values = rates.contraction_rate(model, theta0, grid)
     except ExpLdpError as exc:
         raise click.UsageError(str(exc))
+    rows = list(zip(grid.tolist(), values.tolist()))
     table = Table("mle_rate", ("coordinate", "rate"), rows,
                   {"kind": "mle", "theta0_coordinate": theta0_coord})
     _emit_table(table, out_path)

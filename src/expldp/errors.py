@@ -44,7 +44,7 @@ class RateFormMismatch(ExpLdpError):
 
 
 class UnsupportedModel(ExpLdpError):
-    """Curved model without a registered constant-MLE parametrization."""
+    """The MLE at the contraction rate's dual minimizer is elsewhere."""
 
 
 class TooLarge(ExpLdpError):

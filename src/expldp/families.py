@@ -306,13 +306,15 @@ def _make_gauss_parabola():
     )
 
 
-def _poisson_moments(th):
-    rate = math.exp(th[0])
-    return np.array([rate]), np.array([[rate]])
-
-
 # the largest argument at which expm1 is finite; past it kappa is +inf
 _EXPM1_BOUND = math.log(np.finfo(float).max)
+
+
+def _poisson_moments(th):
+    if th[0] > _EXPM1_BOUND:
+        raise OutsideDomain(f"theta={th}: e^theta overflows and kappa is +inf")
+    rate = math.exp(th[0])
+    return np.array([rate]), np.array([[rate]])
 
 
 def _poisson_cumulant(th):

@@ -8,7 +8,7 @@ polished by a derivative root).  An affine subfamily is a model whose map
 is affine, such as ``hw-line``, and takes the same curve path.
 
 ``scan_maximize``, the package's one 1-D maximizer, also serves the
-posterior peaks in ``models`` and the constant-MLE line minima in ``rates``.
+posterior peaks in ``models``.
 
 When the supremum over a non-closed constraint set is approached but not
 attained, the result reports the supremum with ``converged=False`` and no
@@ -118,8 +118,10 @@ def _newton_max(family, t):
         # not with the value: near-degenerate means give |theta| ~ 1e8
         flat = 1e-11 * (1.0 + abs(val) + float(np.abs(theta) @ np.abs(t)))
         # first-order gain of the unit step; it is positive for a positive
-        # definite Hessian, and otherwise halving runs its full course
-        slope = float(grad @ step)
+        # definite Hessian, and otherwise (or if it overflows) halving runs
+        # its full course
+        with np.errstate(over="ignore"):
+            slope = float(grad @ step)
         scale = 1.0
         improved = False
         for _ in range(70):
@@ -218,15 +220,25 @@ def scan_maximize(f, lo, hi, n, df=None):
     return sorted(maxima, key=lambda m: -m[1])
 
 
+# iterations of a polish: on a window of width 2e300, brentq takes about
+# 1050 steps to its tolerances and the bounded Brent about 1300
+POLISH_MAXITER = 4000
+
+
 def _polish(f, df, a, b):
-    """One local maximum of f inside [a, b]."""
+    """One local maximum of f inside [a, b]; NoConvergence where the
+    polish stops short of its tolerance."""
     if df is not None:
         try:
-            root = (brentq(df, a, b, xtol=1e-14, rtol=8.9e-16)
-                    if -math.inf < df(b) < 0.0 < df(a) < math.inf else None)
+            root, info = (
+                brentq(df, a, b, xtol=1e-14, rtol=8.9e-16, maxiter=POLISH_MAXITER,
+                       full_output=True, disp=False)
+                if -math.inf < df(b) < 0.0 < df(a) < math.inf else (None, None))
         except (OutsideDomain, ValueError):
             root = None
         if root is not None:
+            if not info.converged:
+                raise NoConvergence(f"root polish on [{a}, {b}]: {info.flag}")
             return float(root), float(f(root))
 
     def negated(x):
@@ -234,8 +246,11 @@ def _polish(f, df, a, b):
         return -v if math.isfinite(v) else 1e300
 
     res = minimize_scalar(
-        negated, bounds=(a, b), method="bounded", options={"xatol": 1e-12},
+        negated, bounds=(a, b), method="bounded",
+        options={"xatol": 1e-12, "maxiter": POLISH_MAXITER},
     )
+    if not res.success:
+        raise NoConvergence(f"bounded Brent polish on [{a}, {b}]: {res.message}")
     return float(res.x), (-float(res.fun) if res.fun < 1e300 else -math.inf)
 
 

@@ -81,14 +81,13 @@ def event_interval(lo: float, hi: float, lo_closed=True, hi_closed=True) -> Mode
 
 @dataclass(frozen=True)
 class CurvedModel:
-    """Parameter map eta: M -> dom(kappa) with Jacobian, affine or curved.
+    """Parameter map eta: M -> dom(kappa) with Jacobian.
 
     ``map`` also takes an array of m coordinates and then returns the
     (d, m) array of their images, one column per coordinate."""
 
     name: str
     family: GeneratingFamily
-    kind: str                 # "affine" | "curve"
     map: Callable[[float], np.ndarray]
     jacobian: Callable[[float], np.ndarray]
     coord_intervals: tuple    # M as a union of Intervals (with openness)
@@ -99,7 +98,6 @@ def _build_hw_line():
     return CurvedModel(
         name="hw-line",
         family=fam,
-        kind="affine",
         map=lambda z: np.array([z, -z]),
         jacobian=lambda z: np.array([1.0, -1.0]),
         coord_intervals=(Interval(-INF, INF),),
@@ -111,7 +109,6 @@ def _build_gauss_mean_eq_sd():
     return CurvedModel(
         name="gauss-mean-eq-sd",
         family=fam,
-        kind="curve",
         map=lambda z: np.array([z, -0.5 * z * z]),
         jacobian=lambda z: np.array([1.0, -z]),
         coord_intervals=(Interval(0.0, INF, lo_closed=False),),
@@ -131,7 +128,6 @@ def _build_strip_curve():
     return CurvedModel(
         name="strip-curve",
         family=fam,
-        kind="curve",
         map=emb,
         jacobian=jac,
         coord_intervals=(Interval(0.0, 1.0, lo_closed=False, hi_closed=True),),
@@ -143,7 +139,6 @@ def _build_poisson_line():
     return CurvedModel(
         name="poisson-line",
         family=fam,
-        kind="affine",
         map=lambda z: np.array([z]),
         jacobian=lambda z: np.array([1.0]),
         coord_intervals=(Interval(-INF, INF),),

@@ -4,10 +4,12 @@ Exact finite-n tail probabilities of the constrained-MLE statistic over
 the three-outcome sample space, without any asymptotics: the statistic
 depends on the counts through n1 - n2 only, so conditioning on
 r = n1 + n2 turns the sum over all (n+1)(n+2)/2 count triples into n + 1
-binomial tail terms per run of the event.  An exhaustive grid search
-minimizes the sample-mean rate along a constant-MLE line.  Both exist to
-cross-check the analytic machinery and share the r_n = r_inf + c/n
-extrapolation with the posterior decay estimator for comparability.
+binomial tail terms per run of the event.  On the mean=sd curve, an
+exhaustive grid search minimizes the sample-mean rate along the
+hand-derived constant-MLE line, and the roots of a quadratic certify its
+stationary points.  All of them exist to cross-check the analytic
+machinery; the tails share the r_n = r_inf + c/n extrapolation with the
+posterior decay estimator for comparability.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import numpy as np
 
 from .errors import TooLarge
 from .families import builtin, mean_map
-from .models import ModelEvent, builtin_model
-from .rates import constant_mle_line
+from .models import ModelEvent
 
 # the sums take O(n) time and memory, but a deep-tail row sums its O(n)
 # pmf terms (``_log_window``), so a tail whose rows are all deep costs
@@ -210,8 +211,37 @@ def enumeration_rates(theta0, event: ModelEvent, schedule):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive line minimization for the curved example
+# the constant-MLE line of the curved example
 # ---------------------------------------------------------------------------
+# On the mean=sd curve the MLE is c on the line x -> (x, 1/c^2 + x/c).
+
+
+def _mean_eq_sd_window(c):
+    """The line's open x window inside the mean domain t2 > t1^2 at
+    coordinate c > 0, inset by 1e-9 of its width."""
+    lo = (1.0 - math.sqrt(5.0)) / (2.0 * c)
+    hi = (1.0 + math.sqrt(5.0)) / (2.0 * c)
+    inset = 1e-9 * (hi - lo)
+    return lo + inset, hi - inset
+
+
+def constant_mle_stationary_points(theta0, coord):
+    """Stationary points (x values inside the window) of the sample-mean
+    rate under theta0 along the line at ``coord``: the roots of a
+    quadratic in z = coord*x, or of a linear equation when its leading
+    coefficient vanishes.  A closed-form certificate for the minimizer."""
+    s = coord * float(theta0[0]) + float(theta0[1])
+    a = 2.0 * s
+    b = -2.0 * (s - coord * coord)
+    c = -(2.0 * s + coord * coord)
+    if abs(a) < 1e-14:
+        zs = () if abs(b) < 1e-14 else (-c / b,)
+    else:
+        disc = b * b - 4.0 * a * c
+        root = math.sqrt(max(disc, 0.0))
+        zs = () if disc < 0.0 else ((-b - root) / (2 * a), (-b + root) / (2 * a))
+    lo, hi = _mean_eq_sd_window(coord)
+    return tuple(z / coord for z in zs if lo < z / coord < hi)
 
 
 def curved_line_min_oracle(theta0_coord: float, theta_coord: float,
@@ -229,10 +259,7 @@ def curved_line_min_oracle(theta0_coord: float, theta_coord: float,
     c = float(theta_coord)
     if c0 <= 0.0 or c <= 0.0:
         raise ValueError("coordinates must be positive on this curve")
-    line = constant_mle_line(builtin_model("gauss-mean-eq-sd"))
-    lo, hi = line.window(c)
-    inset = 1e-9 * (hi - lo)
-    lo, hi = lo + inset, hi - inset
+    lo, hi = _mean_eq_sd_window(c)
 
     def iota(xs):
         xs = np.asarray(xs, dtype=float)

@@ -122,10 +122,8 @@ def _build_gauss_mean_eq_sd():
     theta0 = model.map(GAUSS_THETA0_COORD)
 
     coords = np.linspace(0.4, 3.0, 27)
-    rows = [
-        (float(c), rates.contraction_rate(model, theta0, float(c)))
-        for c in coords
-    ]
+    rows = list(zip(coords.tolist(),
+                    rates.contraction_rate(model, theta0, coords).tolist()))
     table_rate = Table(
         name="contraction_rate",
         columns=("coordinate", "rate"),
@@ -149,7 +147,7 @@ def _build_gauss_mean_eq_sd():
 
     cert_rows = []
     for c in GAUSS_GAP_COORDS:
-        roots = rates.constant_mle_stationary_points(model, theta0, c)
+        roots = oracles.constant_mle_stationary_points(theta0, c)
         _, brute_x = oracles.curved_line_min_oracle(GAUSS_THETA0_COORD, c)
         best = min(roots, key=lambda x: abs(x - brute_x))
         cert_rows.append((c, float(best), float(brute_x), float(best - brute_x)))

@@ -338,6 +338,18 @@ def test_poisson_cumulant_is_inf_past_expm1_overflow():
     assert many[4] == cumulant(POISSON, [1.0])
 
 
+def test_poisson_moments_past_expm1_overflow_are_outside_domain():
+    # e^theta overflows where kappa is +inf: the mean map and the Hessian
+    # raise the package's OutsideDomain, not a bare OverflowError
+    bound = math.log(sys.float_info.max)
+    assert math.isfinite(mean_map(POISSON, [bound])[0])
+    for theta in (float(np.nextafter(bound, math.inf)), 800.0):
+        with pytest.raises(OutsideDomain):
+            mean_map(POISSON, [theta])
+        with pytest.raises(OutsideDomain):
+            hessian(POISSON, [theta])
+
+
 def test_discrete_cumulant_many_takes_limits_at_infinite_rows():
     # an atom with 0 in an infinite coordinate does not see it; the limit
     # along the row is the scalar cumulant far out, with ±1e3 for ±inf

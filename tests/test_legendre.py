@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expldp import legendre
+from expldp import families, legendre
 from expldp.families import cumulant_many
 from expldp import (
     ConstraintSet,
@@ -17,6 +17,7 @@ from expldp import (
     cumulant,
     mean_map,
 )
+from expldp.errors import NoConvergence
 from expldp.intervals import Interval
 
 HW = builtin("hardy-weinberg-saturated")
@@ -77,6 +78,37 @@ class TestConjugate:
         assert set(obj) == {
             "value", "argmax", "converged", "iterations", "multiplicity_flag"
         }
+
+    @pytest.mark.parametrize("t1, variance", [
+        (3.0, 1e-6), (-3.0, 1e-6), (9.0, 1e-10), (10.5, 1e-9),
+    ])
+    def test_newton_line_search_evaluations_per_iteration(
+            self, monkeypatch, t1, variance):
+        # a line search that is flat to rounding must not halve all the way
+        # down before the flat-step path takes the full step.  Near-degenerate
+        # means t2 - t1^2 << 1 of the Gaussian parabola have a natural
+        # parameter of 1/variance, and the rounding of the objective grows
+        # with |theta|.|t|: a flat allowance of 1e-11 (1 + |l|) rejects the
+        # flat steps at these four points.  Each Newton iteration evaluates
+        # one mean map and Hessian and then its line search; count the
+        # likelihood evaluations after each of those moment calls
+        counts = []
+        moments, loglik = families._moments, families._log_likelihood
+
+        def counted_moments(*args):
+            counts.append(0)
+            return moments(*args)
+
+        def counted_loglik(*args):
+            if counts:
+                counts[-1] += 1
+            return loglik(*args)
+
+        monkeypatch.setattr(families, "_moments", counted_moments)
+        monkeypatch.setattr(families, "_log_likelihood", counted_loglik)
+        res = conjugate(GAUSS_PARABOLA, [t1, t1 * t1 + variance])
+        assert res.converged
+        assert counts and max(counts) <= 20
 
 
 class TestConstrainedAffine:
@@ -224,8 +256,9 @@ class TestScanMaximize:
         original = legendre.brentq
 
         def recording(*args, **kwargs):
-            roots.append(original(*args, **kwargs))
-            return roots[-1]
+            root, info = original(*args, **kwargs)
+            roots.append(root)
+            return root, info
 
         def no_brent(*args, **kwargs):
             raise AssertionError("bounded Brent ran although df brackets a root")
@@ -238,6 +271,22 @@ class TestScanMaximize:
         assert roots == [x]
         assert x == pytest.approx(0.3, abs=1e-14)
         assert value == -((x - 0.3) ** 2)
+
+    @pytest.mark.parametrize("with_df", [True, False])
+    def test_unconverged_polish_raises(self, monkeypatch, with_df):
+        # a polish cut short of its tolerance raises instead of returning a
+        # rough point (a window of width 2e300 needs about 1000 bisections)
+        def f(x):
+            return -np.abs(x - 0.3)
+
+        def df(x):
+            return -float(np.sign(x - 0.3))
+
+        (x, _), = legendre.scan_maximize(f, -1.0, 1.0, 16, df if with_df else None)
+        assert x == pytest.approx(0.3, abs=1e-8)
+        monkeypatch.setattr(legendre, "POLISH_MAXITER", 3)
+        with pytest.raises(NoConvergence):
+            legendre.scan_maximize(f, -1.0, 1.0, 16, df if with_df else None)
 
     def test_edge_maximum_falls_back_to_brent(self, monkeypatch):
         # the maximum sits at the window's edge, so df does not change sign

@@ -19,9 +19,10 @@ from expldp import (
     pythagorean_residual,
     uniform_prior,
 )
-from expldp import families, legendre, rates
+from expldp import families, legendre, oracles, rates
 from expldp.errors import UnsupportedModel
-from expldp.rates import constant_mle_line, constant_mle_stationary_points
+from expldp.models import event_at_least, fit_rate_limit
+from expldp.oracles import constant_mle_stationary_points, enumeration_rates
 
 HW = builtin("hardy-weinberg-saturated")
 POISSON = builtin("poisson")
@@ -153,30 +154,26 @@ class TestContractionRate:
             pytest.approx(0.0, abs=1e-10)
         )
 
-    def test_affine_model_equals_kl(self, rng):
-        # the Pythagorean identity: on an affine model the minimum over the
-        # constant-MLE line is the divergence from the model point
-        theta0 = np.zeros(2)
-        line = constant_mle_line(HW_LINE_MODEL)
-        for z in rng.uniform(-1.2, 1.2, size=8):
-            direct = kl_divergence(HW, HW_LINE_MODEL.map(float(z)), theta0)
-            assert rates._line_minimum(
-                HW, theta0, line, float(z)
-            ) == pytest.approx(direct, abs=1e-8)
+    @pytest.mark.parametrize("name, z0", [("hw-line", 0.3), ("hw-line", -1.1),
+                                          ("poisson-line", 0.4)])
+    def test_affine_model_equals_kl(self, name, z0):
+        # with theta0 on an affine model the fiber minimum is the divergence
+        # from the model point (the Pythagorean identity)
+        model = builtin_model(name)
+        theta0 = model.map(z0)
+        coords = np.linspace(-2.0, 2.0, 9)
+        got = contraction_rate(model, theta0, coords)
+        for c, rate in zip(coords, got):
+            direct = kl_divergence(model.family, model.map(float(c)), theta0)
+            assert rate == pytest.approx(direct, abs=1e-12)
 
-    def test_affine_model_takes_kl_without_line_scan(self, monkeypatch):
-        # hw-line is affine, so its rate is the divergence itself, even
-        # though a constant-MLE line is registered for it
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return cramer_rate(*args)
-
-        monkeypatch.setattr(rates, "cramer_rate", counted)
-        rate = contraction_rate(HW_LINE_MODEL, np.zeros(2), 0.5)
-        assert not calls
-        assert rate == kl_divergence(HW, HW_LINE_MODEL.map(0.5), np.zeros(2))
+    def test_array_matches_scalar_calls(self):
+        coords = np.array([[-1.0, 0.5], [2.0, 0.0]])
+        got = contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), coords)
+        assert got.shape == coords.shape
+        for c, rate in zip(coords.ravel(), got.ravel()):
+            assert rate == contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), c)
+        assert got[0, 0] == math.inf and got[1, 1] == math.inf
 
     def test_curved_model_strictly_below_kl(self):
         theta0 = GAUSS_MODEL.map(1.0)
@@ -199,57 +196,22 @@ class TestContractionRate:
         assert exact == pytest.approx(oracle, abs=1e-10)
         assert rate == pytest.approx(exact, abs=1e-8)
 
-    @pytest.mark.parametrize("coord", [0.468, 1.0, 2.0])
-    def test_cramer_rate_calls_per_coordinate(self, monkeypatch, coord):
-        # one 24-point scan, one polish of the single basin and the
-        # certificate roots; polishing the three lowest scan points, which
-        # are neighbours in one basin, took 77 calls
-        calls = []
-        original = rates.cramer_rate
+    @pytest.mark.parametrize("model, coords", [
+        (GAUSS_MODEL, [0.468, 1.0, 2.0]), (HW_LINE_MODEL, [0.5]),
+    ], ids=["gauss-mean-eq-sd", "hw-line"])
+    def test_no_conjugate_call(self, monkeypatch, model, coords):
+        # the dual needs cumulants only, and the fiber check a curve
+        # conjugate: no full-domain Newton conjugate (so no cramer_rate)
+        def forbidden(*args):
+            raise AssertionError("legendre.conjugate called")
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(rates, "cramer_rate", counted)
-        contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), coord)
-        assert len(calls) <= 40
-
-    @pytest.mark.parametrize("coord", [0.468, 1.0, 2.0])
-    def test_newton_line_search_evaluations_per_iteration(self, monkeypatch, coord):
-        # a line search that is flat to rounding must not halve all the way
-        # down before the flat-step path takes the full step.  Each Newton
-        # iteration evaluates one mean map and Hessian and then its line
-        # search; count the likelihood evaluations after each of those
-        # moment calls, within _newton_max
-        counts, inside = [], [False]
-        newton, moments, loglik = legendre._newton_max, families._moments, families._log_likelihood
-
-        def counted_newton(*args, **kwargs):
-            try:
-                return newton(*args, **kwargs)
-            finally:
-                inside[0] = False
-
-        def counted_moments(*args):
-            inside[0] = True
-            counts.append(0)
-            return moments(*args)
-
-        def counted_loglik(*args):
-            if inside[0]:
-                counts[-1] += 1
-            return loglik(*args)
-
-        monkeypatch.setattr(legendre, "_newton_max", counted_newton)
-        monkeypatch.setattr(families, "_moments", counted_moments)
-        monkeypatch.setattr(families, "_log_likelihood", counted_loglik)
-        contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), coord)
-        assert counts and max(counts) <= 20
+        monkeypatch.setattr(legendre, "conjugate", forbidden)
+        theta0 = model.map(1.0)
+        assert np.all(np.isfinite(contraction_rate(model, theta0, coords)))
 
     def test_quadratic_certificate_root_at_truth(self):
         # tau = theta0/theta = 1 makes z = 1 a root, i.e. x = 1/theta
-        roots = constant_mle_stationary_points(GAUSS_MODEL, GAUSS_MODEL.map(1.0), 1.0)
+        roots = constant_mle_stationary_points(GAUSS_MODEL.map(1.0), 1.0)
         assert any(abs(x - 1.0) < 1e-12 for x in roots)
 
     @pytest.mark.parametrize("coord", [-1.0, 0.0])
@@ -257,20 +219,107 @@ class TestContractionRate:
         # M = (0, inf): the constrained MLE never takes these coordinates
         assert contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), coord) == math.inf
 
-    def test_unregistered_curve_rejected(self):
-        import dataclasses
-
-        weird = dataclasses.replace(GAUSS_MODEL, name="unregistered-curve")
-        with pytest.raises(UnsupportedModel):
-            contraction_rate(weird, GAUSS_MODEL.map(1.0), 2.0)
+    def test_dual_minimizer_off_the_fiber_rejected(self):
+        # on strip-curve the MLE at the dual minimizer for theta0 = eta(0.9)
+        # and c = 0.2 is about 0.587: the dual value only bounds the rate
+        strip = builtin_model("strip-curve")
+        with pytest.raises(UnsupportedModel, match="0.58"):
+            contraction_rate(strip, strip.map(0.9), 0.2)
 
     def test_mle_line_window_stays_in_mean_domain(self):
-        line = constant_mle_line(GAUSS_MODEL)
         for coord in (0.5, 1.0, 2.5):
-            lo, hi = line.window(coord)
-            for x in np.linspace(lo + 1e-6, hi - 1e-6, 7):
-                t = line.point(float(x), coord)
+            lo, hi = oracles._mean_eq_sd_window(coord)
+            for x in np.linspace(lo, hi, 7):
+                t = np.array([x, 1.0 / coord ** 2 + x / coord])
                 assert GAUSS_PARABOLA.domain.mean_domain(t)
+
+
+def _hw_fiber_reference(theta0, c, n_grid=4001, rounds=40):
+    """Least trinomial divergence sum t_i log(t_i / p_i) over the hw-line
+    fiber t1 - t2 = tanh(c/2), by grid search over t2 and refinement."""
+    w = np.exp([0.0, theta0[0], theta0[1]]) * [2.0, 1.0, 1.0]
+    p = w / w.sum()
+    delta = math.tanh(0.5 * c)
+
+    def divergence(t2):
+        t = np.stack([1.0 - 2.0 * t2 - delta, t2 + delta, t2])
+        return np.sum(t * np.log(t / p[:, None]), axis=0)
+
+    lo, hi = max(0.0, -delta), 0.5 * (1.0 - delta)
+    xs = np.linspace(lo, hi, n_grid)[1:-1]
+    for _ in range(rounds):
+        vals = divergence(xs)
+        i = int(np.argmin(vals))
+        xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], 65)
+    return float(np.min(divergence(xs)))
+
+
+class TestMisspecifiedContraction:
+    # theta0 off the model: the rate is the fiber minimum, which the
+    # divergence D(P_eta(c) || P_theta0) overstates
+    @pytest.mark.parametrize("theta0", [(0.3, 0.2), (-1.0, 0.5)], ids=str)
+    def test_hw_line_against_trinomial_fiber_minimum(self, theta0):
+        coords = np.array([-1.5, -0.4, 0.2, 0.5, 1.0, 2.5])
+        got = contraction_rate(HW_LINE_MODEL, theta0, coords)
+        for c, rate in zip(coords, got):
+            assert rate == pytest.approx(_hw_fiber_reference(theta0, c), abs=1e-10)
+
+    def test_hw_line_value_below_the_divergence(self):
+        theta0 = np.array([0.3, 0.2])
+        rate = contraction_rate(HW_LINE_MODEL, theta0, 0.2)
+        assert rate == pytest.approx(0.004570, abs=1e-6)
+        assert kl_divergence(HW, HW_LINE_MODEL.map(0.2), theta0) == pytest.approx(
+            0.012220, abs=1e-6)
+
+    def test_hw_line_against_enumeration(self):
+        # exact finite-n tails of the event z >= 0.5 extrapolate to the dual
+        # rate, not to the divergence at z = 0.5
+        theta0 = np.array([0.3, 0.2])
+        schedule = (250, 500, 1000, 2000)
+        limit = fit_rate_limit(
+            schedule, enumeration_rates(theta0, event_at_least(0.5), schedule))
+        rate = contraction_rate(HW_LINE_MODEL, theta0, 0.5)
+        old = kl_divergence(HW, HW_LINE_MODEL.map(0.5), theta0)
+        assert abs(limit - rate) / rate < 0.02
+        assert abs(limit - old) / old > 0.10
+
+    @pytest.mark.parametrize("z0, c", [(0.6, 0.4), (0.3, 0.8), (0.9, 0.6)])
+    def test_strip_curve_minimizer_is_in_the_fiber(self, z0, c):
+        strip = builtin_model("strip-curve")
+        family = strip.family
+        theta0 = strip.map(z0)
+        (rate,), (t_star,) = rates._fiber_minimum(
+            strip, theta0, families.cumulant(family, theta0), np.array([c]))
+        a = strip.jacobian(c)
+        assert a @ (t_star - mean_map(family, strip.map(c))) == pytest.approx(
+            0.0, abs=1e-12 * np.linalg.norm(a))
+        assert rate == pytest.approx(cramer_rate(family, theta0, t_star), abs=1e-9)
+        mle = legendre.conjugate_constrained(
+            family, ConstraintSet.curve(strip), t_star)
+        assert mle.coordinate == pytest.approx(c, abs=1e-9)
+        assert contraction_rate(strip, theta0, c) == rate
+
+    def test_closed_endpoint_takes_the_half_space(self):
+        # strip-curve's coordinate set is (0, 1]: from theta0 = (1, -0.3) the
+        # likelihood along the curve still rises at z = 1, so the MLE sits
+        # there with probability tending to 1 and its rate at 1 is 0; the
+        # mean is off the hyperplane H_1, where the dual would be positive
+        strip = builtin_model("strip-curve")
+        theta0 = [1.0, -0.3]
+        mean = mean_map(strip.family, theta0)
+        mle = legendre.conjugate_constrained(
+            strip.family, ConstraintSet.curve(strip), mean)
+        assert mle.coordinate == 1.0
+        assert mean[1] < -0.5
+        rate_in, rate_end = contraction_rate(strip, theta0, [0.9, 1.0])
+        assert rate_end == 0.0 and rate_in > 0.1
+        assert contraction_rate(strip, strip.map(0.9), 1.0) > 0.1
+
+    def test_infinite_cumulant_at_theta0_gives_inf(self):
+        # e^800 overflows: kappa(theta0) is +inf, and so is every rate, not NaN
+        model = builtin_model("poisson-line")
+        got = contraction_rate(model, model.map(800.0), [0.0, 1.0, 2.0])
+        assert np.all(got == math.inf)
 
 
 class TestPythagoreanResidual:

@@ -297,6 +297,62 @@ class TestCli:
         assert float(result.output) == math.inf
         assert "Warning" not in result.output
 
+    def test_rate_mle_past_cumulant_overflow(self):
+        # kappa(theta0) = e^800 - 1 is +inf: every rate is +inf, not NaN
+        result = CliRunner().invoke(
+            main,
+            ["rate", "mle", "--model", "poisson-line", "--theta0-coord", "800",
+             "--grid", "0,1,2"],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output == "coordinate,rate\n0,inf\n1,inf\n"
+
+    @pytest.mark.parametrize("args", [
+        ["legendre", "--family", "poisson", "--t", "1e308"],
+        ["rate", "cramer", "--family", "poisson", "--theta0", "1e308",
+         "--t", "1e308"],
+    ])
+    def test_newton_stall_at_huge_mean_without_warning(self, args):
+        # the line search's first-order gain overflows there; it may not
+        # print numpy's overflow warning (pytest makes one an error)
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "line search stalled" in result.output
+        assert "Warning" not in result.output
+
+    def test_rate_posterior_huge_support(self):
+        # polishing on [-1e300, 1e300] takes about 1000 bisections; the
+        # rates either match those on [-5, 5] or the command is a usage error
+        def run(support):
+            return CliRunner().invoke(
+                main,
+                ["rate", "posterior", "--model", "hw-line", "--mu0", "0.3,0.2",
+                 f"--support={support}", "--grid=-1,1,5"],
+            )
+
+        def rates(output):
+            return [float(line.split(",")[1])
+                    for line in output.strip().split("\n")[1:]]
+
+        huge, small = run("-1e300,1e300"), run("-5,5")
+        assert small.exit_code == 0, small.output
+        assert huge.exit_code in (0, 2), huge.output
+        if huge.exit_code == 0:
+            assert rates(huge.output) == pytest.approx(rates(small.output),
+                                                       abs=1e-12)
+        else:
+            assert "Error:" in huge.output
+
+    def test_rate_mle_at_tiny_coordinates(self):
+        # eta(1e-300) = (1e-300, -0.0) lies on the domain's edge in doubles
+        result = CliRunner().invoke(
+            main,
+            ["rate", "mle", "--model", "gauss-mean-eq-sd", "--theta0-coord", "1",
+             "--grid", "1e-300,1e-299,3"],
+        )
+        assert result.exit_code in (0, 2), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     def test_rate_posterior_to_file(self, tmp_path):
         out = tmp_path / "rate.csv"
         result = CliRunner().invoke(

@@ -37,3 +37,11 @@ def test_contraction_scan_rejects_before_scanning(monkeypatch, capsys, arg):
     out = capsys.readouterr()
     assert "usage:" in out.err
     assert "coordinates:" not in out.out
+
+
+def test_contraction_scan_runs(monkeypatch, capsys):
+    assert run_script(monkeypatch, "contraction_scan.py") == 0
+    out = capsys.readouterr().out
+    assert "coordinates: 377  raised: 0" in out
+    worst = float(out.split("worst gap: ")[1].split()[0])
+    assert worst <= 1e-8
