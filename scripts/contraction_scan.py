@@ -4,12 +4,12 @@
 Evaluates `contraction_rate` on `gauss-mean-eq-sd` with the truth at
 coordinate 1.0, over [0.4, 0.8] in steps of 0.002 and [1.25, 3.0] in steps
 of 0.01 (377 coordinates, including the near-degenerate ends of the
-constant-MLE lines), in one array call, and compares each rate with
-`curved_line_min_oracle`.  Prints how many coordinates raised (the call
-raises for all of them or for none), the worst gap to the oracle and where
-it occurred; exits 1 if the call raised or the worst gap exceeds the
-tolerance.  The rates take about 0.15 s and the oracle about 0.5 s on a
-2-core Xeon.
+constant-MLE lines), in one call that solves them one at a time, and
+compares each rate with `curved_line_min_oracle`.  Prints how many
+coordinates raised (the call raises for all of them or for none), the worst
+gap to the oracle and where it occurred; exits 1 if the call raised or the
+worst gap exceeds the tolerance.  The rates take about 0.4 s and the oracle
+about 0.5 s on a 2-core Xeon.
 
 Usage: python scripts/contraction_scan.py [tolerance]   (default 1e-8)
 

@@ -25,6 +25,7 @@ domain, the log-likelihood is -inf there, and NaN is never a value.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -203,7 +204,8 @@ def _log_likelihood(family, th, tt) -> float:
     k = _cumulant(family, th)
     if k == INF:
         return -INF
-    return float(th @ tt) - k
+    # Python floats overflow to inf without numpy's RuntimeWarning
+    return sum(map(operator.mul, th.tolist(), tt.tolist())) - k
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +358,8 @@ def _make_gauss_mean():
         dim=1,
         domain=domain,
         payload=AnalyticPayload(
-            cumulant=lambda th: 0.5 * th[0] * th[0],
+            # a Python float, which overflows to inf without a warning
+            cumulant=lambda th: 0.5 * float(th[0]) * float(th[0]),
             moments=lambda th: (th.copy(), np.ones((1, 1))),
             cumulant_many=lambda arr: 0.5 * arr[:, 0] ** 2,
         ),
@@ -364,7 +367,7 @@ def _make_gauss_mean():
 
 
 def _landau_dual_cumulant(th):
-    mu = th[0]
+    mu = float(th[0])     # overflows to inf without numpy's warning
     if mu < 0.0:
         return INF
     if mu == 0.0:

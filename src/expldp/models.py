@@ -231,8 +231,8 @@ def gauss_mean_eq_sd_mle_coordinate(t) -> float:
 
 @dataclass(frozen=True)
 class Prior:
-    """Atomless prior on model coordinates, given by its closed, bounded
-    topological support of positive length.
+    """Atomless prior on model coordinates, given by its closed topological
+    support of positive, finite length.
 
     The prior has no density: the posterior rates depend on the prior only
     through its support, and posterior masses weight the support uniformly,
@@ -250,8 +250,10 @@ class Prior:
             iv.closure() for iv in self.model.coord_intervals
         )
         for iv in ivs:
-            if not iv.bounded:
-                raise ValueError("prior support intervals must be bounded")
+            if not math.isfinite(iv.length):
+                raise ValueError(
+                    f"prior support interval [{iv.lo}, {iv.hi}] must have finite "
+                    f"endpoints a finite distance apart")
             if not any(
                 m.lo <= iv.lo and iv.hi <= m.hi for m in closure_m
             ):

@@ -4,9 +4,10 @@ Covered here: Kullback-Leibler divergence inside a family, the posterior
 rate l(theta_nu; mu0) - l(theta; mu0) with its excess-of-divergence form,
 the sample-mean rate kappa*(t) - l(theta0; t), the constrained-MLE rate
 (the least sample-mean rate over the MLE's fiber, for any model and any
-theta0, from a one-variable convex dual that needs only cumulants; see
-``contraction_rate``), the Pythagorean residual for affine subfamilies,
-and the divergence identity between a family and its dual.
+theta0: by duality the conjugate on the line through theta0 normal to the
+fiber's hyperplane, a curve conjugate; see ``contraction_rate``), the
+Pythagorean residual for affine subfamilies, and the divergence identity
+between a family and its dual.
 
 Extended-real arithmetic: +inf propagates absorbingly, NaN is an error.
 """
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import elementwise
 
 from . import families, legendre, models
 from .errors import NoConvergence, OutsideDomain, RateFormMismatch, UnsupportedModel
@@ -26,10 +26,10 @@ from .families import (
     as_point,
     builtin,
     cumulant,
-    cumulant_many,
     log_likelihood,
     mean_map,
 )
+from .intervals import Interval
 from .tables import Table
 
 INF = float("inf")
@@ -140,90 +140,83 @@ FIBER_TOL = 1e-10
 
 def contraction_rate(model: models.CurvedModel, theta0, coord):
     """Rate for the constrained MLE at the model coordinate ``coord`` (a
-    float, or an array of them solved in one vectorized call) under
-    sampling from P_theta0, on the model or off it: the least sample-mean
-    rate kappa*(t) - l(theta0; t) over the fiber {t : MLE(t) = c}.
+    float, or an array of them, solved one at a time) under sampling from
+    P_theta0, on the model or off it: the least sample-mean rate
+    kappa*(t) - l(theta0; t) over the fiber {t : MLE(t) = c}.
 
-    With a = eta'(c) and b = a.grad kappa(eta(c)), the MLE's first-order
-    condition at c is H_c = {t : a.t = b}, and by Fenchel duality the least
-    sample-mean rate on H_c is sup_s [s b - kappa(theta0 + s a) +
-    kappa(theta0)], concave in s and attained at t* = grad kappa(theta0 +
-    s* a).  At a closed endpoint of the coordinate set H_c becomes a
-    half-space: s >= 0 at an upper end, s <= 0 at a lower one.  The dual
-    value is the rate when t* is in the fiber, so where the curve maximum
-    of l(.; t*) exceeds l(eta(c); t*) by more than FIBER_TOL * (1 + |l|),
-    UnsupportedModel is raised; on an affine model, whose MLE is unique,
-    it never is.  The rate is +inf outside the model's coordinate set,
-    which the MLE never takes, and where kappa(theta0) is +inf.
+    With a = eta'(c) and t_c = grad kappa(eta(c)), the MLE's first-order
+    condition at c is the hyperplane H_c = {t : a.(t - t_c) = 0}.  By
+    Fenchel duality the least sample-mean rate on H_c is sup_s [s a.t_c -
+    kappa(theta0 + s a) + kappa(theta0)] = kappa*_L(t_c) - l(theta0; t_c),
+    the conjugate restricted to the line L = {theta0 + s a} normal to H_c,
+    attained at t* = grad kappa(theta0 + s* a).  At a closed endpoint of
+    the coordinate set H_c becomes a half-space and L a half-line: s >= 0
+    at an upper end, s <= 0 at a lower one.  The dual value is the rate
+    when t* is in the fiber, so where the curve maximum of l(.; t*) exceeds
+    l(eta(c); t*) by more than FIBER_TOL * (1 + |l|), UnsupportedModel is
+    raised; on an affine model, whose MLE is unique, it never is.  The rate
+    is +inf outside the model's coordinate set, which the MLE never takes,
+    and where kappa(theta0) is +inf.
     """
     family = model.family
     th0 = as_point(theta0, family.dim, "theta0")
     if not family.domain.interior(th0):
         raise OutsideDomain(f"theta0={th0} is not interior for {family.name}")
     coords = np.asarray(coord, dtype=float)
-    flat = coords.ravel()
-    values = np.full(flat.shape, INF)
-    on = np.array([any(iv.contains(c) for iv in model.coord_intervals)
-                   for c in flat.tolist()], dtype=bool)
-    kappa0 = cumulant(family, th0)
-    if on.any() and kappa0 < INF:
-        values[on] = _fiber_minimum(model, th0, kappa0, flat[on])[0]
-    return float(values[0]) if coords.ndim == 0 else values.reshape(coords.shape)
+    values = np.full(coords.shape, INF)
+    if cumulant(family, th0) < INF:
+        for i, c in enumerate(coords.flat):
+            if any(iv.contains(c) for iv in model.coord_intervals):
+                values.flat[i] = _fiber_minimum(model, th0, c)[0]
+    return float(values) if coords.ndim == 0 else values
 
 
-def _fiber_minimum(model, th0, kappa0, coords):
-    """(rates, t*) at coordinates of the model's coordinate set: one
-    bracket and one minimization of the negated dual for all of them, then
-    the fiber check at each t* (a row of an (m, d) array)."""
+def _fiber_minimum(model, th0, c):
+    """(rate, t*) at a coordinate c of the model's coordinate set: the
+    conjugate at t_c on the line through theta0 normal to H_c, then the
+    fiber check at t*."""
     family = model.family
-    m = len(coords)
-    etas = np.asarray(model.map(coords), dtype=float).reshape(family.dim, m).T
-    slopes = np.array([model.jacobian(float(c)) for c in coords], dtype=float)
-    # H_c does not depend on the scale of a; unit normals keep s on the
+    eta = np.asarray(model.map(c), dtype=float)
+    # H_c does not depend on the scale of a; a unit normal keeps s on the
     # scale of theta, also where the Jacobian is huge near an endpoint
-    slopes /= np.linalg.norm(slopes, axis=1, keepdims=True)
-    offsets = np.array([a @ mean_map(family, eta) for a, eta in zip(slopes, etas)])
-
-    def excess(s, b, *a):
-        # kappa(theta0 + s a) - s b = kappa(theta0) - dual objective
-        thetas = th0 + s[..., None] * np.stack(a, axis=-1)
-        kappas = cumulant_many(family, thetas.reshape(-1, family.dim)).reshape(s.shape)
-        # kappa = +inf as 1e300, which the elementwise solvers accept and
-        # which still bounds a bracket at a domain edge
-        return np.where(kappas == INF, 1e300, kappas - s * b)
-
-    args = (offsets, *slopes.T)
-    bracket = elementwise.bracket_minimum(excess, np.zeros(m), args=args)
-    found = elementwise.find_minimum(excess, bracket.bracket, args=args)
-    failed = np.flatnonzero(~(bracket.success & found.success))
-    if failed.size:
-        raise NoConvergence(f"the contraction dual did not converge at "
-                            f"coordinate {coords[failed[0]]} on {model.name}")
-    # s = 0 is feasible and gives 0, so the supremum is never below it
-    rates = np.maximum(kappa0 - found.f_x, 0.0)
-    # values place s* to about sqrt(eps); a Newton step on the dual's slope
-    # b - a.grad kappa(theta0 + s a), taken to first order, puts t* on H_c
-    t_star = np.empty((m, family.dim))
-    for i, (s, a, b) in enumerate(zip(found.x, slopes, offsets)):
-        mean, hess = families._moments(family, th0 + s * a)
-        t_star[i] = mean + (b - a @ mean) / (a @ hess @ a) * (hess @ a)
-    # at a closed endpoint a dual maximum on the wrong side of s = 0 moves
-    # to s = 0, where the rate is 0 and t* is the mean of P_theta0
-    held = np.zeros(m, dtype=bool)
+    a = np.asarray(model.jacobian(c), dtype=float)
+    a = a / np.linalg.norm(a)
+    t_c = mean_map(family, eta)
+    s_set = Interval(-INF, INF)
     for iv in model.coord_intervals:
-        held |= iv.lo_closed & (coords == iv.lo) & (found.x > 0.0)
-        held |= iv.hi_closed & (coords == iv.hi) & (found.x < 0.0)
-    rates[held] = 0.0
-    t_star[held] = mean_map(family, th0)
-    curve = legendre.ConstraintSet.curve(model)
-    for c, eta, t, rate in zip(coords, etas, t_star, rates):
-        at_c = log_likelihood(family, eta, t)
-        best = legendre.conjugate_constrained(family, curve, t)
-        if best.value > at_c + FIBER_TOL * (1.0 + abs(at_c)):
-            raise UnsupportedModel(
-                f"on {model.name} the MLE at the dual minimizer t*={t} for {c} "
-                f"is {best.coordinate}: {rate} only bounds the rate from below")
-    return rates, t_star
+        if iv.hi_closed and c == iv.hi:
+            s_set = Interval(0.0, INF)
+        elif iv.lo_closed and c == iv.lo:
+            s_set = Interval(-INF, 0.0)
+    line = models.CurvedModel(
+        name=f"the normal line of {model.name} at {c}", family=family,
+        map=lambda s: (th0 + np.multiply.outer(s, a)).T,
+        jacobian=lambda s: a, coord_intervals=(s_set,))
+    try:
+        dual = legendre.conjugate_constrained(
+            family, legendre.ConstraintSet.curve(line), t_c)
+    except NoConvergence as exc:
+        raise NoConvergence(f"the contraction dual did not converge at "
+                            f"coordinate {c} on {model.name}: {exc}") from exc
+    # s = 0 is feasible and gives 0, so the supremum is never below it
+    rate = max(dual.value - legendre.curve_loglik(family, line, t_c)(0.0), 0.0)
+    s = dual.coordinate
+    mean, hess = families._moments(family, line.map(s))
+    t_star = mean
+    if s not in (s_set.lo, s_set.hi):
+        # where the polish falls back to bounded Brent, s* is placed to about
+        # sqrt(eps); a Newton step on the dual's slope a.(t_c - t), taken to
+        # first order, puts t* on H_c.  At the half-line's end s = 0, t* is
+        # the mean of P_theta0, which is not on H_c
+        t_star = mean + (a @ (t_c - mean)) / (a @ hess @ a) * (hess @ a)
+    at_c = log_likelihood(family, eta, t_star)
+    best = legendre.conjugate_constrained(
+        family, legendre.ConstraintSet.curve(model), t_star)
+    if best.value > at_c + FIBER_TOL * (1.0 + abs(at_c)):
+        raise UnsupportedModel(
+            f"on {model.name} the MLE at the dual minimizer t*={t_star} for {c} "
+            f"is {best.coordinate}: {rate} only bounds the rate from below")
+    return rate, t_star
 
 
 # ---------------------------------------------------------------------------

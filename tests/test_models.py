@@ -85,6 +85,11 @@ class TestPrior:
         with pytest.raises(ValueError):
             uniform_prior(builtin_model("hw-line"), 0.0, math.inf)
 
+    def test_support_of_overflowing_length_rejected(self):
+        # both endpoints are finite, but hi - lo overflows to inf
+        with pytest.raises(ValueError, match="finite distance apart"):
+            uniform_prior(builtin_model("hw-line"), -1e308, 1e308)
+
     def test_support_outside_model_closure_rejected(self):
         with pytest.raises(ValueError, match="closure"):
             uniform_prior(builtin_model("strip-curve"), -0.5, 0.5)

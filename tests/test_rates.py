@@ -19,7 +19,7 @@ from expldp import (
     pythagorean_residual,
     uniform_prior,
 )
-from expldp import families, legendre, oracles, rates
+from expldp import legendre, oracles, rates
 from expldp.errors import UnsupportedModel
 from expldp.models import event_at_least, fit_rate_limit
 from expldp.oracles import constant_mle_stationary_points, enumeration_rates
@@ -29,6 +29,7 @@ POISSON = builtin("poisson")
 GAUSS_PARABOLA = builtin("gauss-parabola")
 HW_LINE_MODEL = builtin_model("hw-line")
 GAUSS_MODEL = builtin_model("gauss-mean-eq-sd")
+STRIP_MODEL = builtin_model("strip-curve")
 MU0 = np.array([0.3, 0.2])
 LOG_11_9 = math.log(11.0 / 9.0)
 
@@ -283,21 +284,30 @@ class TestMisspecifiedContraction:
         assert abs(limit - rate) / rate < 0.02
         assert abs(limit - old) / old > 0.10
 
-    @pytest.mark.parametrize("z0, c", [(0.6, 0.4), (0.3, 0.8), (0.9, 0.6)])
-    def test_strip_curve_minimizer_is_in_the_fiber(self, z0, c):
-        strip = builtin_model("strip-curve")
-        family = strip.family
-        theta0 = strip.map(z0)
-        (rate,), (t_star,) = rates._fiber_minimum(
-            strip, theta0, families.cumulant(family, theta0), np.array([c]))
-        a = strip.jacobian(c)
-        assert a @ (t_star - mean_map(family, strip.map(c))) == pytest.approx(
+    @pytest.mark.parametrize("model, theta0, c", [
+        (STRIP_MODEL, STRIP_MODEL.map(0.6), 0.4),
+        (STRIP_MODEL, STRIP_MODEL.map(0.3), 0.8),
+        (STRIP_MODEL, STRIP_MODEL.map(0.9), 0.6),
+        # the far end of the peak cell leaves the domain at 0.468 and 0.47,
+        # so the polish there is bounded Brent
+        (GAUSS_MODEL, GAUSS_MODEL.map(1.0), 0.468),
+        (GAUSS_MODEL, GAUSS_MODEL.map(1.0), 0.47),
+        (GAUSS_MODEL, GAUSS_MODEL.map(1.0), 2.0),
+        (HW_LINE_MODEL, np.array([0.3, 0.2]), -1.5),
+        (HW_LINE_MODEL, np.array([0.3, 0.2]), 0.2),
+    ], ids=["strip-0.6-0.4", "strip-0.3-0.8", "strip-0.9-0.6", "gauss-0.468",
+            "gauss-0.47", "gauss-2.0", "hw-off-model--1.5", "hw-off-model-0.2"])
+    def test_dual_minimizer_is_in_the_fiber(self, model, theta0, c):
+        family = model.family
+        rate, t_star = rates._fiber_minimum(model, theta0, c)
+        a = model.jacobian(c)
+        assert a @ (t_star - mean_map(family, model.map(c))) == pytest.approx(
             0.0, abs=1e-12 * np.linalg.norm(a))
         assert rate == pytest.approx(cramer_rate(family, theta0, t_star), abs=1e-9)
         mle = legendre.conjugate_constrained(
-            family, ConstraintSet.curve(strip), t_star)
+            family, ConstraintSet.curve(model), t_star)
         assert mle.coordinate == pytest.approx(c, abs=1e-9)
-        assert contraction_rate(strip, theta0, c) == rate
+        assert contraction_rate(model, theta0, c) == rate
 
     def test_closed_endpoint_takes_the_half_space(self):
         # strip-curve's coordinate set is (0, 1]: from theta0 = (1, -0.3) the
@@ -313,6 +323,10 @@ class TestMisspecifiedContraction:
         assert mean[1] < -0.5
         rate_in, rate_end = contraction_rate(strip, theta0, [0.9, 1.0])
         assert rate_end == 0.0 and rate_in > 0.1
+        # the dual's maximum is the half-line's end s = 0: no Newton step
+        # moves t* off the mean of P_theta0 there
+        assert np.array_equal(
+            rates._fiber_minimum(strip, np.array(theta0), 1.0)[1], mean)
         assert contraction_rate(strip, strip.map(0.9), 1.0) > 0.1
 
     def test_infinite_cumulant_at_theta0_gives_inf(self):

@@ -250,9 +250,12 @@ class TestCli:
         ["rate", "mle", "--model", "gauss-mean-eq-sd", "--theta0-coord", "1",
          "--grid", "0.5,1,inf"],
         ["legendre", "--family", "poisson", "--t", "2", "--constraint", "hw-line"],
+        ["rate", "posterior", "--model", "hw-line", "--mu0", "0.3,0.2",
+         "--support=-1e308,1e308", "--grid=-1,1,5"],
     ], ids=["nan-mean-point", "one-value-support", "wrong-dimension-mu0",
             "support-outside-coordinates", "empty-support", "negative-grid-count",
-            "infinite-grid-count", "constraint-of-another-family"])
+            "infinite-grid-count", "constraint-of-another-family",
+            "support-of-overflowing-length"])
     def test_malformed_vector_is_usage_error(self, args):
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
@@ -285,13 +288,17 @@ class TestCli:
         assert result.exit_code == 0
         assert float(result.output) == pytest.approx(2 * math.log(2) - 1, abs=1e-10)
 
-    def test_rate_cramer_past_cumulant_overflow(self):
-        # kappa(800) = e^800 - 1 overflows a double, so the rate is +inf,
-        # reached without a numpy overflow warning (pytest makes one an error)
+    @pytest.mark.parametrize("family, theta0, t", [
+        ("poisson", "800", "2"), ("gauss-mean", "1e200", "1"),
+    ])
+    def test_rate_cramer_past_cumulant_overflow(self, family, theta0, t):
+        # kappa(800) = e^800 - 1 and kappa(1e200) = 5e399 overflow a double,
+        # so the rate is +inf, reached without a numpy overflow warning
+        # (pytest makes one an error)
         result = CliRunner().invoke(
             main,
-            ["rate", "cramer", "--family", "poisson", "--theta0", "800",
-             "--t", "2"],
+            ["rate", "cramer", "--family", family, "--theta0", theta0,
+             "--t", t],
         )
         assert result.exit_code == 0, result.output
         assert float(result.output) == math.inf
@@ -311,14 +318,31 @@ class TestCli:
         ["legendre", "--family", "poisson", "--t", "1e308"],
         ["rate", "cramer", "--family", "poisson", "--theta0", "1e308",
          "--t", "1e308"],
+        ["legendre", "--family", "gauss-mean", "--t", "1e200"],
+        ["legendre", "--family", "landau-dual", "--t", "1e308"],
     ])
     def test_newton_stall_at_huge_mean_without_warning(self, args):
-        # the line search's first-order gain overflows there; it may not
+        # the line search's first-order gain, and for gauss-mean and
+        # landau-dual the cumulant and theta.t, overflow there; they may not
         # print numpy's overflow warning (pytest makes one an error)
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2, result.output
         assert "line search stalled" in result.output
         assert "Warning" not in result.output
+
+    def test_rate_mle_dual_failure_names_the_coordinate(self):
+        # theta0 = (1e300, -1e300): the dual's window never brackets its
+        # maximum; the error names the coordinate, and no NaN reaches a
+        # mean point on the way
+        result = CliRunner().invoke(
+            main,
+            ["rate", "mle", "--model", "hw-line", "--theta0-coord", "1e300",
+             "--grid", "-1,1,3"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "contraction dual did not converge at coordinate -1.0" in (
+            result.output)
+        assert "nan" not in result.output.lower()
 
     def test_rate_posterior_huge_support(self):
         # polishing on [-1e300, 1e300] takes about 1000 bisections; the

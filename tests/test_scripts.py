@@ -44,4 +44,4 @@ def test_contraction_scan_runs(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "coordinates: 377  raised: 0" in out
     worst = float(out.split("worst gap: ")[1].split()[0])
-    assert worst <= 1e-8
+    assert worst <= 1e-13
