@@ -297,7 +297,7 @@ def _make_gauss_parabola():
 
     domain = DomainSpec(
         interior=lambda th: th[1] < 0.0,
-        mean_domain=lambda t: t[1] > t[0] * t[0],
+        mean_domain=lambda t: float(t[1]) > float(t[0]) * float(t[0]),
         initial_point=np.array([0.0, -1.0]),
     )
     return GeneratingFamily(

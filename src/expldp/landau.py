@@ -20,11 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import composite_gl
+from .quadrature import log_integral_peaked
 
 TAIL_EDGE = -250.0
 _LOC = math.log(math.pi / 2.0)
 _SCALE = math.pi / 2.0
+# the density's mode, and a width scale for the quadrature's first panels
+_MODE = -0.7772
+_WIDTH = 4.0
 
 
 def landau_density(y):
@@ -50,27 +53,26 @@ class NormalizationReport:
     tail_edge: float
 
 
+def _log_density(y):
+    """log f(y) on an array of points."""
+    from scipy.stats import landau
+
+    return landau.logpdf(-y - 1.0, loc=_LOC, scale=_SCALE)
+
+
 def landau_normalization() -> NormalizationReport:
     """Integrate the density over the real line.
 
     The left tail decays like 1/y^2 (the Landau 1/x^2 tail), so beyond
     ``TAIL_EDGE`` the integral is completed analytically with the locally
-    matched A/y^2 coefficient; the body is composite quadrature, with the
-    deep region handled under the u = 1/y substitution where the integrand
-    y^2 f(y) varies slowly.
+    matched A/y^2 coefficient; the body is the peaked integral over
+    [``TAIL_EDGE``, 8], past which the density is double-exponentially
+    small.
     """
-    # y = 1/u maps [TAIL_EDGE, -9] to the increasing u-range [-1/9, 1/TAIL_EDGE]
-    deep = composite_gl(
-        lambda u: landau_density(1.0 / u) / (u * u),
-        np.linspace(-1.0 / 9.0, 1.0 / TAIL_EDGE, 4),
-        order=32,
-    )
-    near = composite_gl(
-        landau_density, [-9.0, -5.0, -3.0, -1.5, 0.0, 1.5, 3.0, 5.0, 8.0],
-        order=40,
+    body = math.exp(
+        log_integral_peaked(_log_density, TAIL_EDGE, 8.0, _MODE, _WIDTH)
     )
     tail = (TAIL_EDGE * TAIL_EDGE * landau_density(TAIL_EDGE)) / abs(TAIL_EDGE)
-    body = deep + near
     return NormalizationReport(
         value=body + tail, body=body, tail_correction=tail, tail_edge=TAIL_EDGE
     )
@@ -81,15 +83,12 @@ def landau_dual_numeric_cumulant(mu):
 
     The dual measure carries total mass e (its cgf at 0 equals 1), so this
     returns 1 + log ∫ exp(mu*y) f(y) dy.  The true density is
-    double-exponentially small on the right, so the integral stops at y = 4.
+    double-exponentially small on the right, so the integral stops at y = 4,
+    and exp(mu*y) is below e^-60 left of y = -60/mu.
     """
     mu = float(mu)
     if mu <= 0.0:
         raise ValueError("numeric dual cumulant requires mu > 0")
-    panels = [-60.0 / mu, -25.0 / mu, -9.0 / mu, -5.0, -3.0, -1.5, 0.0, 1.5,
-              3.0, 4.0]
-    panels = sorted(set(panels))
-    val = composite_gl(
-        lambda yy: np.exp(mu * yy) * landau_density(yy), panels, order=40
+    return 1.0 + log_integral_peaked(
+        lambda y: mu * y + _log_density(y), -60.0 / mu, 4.0, _MODE, _WIDTH
     )
-    return 1.0 + math.log(val)

@@ -220,6 +220,12 @@ def scan_maximize(f, lo, hi, n, df=None):
     return sorted(maxima, key=lambda m: -m[1])
 
 
+def scan_inset(lo, hi):
+    """How far inside [lo, hi] a scan of an interval starts and ends:
+    1e-12 of the endpoints' scale, but at most a quarter of the width."""
+    return min(1e-12 * max(1.0, abs(lo), abs(hi)), 0.25 * (hi - lo))
+
+
 # iterations of a polish: on a window of width 2e300, brentq takes about
 # 1050 steps to its tolerances and the bounded Brent about 1300
 POLISH_MAXITER = 4000
@@ -331,7 +337,7 @@ def _maximize_on_curve(family, model, t, intervals) -> LegendreResult:
             candidates.append(_Candidate(iv.lo, l_of(iv.lo), True))
             continue
         lo, hi = _bounded_window(iv, l_of)
-        inset = 1e-12 * max(1.0, abs(lo), abs(hi))
+        inset = scan_inset(lo, hi)
         maxima = scan_maximize(l_of, lo + inset, hi - inset, CURVE_SCAN, dl_of)
         iterations += len(maxima)
         for z_star, value in maxima:

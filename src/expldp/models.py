@@ -295,7 +295,7 @@ def _piece_peaks(l_of, pieces):
         if iv.degenerate:
             continue
         a, b = iv.lo, iv.hi
-        inset = 1e-12 * max(1.0, abs(a), abs(b))
+        inset = legendre.scan_inset(a, b)
         maxima = legendre.scan_maximize(l_of, a + inset, b - inset, PEAK_SCAN)
         if not maxima:
             continue

@@ -1,14 +1,16 @@
-"""Log-domain quadrature helpers for sharply peaked integrands.
+"""Log-domain quadrature: the package's one integrator.
 
-The posterior normalizing integrals are of the form log ∫ exp(g(x)) dx
-with a dominant peak whose width shrinks like n^(-1/2).  Everything here
-subtracts the peak value before exponentiating and reports results on the
-log scale.  The integrands take arrays: the peaked integral is a globally
-adaptive Gauss-Kronrod 10/21 rule that evaluates all pending panels of a
-round in one call, and the peak search evaluates each of its grids in one
-call.  The peaked integral's tolerance and panel cap are the constants
-``REL_TOL`` and ``QUAD_LIMIT``.  No module of the package calls the peak
-search; ``perfbench/tracer.py`` still looks ``locate_peak`` up by name.
+Every integral in the package has the form log ∫ exp(g(x)) dx with a
+dominant peak: the posterior normalizing integrals, whose peak width
+shrinks like n^(-1/2), and the two integrals of the Landau dual density.
+Everything here subtracts the peak value before exponentiating and
+reports results on the log scale.  The integrands take arrays: the
+peaked integral is a globally adaptive Gauss-Kronrod 10/21 rule that
+evaluates all pending panels of a round in one call, and the peak search
+evaluates each of its grids in one call.  The peaked integral's tolerance
+and panel cap are the constants ``REL_TOL`` and ``QUAD_LIMIT``.  No
+module of the package calls the peak search; ``perfbench/tracer.py``
+still looks ``locate_peak`` up by name.
 """
 
 from __future__ import annotations
@@ -206,29 +208,3 @@ def log_integral_peaked(logf, a, b, peak, width):
             f"(value {total:.3e}, window [{a:.3g}, {b:.3g}])"
         )
     return m + math.log(total)
-
-
-def gauss_legendre(order):
-    """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
-    cached = _GL_CACHE.get(order)
-    if cached is None:
-        cached = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = cached
-    return cached
-
-
-_GL_CACHE: dict = {}
-
-
-def composite_gl(fn, panels, order=40):
-    """Composite Gauss-Legendre quadrature over breakpoints ``panels``.
-
-    ``fn`` takes the array of all nodes at once and returns the array of
-    integrand values.
-    """
-    x, w = gauss_legendre(order)
-    edges = np.asarray(panels, dtype=float)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    vals = np.asarray(fn(mid + half * x), dtype=float)
-    return float(np.sum(half * vals * w))

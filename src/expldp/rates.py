@@ -165,7 +165,8 @@ def contraction_rate(model: models.CurvedModel, theta0, coord):
     coords = np.asarray(coord, dtype=float)
     values = np.full(coords.shape, INF)
     if cumulant(family, th0) < INF:
-        for i, c in enumerate(coords.flat):
+        # Python floats: the map of a huge coordinate overflows without a warning
+        for i, c in enumerate(coords.ravel().tolist()):
             if any(iv.contains(c) for iv in model.coord_intervals):
                 values.flat[i] = _fiber_minimum(model, th0, c)[0]
     return float(values) if coords.ndim == 0 else values
@@ -178,9 +179,9 @@ def _fiber_minimum(model, th0, c):
     family = model.family
     eta = np.asarray(model.map(c), dtype=float)
     # H_c does not depend on the scale of a; a unit normal keeps s on the
-    # scale of theta, also where the Jacobian is huge near an endpoint
+    # scale of theta, also where the Jacobian is huge (hypot does not overflow)
     a = np.asarray(model.jacobian(c), dtype=float)
-    a = a / np.linalg.norm(a)
+    a = a / math.hypot(*a)
     t_c = mean_map(family, eta)
     s_set = Interval(-INF, INF)
     for iv in model.coord_intervals:

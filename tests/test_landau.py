@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 import expldp
 from expldp import landau_density, landau_dual_numeric_cumulant, landau_normalization
+from expldp.landau import TAIL_EDGE
 
 
 def branch_cut_density(y):
@@ -95,6 +96,22 @@ def test_numeric_cumulant_matches_closed_form():
         assert measured == pytest.approx(
             mu * math.log(mu) - mu + 1.0, abs=1e-3
         )
+
+
+def test_normalization_body_matches_quadpack():
+    # an independent adaptive rule on the same range, broken at the mode and
+    # on either side of it; epsrel 1e-13 stays clear of its roundoff warning
+    want, _ = quad(landau_density, TAIL_EDGE, 8.0,
+                   points=(-20.0, -5.0, -0.7772, 3.0),
+                   epsabs=0.0, epsrel=1e-13, limit=200)
+    assert landau_normalization().body == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+def test_numeric_cumulant_to_rounding(mu):
+    want = mu * math.log(mu) - mu + 1.0
+    measured = landau_dual_numeric_cumulant(mu)
+    assert measured == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
 def test_numeric_cumulant_vanishes_at_one():

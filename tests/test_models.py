@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from expldp import (
+    ConstraintSet,
     ModelEvent,
     builtin_model,
+    conjugate_constrained,
     decay_rate_estimate,
     limiting_mle,
     model_names,
@@ -395,3 +397,29 @@ class TestLimitingMle:
         assert report["holds"]
         (check,) = report["boundary_points"]
         assert check["is_continuity_point"]
+
+
+class TestNarrowSupport:
+    # [1, 1 + 1e-13] is narrower than twice the scan inset 1e-12 * max(1, |z|):
+    # the inset has to shrink with the width, or the scan window turns over
+    @pytest.fixture
+    def narrow(self):
+        return uniform_prior(builtin_model("hw-line"), 1.0, 1.0 + 1e-13)
+
+    def test_limiting_mle_at_the_lower_end(self, narrow):
+        # l(.; MU0) decreases past log(11/9), so the MLE is the left end
+        mle = limiting_mle(narrow, MU0)
+        assert mle.coordinate == 1.0
+        assert mle.value == pytest.approx(hw_l(1.0), abs=1e-15)
+
+    def test_decay_rates_are_finite(self, narrow):
+        event = ModelEvent((Interval(1.0 + 5e-14, 1.0 + 1e-13),))
+        est = decay_rate_estimate(narrow, MU0, event, (100, 200, 400))
+        assert np.all(np.isfinite(est.rates)) and math.isfinite(est.extrapolated)
+
+    def test_constrained_conjugate(self, narrow):
+        model = narrow.model
+        res = conjugate_constrained(
+            model.family, ConstraintSet.curve(model, intervals=narrow.support), MU0
+        )
+        assert res.converged and res.coordinate == 1.0

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -470,6 +471,61 @@ class TestCli:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "EXPLDP_SEED" in result.output
+
+
+# edge inputs: tiny and huge coordinates, narrow supports, mean points near
+# the domain's edge; each with the message of its usage error, if it is one
+OFF_MEAN_DOMAIN = "is outside the interior of the mean domain of gauss-parabola"
+EDGE_INPUTS = [
+    # eta(1e-300) = (1e-300, -0.0) is off the domain
+    ("rate posterior --model gauss-mean-eq-sd --mu0 1,3 --support 1e-300,1e-299 "
+     "--grid 0,1,3", "constrained likelihood is -inf on the whole set"),
+    ("rate posterior --model hw-line --mu0 0.3,0.2 --support 1,1.0000000000001 "
+     "--grid 0,2,3", None),
+    # these square a huge coordinate
+    ("legendre --family gauss-parabola --t 1e200,1e300", OFF_MEAN_DOMAIN),
+    ("legendre --family gauss-parabola --t 1e200,1e300 "
+     "--constraint gauss-mean-eq-sd", OFF_MEAN_DOMAIN),
+    ("rate mle --model gauss-mean-eq-sd --theta0-coord 1 --grid 1e200,1e201,3",
+     "natural point has non-finite coordinates"),
+    ("rate posterior --model strip-curve --mu0 0.3,0.5 --support 0,1 --grid 0,1,5",
+     None),
+    ("rate posterior --model strip-curve --mu0 0.3,0.5 --support 0,1e-300 "
+     "--grid 0,1,3", None),
+    ("rate posterior --model hw-line --mu0 1e-300,1e-300 --support -3,3 "
+     "--grid -1,1,3", None),
+    ("rate posterior --model gauss-mean-eq-sd --mu0 1,1e300 --support 0.5,2 "
+     "--grid 0,1,3", "line search stalled"),
+    ("rate cramer --family hardy-weinberg-saturated --theta0 800,0 --t 0.3,0.2",
+     None),
+    ("rate cramer --family gauss-parabola --theta0 0,-1e-300 --t 0,1", None),
+    ("legendre --family poisson --t 1e-320 --constraint poisson-line",
+     "could not bracket the constrained maximum"),
+    ("legendre --family hardy-weinberg-saturated --t 1e-300,1e-300", None),
+    ("legendre --family strip-measure --t 1e-300,0.5", None),
+    ("legendre --family gauss-parabola --t 1,1.0000000000001", None),
+    ("rate mle --model poisson-line --theta0-coord -800 --grid 0,1,3", None),
+    ("rate mle --model hw-line --theta0-coord 0 --grid=-1e300,1e300,3",
+     "is outside the interior of the mean domain of hardy-weinberg-saturated"),
+    ("rate mle --model strip-curve --theta0-coord 0.5 --grid 0,1,5", None),
+]
+
+
+@pytest.mark.parametrize("line, message", EDGE_INPUTS,
+                         ids=[line for line, _ in EDGE_INPUTS])
+def test_edge_input_sweep(line, message):
+    # a result, or a usage error with its message: no traceback, no numpy
+    # warning, no NaN
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(main, shlex.split(line))
+    assert result.exit_code == (0 if message is None else 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if message is None:
+        assert "nan" not in result.output.lower()
+    else:
+        assert message in result.output
 
 
 class TestVerifySensitivity:
