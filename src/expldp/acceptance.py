@@ -190,9 +190,11 @@ def check_legendre() -> CheckResult:
     rng = _rng()
     worst_grid = 0.0
     worst_step_ratio = 0.0
+    grid_points = 0
     for name in ("poisson", "gauss-mean", "hardy-weinberg-saturated"):
         family = builtin(name)
         spec, step = _grid_oracle_spec(name)
+        grid_points += math.prod(int(n) for _, _, n in spec)
         ts = np.array([_random_mean_point(name, rng) for _ in range(20)])
         grid_values, _ = legendre.conjugate_grid_oracle(
             family, legendre.ConstraintSet.full(), ts, spec
@@ -210,6 +212,8 @@ def check_legendre() -> CheckResult:
             "worst_closed_form_error": worst_closed,
             "worst_grid_gap": worst_grid,
             "worst_gap_over_step": worst_step_ratio,
+            # kappa is evaluated once per grid point for the 20 mean points
+            "grid_points": grid_points,
         },
     )
 

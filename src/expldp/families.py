@@ -2,18 +2,24 @@
 
 A family is a generating measure lambda on R^d together with its domain
 and a payload of three kernels: ``cumulant(th)`` for kappa(theta) =
-log ∫ exp(theta.x) dλ, ``cumulant_many(arr)`` for kappa over the rows of
-an (m, d) array, and ``moments(th)``, which returns the mean map ∇kappa
-and the Hessian Hess kappa together.  Finite discrete measures
-(``DiscretePayload``, a max-shifted log-sum-exp over the atoms) and
-closed-form families (``AnalyticPayload``) follow the same protocol.
+log ∫ exp(theta.x) dλ, ``cumulant_many(th)`` for kappa at many points at
+once, and ``moments(th)``, which returns the mean map ∇kappa and the
+Hessian Hess kappa together.  ``cumulant_many`` takes the points by
+coordinate: ``th[k]`` is coordinate k, the d coordinates are broadcastable
+arrays, and the result has their broadcast shape.  A (d, m) array is m
+points, and an open mesh such as (a[:, None], b[None, :]) is the product
+grid of its axes, on which a kernel computes what depends on one
+coordinate once per axis value rather than once per point.  Finite
+discrete measures (``DiscretePayload``, a max-shifted log-sum-exp over the
+atoms, which broadcasts the coordinates back into rows) and closed-form
+families (``AnalyticPayload``) follow the same protocol.
 Hardy–Weinberg's batched kernel is log(1/2 + (e^th1 + e^th2)/4) with no
-shift, since exp is several times cheaper than logaddexp on the millions of
-rows of a grid oracle; an array with a coordinate above 700, +inf or NaN,
-where exp could overflow, takes the shifted logaddexp form instead.  The
-strip measure's closed form goes through the Faddeeva function w; its
-moments come from the tilted density, which needs only w, or, far from
-the origin, from the asymptotic series of w' and w''.
+shift: exp runs once per axis of a product grid and only the log once per
+point.  A call with a coordinate above 700, +inf or NaN, where exp could
+overflow, takes the shifted logaddexp form instead.  The strip measure's
+closed form goes through the Faddeeva function w; its moments come from
+the tilted density, which needs only w, or, far from the origin, from the
+asymptotic series of w' and w''.
 
 Natural points and mean points are plain float vectors; ``as_point``
 enforces finiteness and dimension at the API boundary.
@@ -91,9 +97,13 @@ class DiscretePayload:
         object.__setattr__(self, "log_weights", np.log(weights))
 
     def cumulant(self, th):
-        return float(self.cumulant_many(th[None, :])[0])
+        return float(self.cumulant_many(th[:, None])[0])
 
-    def cumulant_many(self, arr):
+    def cumulant_many(self, th):
+        # the logits are a product with the atoms, so the coordinates are
+        # broadcast back into (points, d) rows
+        cols = np.broadcast_arrays(*th)
+        arr = np.stack(cols, axis=-1).reshape(-1, len(cols))
         finite = np.isfinite(arr).all(axis=1)
         if finite.all():
             logits = arr @ self.atoms.T + self.log_weights
@@ -103,7 +113,8 @@ class DiscretePayload:
         # its kappa is +inf rather than inf - inf
         top = logits.max(axis=1, keepdims=True)
         top = np.where(np.isfinite(top), top, 0.0)
-        return (top + np.log(np.exp(logits - top).sum(axis=1, keepdims=True)))[:, 0]
+        kappa = top + np.log(np.exp(logits - top).sum(axis=1, keepdims=True))
+        return kappa.reshape(cols[0].shape)
 
     def _limit_logits(self, arr, finite):
         """Row-by-atom logits, taken as limits on the rows that are not
@@ -136,7 +147,8 @@ class DiscretePayload:
 class AnalyticPayload:
     cumulant: Callable[[np.ndarray], float]      # total: +inf off the domain
     moments: Callable[[np.ndarray], tuple]       # interior th -> (∇kappa, Hess kappa)
-    cumulant_many: Callable[[np.ndarray], np.ndarray]    # rows (m, d) -> (m,)
+    # d broadcastable coordinate arrays -> kappa in their broadcast shape
+    cumulant_many: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -166,12 +178,13 @@ def _cumulant(family, th) -> float:
 
 
 def cumulant_many(family: GeneratingFamily, thetas) -> np.ndarray:
-    """Vectorized kappa over rows of an (m, d) array (grid oracles and
-    posterior integrands)."""
+    """Vectorized kappa over the rows of an (m, d) array, or over an (m,)
+    array when d = 1; the rows reach the payload's kernel as its d
+    coordinate columns."""
     arr = np.asarray(thetas, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    return np.asarray(family.payload.cumulant_many(arr), dtype=float)
+    return np.asarray(family.payload.cumulant_many(arr.T), dtype=float)
 
 
 def _moments(family, th):
@@ -237,17 +250,27 @@ def _hw_moments(th):
 # exp stays finite up to about 709.78; the batched kernel needs no shift
 # below this bound
 _HW_EXP_BOUND = 700.0
-_HW_QUARTERS = np.array([0.25, 0.25])
+
+
+def _top(th):
+    """The largest coordinate of any point of ``th``, NaN if one is NaN and
+    -inf if there are no points.  A stacked array takes one reduction, and
+    the ufunc's reduce costs half of ``max()`` on the one-point arrays of a
+    polish."""
+    if isinstance(th, np.ndarray):
+        return np.maximum.reduce(th, axis=None, initial=-INF)
+    return np.maximum.reduce([_top(coord) for coord in th])
 
 
 def _make_hardy_weinberg():
-    def many(arr):
+    def many(th):
         # kappa = log(1/2 + (e^th1 + e^th2)/4): scaling by 1/4 is exact, so a
-        # row's value is the same in any batch.  NaN, +inf or a coordinate
-        # past the bound sends the whole array to the shifted form
-        if not arr.max(initial=-INF) <= _HW_EXP_BOUND:
-            return np.logaddexp(np.logaddexp(_LOG2, arr[:, 0]), arr[:, 1]) - _LOG4
-        return np.log(np.exp(arr).dot(_HW_QUARTERS) + 0.5)
+        # point's value is the same in any batch.  NaN, +inf or a coordinate
+        # past the bound sends the whole call to the shifted form
+        t1, t2 = th[0], th[1]
+        if not _top(th) <= _HW_EXP_BOUND:
+            return np.logaddexp(np.logaddexp(_LOG2, t1), t2) - _LOG4
+        return np.log((np.exp(t1) + np.exp(t2)) * 0.25 + 0.5)
 
     domain = DomainSpec(
         interior=lambda th: True,
@@ -262,38 +285,43 @@ def _make_hardy_weinberg():
     )
 
 
+# Gaussian laws lifted to (x, x^2); the normalisation below keeps the
+# textbook closed form, which differs from the image of Lebesgue measure by
+# the constant -log(2*pi) (constants cancel in every rate)
+_GAUSS_PARABOLA_CONST = 2.0 * math.log(2.0) + math.log(math.pi)
+
+
 def _make_gauss_parabola():
-    # Gaussian laws lifted to (x, x^2); the normalisation below keeps the
-    # textbook closed form, which differs from the image of Lebesgue
-    # measure by the constant -log(2*pi) (constants cancel in every rate)
     def cml(th):
         t1, t2 = th
         if t2 >= 0.0:
             return INF
         return -0.5 * (
-            2.0 * math.log(2.0) + math.log(math.pi) + math.log(-t2)
-            + t1 * t1 / (2.0 * t2)
+            _GAUSS_PARABOLA_CONST + math.log(-t2) + t1 * t1 / (2.0 * t2)
         )
 
     def moments(th):
+        # through E[x] = -t1/(2 t2) and Var x = -1/(2 t2), which stay finite
+        # wherever the moments are; t2^2 and t2^3 overflow from |t2| = 1.4e154
+        # and 5.7e102 on
         t1, t2 = th
-        mean = np.array(
-            [-t1 / (2.0 * t2), t1 * t1 / (4.0 * t2 * t2) - 1.0 / (2.0 * t2)]
-        )
-        h11 = -1.0 / (2.0 * t2)
-        h12 = t1 / (2.0 * t2 * t2)
-        h22 = -t1 * t1 / (2.0 * t2 ** 3) + 1.0 / (2.0 * t2 * t2)
-        return mean, np.array([[h11, h12], [h12, h22]])
+        m1 = -t1 / (2.0 * t2)
+        h11 = -0.5 / t2
+        h12 = -m1 / t2
+        h22 = -(2.0 * m1 * m1 + h11) / t2
+        return np.array([m1, m1 * m1 + h11]), np.array([[h11, h12], [h12, h22]])
 
-    def many(arr):
-        t1, t2 = arr[:, 0], arr[:, 1]
-        out = np.full(arr.shape[0], INF)
-        ok = t2 < 0.0
-        out[ok] = -0.5 * (
-            2.0 * math.log(2.0) + math.log(math.pi) + np.log(-t2[ok])
-            + t1[ok] ** 2 / (2.0 * t2[ok])
-        )
-        return out
+    def many(th):
+        t1, t2 = th[0], th[1]
+        inside = t2 < 0.0
+        # off the domain t2 = -1 stands in, so log and the division stay
+        # quiet there; kappa saturates to +inf where it overflows
+        neg = np.where(inside, t2, -1.0)
+        with np.errstate(over="ignore"):
+            kappa = -0.5 * (
+                _GAUSS_PARABOLA_CONST + np.log(-neg) + t1 ** 2 / (2.0 * neg)
+            )
+        return np.where(inside, kappa, INF)
 
     domain = DomainSpec(
         interior=lambda th: th[1] < 0.0,
@@ -323,8 +351,8 @@ def _poisson_cumulant(th):
     return INF if th[0] > _EXPM1_BOUND else float(np.expm1(th[0]))
 
 
-def _poisson_cumulant_many(arr):
-    x = arr[:, 0]
+def _poisson_cumulant_many(th):
+    x = th[0]
     # NaN stays NaN: it fails the comparison and passes through the minimum
     return np.where(x > _EXPM1_BOUND, INF, np.expm1(np.minimum(x, _EXPM1_BOUND)))
 
@@ -361,7 +389,7 @@ def _make_gauss_mean():
             # a Python float, which overflows to inf without a warning
             cumulant=lambda th: 0.5 * float(th[0]) * float(th[0]),
             moments=lambda th: (th.copy(), np.ones((1, 1))),
-            cumulant_many=lambda arr: 0.5 * arr[:, 0] ** 2,
+            cumulant_many=lambda th: 0.5 * th[0] ** 2,
         ),
     )
 
@@ -387,13 +415,13 @@ def _make_landau_dual():
         boundary_points=(np.zeros(1),),
     )
 
-    def many(arr):
-        mu = arr[:, 0]
-        out = np.full(arr.shape[0], INF)
-        out[mu == 0.0] = 1.0
+    def many(th):
+        mu = th[0]
         pos = mu > 0.0
-        out[pos] = mu[pos] * np.log(mu[pos]) - mu[pos] + 1.0
-        return out
+        # mu = 1 stands in off the open half-line, where log would warn
+        inner = np.where(pos, mu, 1.0)
+        kappa = inner * np.log(inner) - inner + 1.0
+        return np.where(pos, kappa, np.where(mu == 0.0, 1.0, INF))
 
     return GeneratingFamily(
         name="landau-dual",
@@ -467,20 +495,20 @@ def _strip_cumulant(th):
     return float(t2 * t2 + t1 * t1 / (4.0 * a) + math.log(math.pi * re_w))
 
 
-def _strip_cumulant_many(arr):
-    # the domain masks below would send a NaN row to +inf
-    if np.isnan(arr).any():
+def _strip_cumulant_many(th):
+    # the domain masks below would send a NaN point to +inf
+    if math.isnan(_top(th)):
         raise NumericsError("strip natural points have NaN coordinates")
-    t1, t2 = arr[:, 0], arr[:, 1]
-    out = np.where((t1 == 0.0) & (np.abs(t2) == 1.0), _STRIP_BOUNDARY_KAPPA, INF)
-    inner = np.abs(t2) < 1.0
-    t1, t2 = t1[inner], t2[inner]
-    a, _, zeta = _strip_zeta(t1, t2)
-    re_w = wofz(zeta).real
+    t1, t2 = th[0], th[1]
+    # off the open strip a <= 0 and the closed form is NaN or +inf; the
+    # masks below replace it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a, _, zeta = _strip_zeta(t1, t2)
+        re_w = wofz(zeta).real
         kappa = t2 * t2 + t1 * t1 / (4.0 * a) + np.log(np.pi * re_w)
-    out[inner] = np.where(re_w > 0.0, kappa, INF)
-    return out
+    r2 = np.abs(t2)
+    edge = np.where((t1 == 0.0) & (r2 == 1.0), _STRIP_BOUNDARY_KAPPA, INF)
+    return np.where((r2 < 1.0) & (re_w > 0.0), kappa, edge)
 
 
 def _strip_moments(th):

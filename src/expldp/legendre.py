@@ -251,10 +251,14 @@ def _polish(f, df, a, b):
         v = f(x)
         return -v if math.isfinite(v) else 1e300
 
-    res = minimize_scalar(
-        negated, bounds=(a, b), method="bounded",
-        options={"xatol": 1e-12, "maxiter": POLISH_MAXITER},
-    )
+    # the parabolic step multiplies differences of x by differences of f,
+    # which overflows where both are huge (l ~ -1e300 over z ~ 1e150); Brent
+    # then takes a golden-section step, so the overflow is harmless
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = minimize_scalar(
+            negated, bounds=(a, b), method="bounded",
+            options={"xatol": 1e-12, "maxiter": POLISH_MAXITER},
+        )
     if not res.success:
         raise NoConvergence(f"bounded Brent polish on [{a}, {b}]: {res.message}")
     return float(res.x), (-float(res.fun) if res.fun < 1e300 else -math.inf)
@@ -271,15 +275,19 @@ CURVE_SCAN = 16
 
 def curve_loglik(family, model, t):
     """z -> l(eta(z); t) for a coordinate or an array of them, with one
-    ``cumulant_many`` call on the stacked images."""
+    ``cumulant_many`` call on the images, whose (d, m) array holds one
+    coordinate per row."""
+    kernel = family.payload.cumulant_many
 
     def l_of(z):
         zs = np.asarray(z, dtype=float)
-        thetas = np.asarray(model.map(zs.ravel()), dtype=float).T
-        kappas = families.cumulant_many(family, thetas)
-        if np.isnan(kappas).any():
+        thetas = model.map(zs.ravel())
+        kappas = kernel(thetas)
+        # np.maximum propagates NaN, and its reduce costs less than
+        # isnan(...).any() on the one-point calls of a polish
+        if math.isnan(np.maximum.reduce(kappas, axis=None, initial=-math.inf)):
             raise NumericsError(f"cumulant NaN on {model.name}")
-        vals = thetas @ t - kappas
+        vals = t.dot(thetas) - kappas
         return float(vals[0]) if zs.ndim == 0 else vals.reshape(zs.shape)
 
     return l_of
@@ -398,11 +406,13 @@ def _maximize_on_curve(family, model, t, intervals) -> LegendreResult:
 
 
 # grid points per block of the full-domain grid oracle: whole rows of the
-# leading axis, at least one.  2^15 two-dimensional points are 512 KiB, so
-# a block with its exp, kappa and objective temporaries stays inside a 2 MiB
-# L2 cache while a stack of mean points rereads it: on a Xeon with 2 MiB of
-# L2 per core, the Hardy–Weinberg 2001 x 2001 grid with 20 mean points took
-# 150 ms in 2^15-point blocks and 242 ms in 2^17-point ones
+# leading axis, at least one.  A block's kappa and objective arrays of 2^15
+# points take 256 KiB each and stay in L2 while a stack of mean points
+# rereads them.  On a 2-vCPU Xeon with 2 MiB of L2 per core, the
+# Hardy–Weinberg 2001 x 2001 grid took 26, 20, 19.6, 19.4, 21 and 24 ms for
+# one mean point in blocks of 2^13 to 2^18 points (best of 5), and 238, 174,
+# 154, 134, 149 and 196 ms for 20; 2^15 and 2^16 tie on criterion 4 (best
+# of 7: 0.17 s), and 2^15 peaks at half the memory (1.1 MB)
 GRID_BLOCK_POINTS = 1 << 15
 
 
@@ -424,22 +434,16 @@ def _grid_axes(grid_spec, dim):
 
 
 def _full_grid_blocks(axes):
-    """The full-domain grid on ``axes`` in C order, as (m, dim) blocks of
-    whole rows along the leading axis.  Every block is a view of one buffer
-    whose trailing-axis columns are filled once; each block rewrites only
-    the leading coordinate, so a block is valid until the next one is drawn."""
+    """The full-domain grid on ``axes`` in C order, as blocks of whole rows
+    along the leading axis.  A block is an open mesh: the block's slice of
+    the leading axis and every trailing axis, each shaped to broadcast
+    against the others."""
     row_points = math.prod(len(ax) for ax in axes[1:])
     if row_points == 0 or len(axes[0]) == 0:
         return
     rows = min(len(axes[0]), max(1, GRID_BLOCK_POINTS // row_points))
-    buf = np.empty((rows * row_points, len(axes)))
-    grid = buf.reshape(rows, row_points, len(axes))
-    for k, mesh in enumerate(np.meshgrid(*axes[1:], indexing="ij"), start=1):
-        grid[:, :, k] = mesh.ravel()
     for i in range(0, len(axes[0]), rows):
-        lead = axes[0][i:i + rows]
-        grid[:len(lead), :, 0] = lead[:, None]
-        yield buf[:len(lead) * row_points]
+        yield np.ix_(axes[0][i:i + rows], *axes[1:])
 
 
 def conjugate_grid_oracle(family, constraint, t, grid_spec):
@@ -452,12 +456,11 @@ def conjugate_grid_oracle(family, constraint, t, grid_spec):
     Degenerate grids of a single point are allowed.  ``t`` is one mean
     point, giving (value, argmax), or an (m, dim) stack of them, giving
     arrays of the m values and argmaxes.  The full-domain grid is walked in
-    blocks of ``GRID_BLOCK_POINTS`` points, each block's kappa values shared
-    by the stack; a later block replaces a running maximum only when it is
-    strictly larger, so ties go to the first grid point in C order.  The
-    blocks share one buffer that the next block overwrites, so an argmax
-    must be copied out of its block (``np.repeat`` and row assignment do)
-    and never kept as a view.
+    blocks of ``GRID_BLOCK_POINTS`` points, open meshes on which the
+    family's kernel gives kappa once for the whole stack; theta.t is the
+    outer sum of the per-axis products theta_k t_k, in axis order.  A later
+    block replaces a running maximum only when it is strictly larger, so
+    ties go to the first grid point in C order.
     """
     if constraint.kind != "full":
         raise ValueError(f"the grid oracle has no {constraint.kind} form")
@@ -467,17 +470,20 @@ def conjugate_grid_oracle(family, constraint, t, grid_spec):
     values = np.full(len(ts), -np.inf)
     argmaxes = None     # set by the first block: a grid that is -inf
                         # everywhere gives its first point, as argmax does
-    for thetas in _full_grid_blocks(axes):
-        kappas = families.cumulant_many(family, thetas)
+    for mesh in _full_grid_blocks(axes):
+        kappas = family.payload.cumulant_many(mesh)
         if argmaxes is None:
-            argmaxes = np.repeat(thetas[:1], len(ts), axis=0)
+            argmaxes = np.array([[coord.flat[0] for coord in mesh]] * len(ts))
         for j, tt in enumerate(ts):
-            vals = thetas @ tt
+            vals = mesh[0] * tt[0]
+            for coord, tk in zip(mesh[1:], tt[1:]):
+                vals = vals + coord * tk
             vals -= kappas
             idx = int(np.argmax(vals))
-            if vals[idx] > values[j]:
-                values[j] = vals[idx]
-                argmaxes[j] = thetas[idx]
+            if vals.flat[idx] > values[j]:
+                values[j] = vals.flat[idx]
+                pos = np.unravel_index(idx, vals.shape)
+                argmaxes[j] = [coord.flat[p] for coord, p in zip(mesh, pos)]
     if argmaxes is None:
         raise ValueError("the grid has no points")
     if not stack:

@@ -180,50 +180,6 @@ def with_adjoined_origin(model: CurvedModel) -> CurvedModel:
     return replace(model, name=model.name + "+origin", coord_intervals=ivs)
 
 
-def validate_model(model: CurvedModel, n_grid: int = 64) -> None:
-    """Grid checks of the model invariants: image inside the essential
-    domain, nonvanishing Jacobian on the coordinate interior, injectivity.
-
-    The grid insets by 1e-4 of the span: closer to an open endpoint the
-    image can fall on the domain boundary in double precision even though
-    it is interior mathematically (e.g. sqrt(1 - z^3) rounds to 1)."""
-    for iv in model.coord_intervals:
-        lo = iv.lo if math.isfinite(iv.lo) else -4.0
-        hi = iv.hi if math.isfinite(iv.hi) else 4.0
-        span = hi - lo
-        zs = np.linspace(lo + 1e-4 * span, hi - 1e-4 * span, n_grid)
-        images = np.array([model.map(z) for z in zs])
-        for z, th in zip(zs, images):
-            if not math.isfinite(cumulant(model.family, th)):
-                raise ValueError(f"{model.name}: eta({z}) leaves the domain")
-            if np.linalg.norm(model.jacobian(z)) <= 0.0:
-                raise ValueError(f"{model.name}: Jacobian vanishes at {z}")
-        diffs = np.linalg.norm(np.diff(images, axis=0), axis=1)
-        if np.any(diffs <= 0.0):
-            raise ValueError(f"{model.name}: eta is not injective on the grid")
-
-
-def hw_line_mle_coordinate(t) -> float:
-    """Closed-form constrained MLE coordinate on the hw-line for data mean
-    t = (x, y): log(1+x-y) - log(1-x+y).  Infinite at the two degenerate
-    corners."""
-    x, y = float(t[0]), float(t[1])
-    a = 1.0 + x - y
-    b = 1.0 - x + y
-    if a <= 0.0:
-        return -INF
-    if b <= 0.0:
-        return INF
-    return math.log(a) - math.log(b)
-
-
-def gauss_mean_eq_sd_mle_coordinate(t) -> float:
-    """Closed-form constrained MLE coordinate for the mean=sd curve at data
-    mean t = (x, y) with y > x^2: (x + sqrt(x^2 + 4y)) / (2y)."""
-    x, y = float(t[0]), float(t[1])
-    return (x + math.sqrt(x * x + 4.0 * y)) / (2.0 * y)
-
-
 # ---------------------------------------------------------------------------
 # priors
 # ---------------------------------------------------------------------------
@@ -261,6 +217,11 @@ class Prior:
                     f"support interval [{iv.lo}, {iv.hi}] is not contained in "
                     f"the closure of the model coordinate set"
                 )
+            for z in (iv.lo, iv.hi):
+                if not np.all(np.isfinite(self.model.map(float(z)))):
+                    raise ValueError(
+                        f"eta({z}) is not finite, so the model cannot "
+                        f"represent the support")
         if sum(iv.length for iv in ivs) <= 0.0:
             raise ValueError("prior support has zero length")
         object.__setattr__(self, "support", ivs)

@@ -46,3 +46,22 @@ def _enumerate_outcomes(spec):
 @pytest.fixture(scope="session")
 def enumerate_outcomes():
     return _enumerate_outcomes
+
+
+def _hw_line_mle_coordinate(t):
+    """Test-only reference: the closed-form constrained MLE coordinate on
+    the hw-line for data mean t = (x, y), log(1+x-y) - log(1-x+y); infinite
+    at the two degenerate corners."""
+    x, y = float(t[0]), float(t[1])
+    a = 1.0 + x - y
+    b = 1.0 - x + y
+    if a <= 0.0:
+        return -math.inf
+    if b <= 0.0:
+        return math.inf
+    return math.log(a) - math.log(b)
+
+
+@pytest.fixture(scope="session")
+def hw_line_mle_coordinate():
+    return _hw_line_mle_coordinate

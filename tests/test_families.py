@@ -425,8 +425,89 @@ class TestHardyWeinbergBatchedKernel:
         many = self._many(thetas)
         for i, j in [(0, 1), (5, 23), (17, 2065), (1000, 4096), (4095, 4096)]:
             assert np.array_equal(many[i:j], self._many(thetas[i:j]))
-        # curve_loglik passes the transposed, column-major images
+        # curve_loglik passes the model map's (d, m) images, whose columns
+        # are the rows of this Fortran-ordered array
         assert np.array_equal(many, self._many(np.asfortranarray(thetas)))
+        assert np.array_equal(many, HW.payload.cumulant_many(np.ascontiguousarray(thetas.T)))
+
+
+inf = math.inf
+# per family: the axes of a product grid, with points off the domain, the
+# strip's boundary points and Hardy–Weinberg coordinates past 700
+MESH_AXES = {
+    "hardy-weinberg-saturated": ([-700.0, -3.0, 0.0, 0.7, 699.9, 700.0],
+                                 [-745.0, -1.0, 0.0, 2.5, 700.0]),
+    "hardy-weinberg-shifted": ([-inf, -3.0, 0.0, 700.5, 710.0, 1e4, inf],
+                               [-inf, -800.0, 0.0, 2.5, 709.0]),
+    "poisson": ([-inf, -800.0, -1.0, 0.0, 1.0, 709.78, 710.0, 1e300, inf],),
+    "gauss-mean": ([-inf, -1e150, -3.0, -0.0, 0.0, 2.0, 1e150, inf],),
+    "gauss-parabola": ([-1e200, -3.0, -0.0, 0.5, 2.0],
+                       [-2.0, -1.0, -1e-300, -0.0, 0.0, 1.0, inf]),
+    "landau-dual": ([-inf, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 3.0, 1e300],),
+    "strip-measure": ([-2.0, -0.0, 0.0, 0.3, 3.0],
+                      [-1.5, -1.0, -1.0 + 1e-16, -0.3, 0.0, 0.5, 1.0 - 1e-12,
+                       1.0, 1.5]),
+    "discrete": ([-inf, -750.0, -1.0, 0.0, 0.4, 700.0, inf],
+                 [-inf, -2.0, 0.0, 1.5, 700.0]),
+}
+
+
+def _mesh_family(name):
+    if name == "discrete":
+        return hw_discrete()
+    return builtin("hardy-weinberg-saturated" if name.startswith("hardy") else name)
+
+
+def _mesh_and_rows(axes):
+    arrays = [np.asarray(ax, dtype=float) for ax in axes]
+    grid = np.meshgrid(*arrays, indexing="ij")
+    return np.ix_(*arrays), np.column_stack([g.ravel() for g in grid])
+
+
+@pytest.mark.parametrize("name", sorted(MESH_AXES))
+def test_kernel_on_an_open_mesh_matches_its_rows(name):
+    # the batched kernel takes broadcastable coordinates: on the open mesh of
+    # the axes it gives the grid's kappa bit for bit as the same points
+    # passed as rows
+    fam = _mesh_family(name)
+    axes = MESH_AXES[name]
+    mesh, rows = _mesh_and_rows(axes)
+    on_mesh = fam.payload.cumulant_many(mesh)
+    assert on_mesh.shape == tuple(len(ax) for ax in axes)
+    assert np.array_equal(on_mesh.ravel(), cumulant_many(fam, rows))
+    assert np.isinf(on_mesh).any() == (name != "hardy-weinberg-saturated")
+
+
+def test_kernel_mesh_keeps_the_boundary_and_shifted_values():
+    strip_mesh, _ = _mesh_and_rows(MESH_AXES["strip-measure"])
+    strip = STRIP.payload.cumulant_many(strip_mesh)
+    edge = 1.0 + math.log(math.pi)
+    # t1 = -0.0 and 0.0 at t2 = -1 and 1, and nowhere else
+    assert np.array_equal(np.argwhere(strip == edge), [[1, 1], [1, 7], [2, 1], [2, 7]])
+    hw_mesh, _ = _mesh_and_rows(MESH_AXES["hardy-weinberg-shifted"])
+    hw = HW.payload.cumulant_many(hw_mesh)
+    assert hw[4, 2] == pytest.approx(710.0 - math.log(4.0), rel=1e-15)
+    assert np.all(hw[-1] == inf) and np.all(np.isfinite(hw[:-1]))
+
+
+@pytest.mark.parametrize("name", sorted(MESH_AXES))
+def test_kernel_mesh_with_a_nan_coordinate(name):
+    # NaN raises in the strip and discrete kernels, and is passed through
+    # (or sent to +inf off a domain test) by the others, on a mesh as in rows
+    fam = _mesh_family(name)
+    axes = [list(ax) for ax in MESH_AXES[name]]
+    axes[-1].append(math.nan)
+    mesh, rows = _mesh_and_rows(axes)
+    if name in ("strip-measure", "discrete"):
+        with pytest.raises(NumericsError):
+            fam.payload.cumulant_many(mesh)
+        with pytest.raises(NumericsError):
+            cumulant_many(fam, rows)
+        return
+    # Hardy–Weinberg's logaddexp warns on NaN, as it does on rows
+    with np.errstate(invalid="ignore"):
+        on_mesh, by_rows = fam.payload.cumulant_many(mesh), cumulant_many(fam, rows)
+    assert np.array_equal(on_mesh.ravel(), by_rows, equal_nan=True)
 
 
 def test_strip_cumulant_many_agrees_with_scalar(rng):

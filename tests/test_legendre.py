@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -334,13 +335,15 @@ class TestGridOracle:
     ], ids=["nan-endpoint", "infinite-endpoint", "infinite-span",
             "fractional-count", "negative-count", "nan-count",
             "too-few-axes", "too-many-axes"])
-    def test_malformed_grid_spec_rejected_before_work(self, monkeypatch, spec, message):
+    def test_malformed_grid_spec_rejected_before_work(self, spec, message):
         def no_kernel(*args):
             raise AssertionError("the kernel ran on a malformed grid")
 
-        monkeypatch.setattr(legendre.families, "cumulant_many", no_kernel)
+        # the oracle calls the payload's batched kernel directly
+        guarded = dataclasses.replace(
+            HW, payload=dataclasses.replace(HW.payload, cumulant_many=no_kernel))
         with pytest.raises(ValueError, match=message):
-            conjugate_grid_oracle(HW, ConstraintSet.full(), [0.3, 0.2], spec)
+            conjugate_grid_oracle(guarded, ConstraintSet.full(), [0.3, 0.2], spec)
 
     def test_poisson_against_newton(self):
         value, argmax = conjugate_grid_oracle(
@@ -368,11 +371,16 @@ class TestGridOracle:
 
     @staticmethod
     def _full_grid_max(family, t, spec):
-        # the whole grid at once: value and first maximizer in C order
+        # the whole grid at once: value and first maximizer in C order, with
+        # the oracle's arithmetic for theta.t, a sum of per-axis products in
+        # axis order
         axes = [np.linspace(lo, hi, int(n)) for lo, hi, n in spec]
         mesh = np.meshgrid(*axes, indexing="ij")
         thetas = np.column_stack([m.ravel() for m in mesh])
-        vals = thetas @ np.asarray(t, dtype=float) - cumulant_many(family, thetas)
+        dot = thetas[:, 0] * t[0]
+        for k in range(1, thetas.shape[1]):
+            dot = dot + thetas[:, k] * t[k]
+        vals = dot - cumulant_many(family, thetas)
         i = int(np.argmax(vals))
         return vals[i], thetas[i], vals, thetas
 
@@ -410,8 +418,9 @@ class TestGridOracle:
 
     def test_hardy_weinberg_grid_memory(self):
         # the 2001 x 2001 grid of the benchmark; the whole grid as (N, 2)
-        # points with its kappa vector took 183 MB, and a fresh 2^17-point
-        # block per step 8.4 MB; one reused 2^15-point block peaks near 1.8 MB
+        # points with its kappa vector took 183 MB, while an open-mesh block
+        # of 2^15 points, its kappa, objective and kernel temporaries peak
+        # near 1.1 MB
         spec = ((-4.0, 4.0, 2001), (-4.0, 4.0, 2001))
         tracemalloc.start()
         try:

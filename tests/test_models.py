@@ -16,13 +16,11 @@ from expldp import (
 )
 from expldp import models
 from expldp.intervals import Interval
+from expldp.families import cumulant
 from expldp.models import (
     event_at_least,
     event_interval,
     fit_rate_limit,
-    gauss_mean_eq_sd_mle_coordinate,
-    hw_line_mle_coordinate,
-    validate_model,
     with_adjoined_origin,
 )
 
@@ -33,6 +31,36 @@ LOG_11_9 = math.log(11.0 / 9.0)
 def hw_l(z):
     # closed-form coordinate log-likelihood on the hw line at MU0
     return 0.1 * z - (np.logaddexp(np.logaddexp(math.log(2.0), z), -z) - math.log(4.0))
+
+
+def validate_model(model, n_grid=64):
+    """Grid checks of the model invariants: image inside the essential
+    domain, nonvanishing Jacobian on the coordinate interior, injectivity.
+
+    The grid insets by 1e-4 of the span: closer to an open endpoint the
+    image can fall on the domain boundary in double precision even though
+    it is interior mathematically (e.g. sqrt(1 - z^3) rounds to 1)."""
+    for iv in model.coord_intervals:
+        lo = iv.lo if math.isfinite(iv.lo) else -4.0
+        hi = iv.hi if math.isfinite(iv.hi) else 4.0
+        span = hi - lo
+        zs = np.linspace(lo + 1e-4 * span, hi - 1e-4 * span, n_grid)
+        images = np.array([model.map(z) for z in zs])
+        for z, th in zip(zs, images):
+            if not math.isfinite(cumulant(model.family, th)):
+                raise ValueError(f"{model.name}: eta({z}) leaves the domain")
+            if np.linalg.norm(model.jacobian(z)) <= 0.0:
+                raise ValueError(f"{model.name}: Jacobian vanishes at {z}")
+        diffs = np.linalg.norm(np.diff(images, axis=0), axis=1)
+        if np.any(diffs <= 0.0):
+            raise ValueError(f"{model.name}: eta is not injective on the grid")
+
+
+def gauss_mean_eq_sd_mle_coordinate(t):
+    """Closed-form constrained MLE coordinate for the mean=sd curve at data
+    mean t = (x, y) with y > x^2: (x + sqrt(x^2 + 4y)) / (2y)."""
+    x, y = float(t[0]), float(t[1])
+    return (x + math.sqrt(x * x + 4.0 * y)) / (2.0 * y)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +94,7 @@ class TestBuiltinModels:
     def test_invariants_on_grid(self, name):
         validate_model(builtin_model(name), n_grid=48)
 
-    def test_hw_mle_closed_form_consistency(self, rng):
+    def test_hw_mle_closed_form_consistency(self, rng, hw_line_mle_coordinate):
         # closed form against the stationarity equation tanh(z/2) = x - y
         for _ in range(25):
             x = rng.uniform(0.05, 0.6)

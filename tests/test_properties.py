@@ -182,9 +182,7 @@ def test_conditional_tail_matches_enumeration(enumerate_outcomes, n, t1, t2, eve
     x=st.floats(min_value=0.05, max_value=0.6),
     frac=st.floats(min_value=0.1, max_value=0.9),
 )
-def test_hw_mle_formula_is_stationary(x, frac):
-    from expldp.models import hw_line_mle_coordinate
-
+def test_hw_mle_formula_is_stationary(hw_line_mle_coordinate, x, frac):
     y = frac * min(0.6, 0.95 - x)
     z = hw_line_mle_coordinate((x, y))
     grad = mean_map(HW, [z, -z])

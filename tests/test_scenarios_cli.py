@@ -508,6 +508,12 @@ EDGE_INPUTS = [
     ("rate mle --model hw-line --theta0-coord 0 --grid=-1e300,1e300,3",
      "is outside the interior of the mean domain of hardy-weinberg-saturated"),
     ("rate mle --model strip-curve --theta0-coord 0.5 --grid 0,1,5", None),
+    # l ~ -1e300 over z ~ 1e150, past where t2^2 and Brent's products overflow
+    ("rate posterior --model gauss-mean-eq-sd --mu0 1,3 --support 1e150,1e151 "
+     "--grid 0,1,3", None),
+    # eta(1e155) = (1e155, -inf)
+    ("rate posterior --model gauss-mean-eq-sd --mu0 1,3 --support 1e154,1e155 "
+     "--grid 0,1,3", "support '1e154,1e155': eta(1e+155) is not finite"),
 ]
 
 
