@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import wofz
 
 from .errors import NumericsError, OutsideDomain
 
@@ -396,7 +395,7 @@ def _make_gauss_mean():
 
 def _landau_dual_cumulant(th):
     mu = float(th[0])     # overflows to inf without numpy's warning
-    if mu < 0.0:
+    if mu < 0.0 or mu == INF:
         return INF
     if mu == 0.0:
         return 1.0
@@ -417,10 +416,13 @@ def _make_landau_dual():
 
     def many(th):
         mu = th[0]
-        pos = mu > 0.0
-        # mu = 1 stands in off the open half-line, where log would warn
+        pos = (mu > 0.0) & (mu < INF)
+        # mu = 1 stands in off the open half-line, where log would warn, and
+        # at mu = +inf, where inf - inf would; past about 2.6e305 the product
+        # overflows to kappa = +inf, as in the scalar kernel
         inner = np.where(pos, mu, 1.0)
-        kappa = inner * np.log(inner) - inner + 1.0
+        with np.errstate(over="ignore"):
+            kappa = inner * np.log(inner) - inner + 1.0
         return np.where(pos, kappa, np.where(mu == 0.0, 1.0, INF))
 
     return GeneratingFamily(
@@ -553,6 +555,11 @@ def _strip_moments(th):
 
 
 def _make_strip_measure():
+    # scipy.special is imported with the first strip family, not with the
+    # package; the kernels above find wofz as a module global
+    global wofz
+    from scipy.special import wofz
+
     boundary = (np.array([0.0, 1.0]), np.array([0.0, -1.0]))
     domain = DomainSpec(
         interior=lambda th: abs(th[1]) < 1.0,

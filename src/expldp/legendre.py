@@ -8,7 +8,12 @@ polished by a derivative root).  An affine subfamily is a model whose map
 is affine, such as ``hw-line``, and takes the same curve path.
 
 ``scan_maximize``, the package's one 1-D maximizer, also serves the
-posterior peaks in ``models``.
+posterior peaks in ``models``.  It polishes its maxima with two routines
+ported from scipy 1.17 operation for operation, which give the same
+floats without importing scipy's optimize subpackage: ``_brentq`` is
+scipy's ``brentq`` (its C source ``Zeros/brentq.c``), and
+``_bounded_brent`` is scipy's ``minimize_scalar(method="bounded")`` (the
+Python function ``_minimize_scalar_bounded``).
 
 When the supremum over a non-closed constraint set is approached but not
 attained, the result reports the supremum with ``converged=False`` and no
@@ -21,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from . import families
 from .errors import MeanOutsideDomain, NoConvergence, NumericsError, OutsideDomain
@@ -204,8 +208,9 @@ def scan_maximize(f, lo, hi, n, df=None):
     ``f`` takes the n equispaced scan points as one array in one call, and
     a float in the polish; non-finite values count as -inf.  Every scan
     point at least as high as both neighbours is polished on its two
-    neighbouring cells: by ``brentq`` on ``df`` when ``df`` is given and
-    its signs bracket a root there, otherwise by bounded Brent on -f.  A
+    neighbouring cells: by ``_brentq`` (scipy's ``brentq``) on ``df`` when
+    ``df`` is given and its signs bracket a root there, otherwise by
+    ``_bounded_brent`` (scipy's bounded ``minimize_scalar``) on -f.  A
     scan that is -inf everywhere gives no maxima.
     """
     xs = np.linspace(lo, hi, n)
@@ -233,35 +238,188 @@ POLISH_MAXITER = 4000
 
 def _polish(f, df, a, b):
     """One local maximum of f inside [a, b]; NoConvergence where the
-    polish stops short of its tolerance."""
+    polish stops short of its tolerance.
+
+    The root polish is ``_brentq`` with scipy's tolerances xtol = 1e-14
+    and rtol = 8.9e-16 (just above its floor of 4 eps); the fallback is
+    ``_bounded_brent`` with xatol = 1e-12.  Both stop after
+    ``POLISH_MAXITER`` iterations.
+    """
     if df is not None:
         try:
-            root, info = (
-                brentq(df, a, b, xtol=1e-14, rtol=8.9e-16, maxiter=POLISH_MAXITER,
-                       full_output=True, disp=False)
+            root, converged = (
+                _brentq(df, a, b, 1e-14, 8.9e-16, POLISH_MAXITER)
                 if -math.inf < df(b) < 0.0 < df(a) < math.inf else (None, None))
         except (OutsideDomain, ValueError):
             root = None
         if root is not None:
-            if not info.converged:
-                raise NoConvergence(f"root polish on [{a}, {b}]: {info.flag}")
-            return float(root), float(f(root))
+            if not converged:
+                raise NoConvergence(f"root polish on [{a}, {b}]: convergence error")
+            return root, float(f(root))
 
     def negated(x):
         v = f(x)
         return -v if math.isfinite(v) else 1e300
 
-    # the parabolic step multiplies differences of x by differences of f,
-    # which overflows where both are huge (l ~ -1e300 over z ~ 1e150); Brent
-    # then takes a golden-section step, so the overflow is harmless
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = minimize_scalar(
-            negated, bounds=(a, b), method="bounded",
-            options={"xatol": 1e-12, "maxiter": POLISH_MAXITER},
-        )
-    if not res.success:
-        raise NoConvergence(f"bounded Brent polish on [{a}, {b}]: {res.message}")
-    return float(res.x), (-float(res.fun) if res.fun < 1e300 else -math.inf)
+    x, fx, converged, nfev = _bounded_brent(negated, a, b, 1e-12, POLISH_MAXITER)
+    if not converged:
+        raise NoConvergence(f"bounded Brent polish on [{a}, {b}] stopped "
+                            f"unconverged after {nfev} evaluations")
+    return x, (-fx if fx < 1e300 else -math.inf)
+
+
+# The two polish routines below follow scipy 1.17 step for step, with
+# Python floats in place of C doubles and numpy scalars: the same
+# operations in the same order give the same doubles, and Python float
+# arithmetic overflows to inf without a warning (the parabolic step
+# multiplies differences of x by differences of f, which overflows where
+# both are huge, l ~ -1e300 over z ~ 1e150; Brent then takes a
+# golden-section step, so the overflow is harmless).  Values of f are
+# taken as floats.  tests/test_polish_parity.py checks both against scipy.
+
+
+def _brentq(f, xa, xb, xtol, rtol, maxiter):
+    """(root, converged) of f on [xa, xb]: scipy's ``brentq``, Brent's
+    method as written in its C source ``Zeros/brentq.c``, with the checks
+    of its Python wrapper.  ValueError when f is NaN at an
+    iterate or when f(xa) and f(xb) have the same sign bit."""
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre, True
+    if fcur == 0.0:
+        return xcur, True
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C divides to +-inf or NaN, and either fails the test below
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    return xcur, False
+
+
+def _bounded_brent(func, x1, x2, xatol, maxiter):
+    """(x, func(x), converged, nfev) for a minimum of func on the finite
+    interval [x1, x2]: scipy's ``minimize_scalar(method="bounded")``, the
+    function ``_minimize_scalar_bounded`` of scipy's ``_optimize.py``.
+    It stops unconverged after ``maxiter`` evaluations, and when the
+    final x, f(x) or the last evaluation is NaN."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(x1), float(x2)
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = float(func(x))
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    converged = True
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # check for a parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            # is the parabola acceptable?
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    # np.sign(d) + (d == 0) for a d that is never NaN
+                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = float(func(x))
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            converged = False
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        converged = False
+    return xf, fx, converged, num
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +445,10 @@ def curve_loglik(family, model, t):
         # isnan(...).any() on the one-point calls of a polish
         if math.isnan(np.maximum.reduce(kappas, axis=None, initial=-math.inf)):
             raise NumericsError(f"cumulant NaN on {model.name}")
-        vals = t.dot(thetas) - kappas
+        # |t.theta| past the largest double rounds to +-inf, its correctly
+        # rounded value (t = (1, 3) on theta = (z, -z^2/2) at z ~ 1e154)
+        with np.errstate(over="ignore"):
+            vals = t.dot(thetas) - kappas
         return float(vals[0]) if zs.ndim == 0 else vals.reshape(zs.shape)
 
     return l_of

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NumericsError, QuadratureFailure
+from .legendre import _bounded_brent
 
 _LOG_ZERO = float("-inf")
 # relative tolerance and panel cap of ``log_integral_peaked``
@@ -56,7 +56,8 @@ def locate_peak(f, df, d2f, x0, steps=100, tol=1e-13, restarts=()):
     exponent need not be globally concave), Newton restarts from each of
     ``restarts`` in turn and keeps a maximizer at least as high as the
     guess; when none is found an expanding grid search on the objective
-    itself takes over, refined by a bounded golden search.
+    itself takes over, refined by ``legendre._bounded_brent``, the
+    package's port of scipy's bounded Brent minimizer.
     ``f`` must accept an array: each grid is evaluated in one call.
     """
     for start in (x0, *restarts):
@@ -74,13 +75,10 @@ def locate_peak(f, df, d2f, x0, steps=100, tol=1e-13, restarts=()):
         vals = np.asarray(f(grid), dtype=float)
         best = int(np.argmax(vals))
         if 0 < best < len(grid) - 1 and math.isfinite(vals[best]):
-            res = minimize_scalar(
-                negated,
-                bounds=(grid[best - 1], grid[best + 1]),
-                method="bounded",
-                options={"xatol": 1e-12 * (1.0 + abs(grid[best]))},
-            )
-            return float(res.x)
+            # scipy's default of 500 evaluations; a polish cut short still
+            # returns its best point
+            return _bounded_brent(negated, grid[best - 1], grid[best + 1],
+                                  1e-12 * (1.0 + abs(float(grid[best]))), 500)[0]
         span *= 4.0
     raise QuadratureFailure(f"could not bracket an interior peak near {x0!r}")
 

@@ -51,7 +51,11 @@ def kl_divergence(family: GeneratingFamily, theta0, theta) -> float:
     if k_th == INF:
         return INF
     grad0 = mean_map(family, th0)
-    return float((th0 - th) @ grad0) - cumulant(family, th0) + k_th
+    # a product past the largest double rounds to +-inf, its correctly
+    # rounded value
+    with np.errstate(over="ignore"):
+        lin = float((th0 - th) @ grad0)
+    return lin - cumulant(family, th0) + k_th
 
 
 def cramer_rate(family: GeneratingFamily, theta0, t) -> float:

@@ -324,6 +324,19 @@ def test_cumulant_many_agrees_with_scalar(rng, name):
     np.testing.assert_allclose(many[finite], scalar[finite], rtol=1e-14, atol=1e-13)
 
 
+def test_landau_dual_kernels_agree_at_the_extremes():
+    # at mu = +inf the batched kernel took inf * log(inf) - inf, a NaN with
+    # an "invalid value" warning; past about 1e306 mu log mu overflows.
+    # Both kernels give +inf there, without a warning
+    fam = builtin("landau-dual")
+    mus = [math.inf, 0.0, 1e-300, 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        many = cumulant_many(fam, [[mu] for mu in mus])
+        scalar = [fam.payload.cumulant(np.array([mu])) for mu in mus]
+    assert many.tolist() == scalar == [math.inf, 1.0, 1.0, math.inf]
+
+
 def test_poisson_cumulant_is_inf_past_expm1_overflow():
     # e^theta - 1 is finite up to log of the largest double and +inf past
     # it, with no numpy overflow warning (pytest makes one an error)

@@ -204,13 +204,13 @@ class TestConstrainedCurve:
 class TestScanMaximize:
     def test_evaluates_each_point_once(self, monkeypatch):
         results = []
-        original = legendre.minimize_scalar
+        original = legendre._bounded_brent
 
         def recording(*args, **kwargs):
             results.append(original(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(legendre, "minimize_scalar", recording)
+        monkeypatch.setattr(legendre, "_bounded_brent", recording)
         calls = []
 
         def l_of(z):
@@ -227,8 +227,9 @@ class TestScanMaximize:
         assert peak == pytest.approx(LOG_11_9, abs=1e-6)
         assert len(results) == 1
         assert calls.count(33) == 1
-        assert calls.count(0) == results[0].nfev
-        assert len(calls) == 1 + results[0].nfev
+        nfev = results[0][3]
+        assert calls.count(0) == nfev
+        assert len(calls) == 1 + nfev
         assert value == l_of(peak)
 
     def test_two_basins_polished_best_first(self):
@@ -254,18 +255,18 @@ class TestScanMaximize:
 
     def test_bracketing_derivative_polishes_with_brentq(self, monkeypatch):
         roots = []
-        original = legendre.brentq
+        original = legendre._brentq
 
         def recording(*args, **kwargs):
-            root, info = original(*args, **kwargs)
+            root, converged = original(*args, **kwargs)
             roots.append(root)
-            return root, info
+            return root, converged
 
         def no_brent(*args, **kwargs):
             raise AssertionError("bounded Brent ran although df brackets a root")
 
-        monkeypatch.setattr(legendre, "brentq", recording)
-        monkeypatch.setattr(legendre, "minimize_scalar", no_brent)
+        monkeypatch.setattr(legendre, "_brentq", recording)
+        monkeypatch.setattr(legendre, "_bounded_brent", no_brent)
         (x, value), = legendre.scan_maximize(
             lambda x: -(x - 0.3) ** 2, -1.0, 1.0, 16, df=lambda x: -2.0 * (x - 0.3)
         )
@@ -296,7 +297,7 @@ class TestScanMaximize:
         def no_brentq(*args, **kwargs):
             raise AssertionError("brentq ran without a sign change")
 
-        monkeypatch.setattr(legendre, "brentq", no_brentq)
+        monkeypatch.setattr(legendre, "_brentq", no_brentq)
         (x, value), = legendre.scan_maximize(
             lambda x: x, 0.0, 1.0, 16, df=lambda x: 1.0
         )

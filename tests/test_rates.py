@@ -106,6 +106,15 @@ class TestPosteriorRate:
         assert np.all(table.rates[:-2] == math.inf)
         assert np.all(np.isfinite(table.rates[-2:]))
 
+    def test_rate_past_the_overflow_of_t_dot_theta(self):
+        # on eta(z) = (z, -z^2/2) with mu0 = (1, 3), t.theta passes the
+        # largest double beyond z ~ 1.1e154 and rounds to -inf, so the rate
+        # is +inf there; the overflow is not a warning (pytest makes one an
+        # error) and gives no NaN
+        prior = uniform_prior(GAUSS_MODEL, 1e154, 1.3e154)
+        table = posterior_rate(prior, [1.0, 3.0], np.array([1e154, 1.15e154, 1.3e154]))
+        assert table.rates.tolist() == [0.0, math.inf, math.inf]
+
     def test_nan_grid_point_is_named(self):
         prior = uniform_prior(HW_LINE_MODEL, -3.0, 3.0)
         grid = np.array([0.0, 0.5, math.nan, 1.0, math.nan])

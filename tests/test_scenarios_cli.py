@@ -511,6 +511,9 @@ EDGE_INPUTS = [
     # l ~ -1e300 over z ~ 1e150, past where t2^2 and Brent's products overflow
     ("rate posterior --model gauss-mean-eq-sd --mu0 1,3 --support 1e150,1e151 "
      "--grid 0,1,3", None),
+    # |t.theta| ~ 2e308 past z ~ 1.1e154: l is -inf and the rate +inf
+    ("rate posterior --model gauss-mean-eq-sd --mu0 1,3 --support 1e154,1.3e154 "
+     "--grid 1e154,1.3e154,3", None),
     # eta(1e155) = (1e155, -inf)
     ("rate posterior --model gauss-mean-eq-sd --mu0 1,3 --support 1e154,1e155 "
      "--grid 0,1,3", "support '1e154,1e155': eta(1e+155) is not finite"),
