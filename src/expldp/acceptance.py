@@ -137,13 +137,10 @@ def check_pythagoras(hw) -> CheckResult:
     curve = builtin_model("gauss-mean-eq-sd")
     mu0 = np.array([1.0, 3.0])
     theta0_c = legendre.conjugate(curve.family, mu0).argmax
-    constraint_c = legendre.ConstraintSet.curve(curve)
-    curved = [
-        abs(rates.pythagorean_residual(curve.family, constraint_c, theta0_c,
-                                       curve.map(z), mu0))
-        for z in np.linspace(0.3, 3.0, 25)
-    ]
-    curved_max = max(curved)
+    curved = rates.pythagorean_residual(
+        curve.family, legendre.ConstraintSet.curve(curve), theta0_c,
+        curve.map(np.linspace(0.3, 3.0, 25)).T, mu0)
+    curved_max = max(np.abs(curved).tolist())
 
     passed = affine_max < 1e-10 and curved_max > 1e-3
     return CheckResult(

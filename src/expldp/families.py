@@ -312,15 +312,15 @@ def _make_gauss_parabola():
 
     def many(th):
         t1, t2 = th[0], th[1]
-        inside = t2 < 0.0
+        off = t2 >= 0.0
         # off the domain t2 = -1 stands in, so log and the division stay
-        # quiet there; kappa saturates to +inf where it overflows
-        neg = np.where(inside, t2, -1.0)
+        # quiet there; kappa saturates to +inf where it overflows, NaN stays NaN
+        neg = np.where(off, -1.0, t2)
         with np.errstate(over="ignore"):
             kappa = -0.5 * (
                 _GAUSS_PARABOLA_CONST + np.log(-neg) + t1 ** 2 / (2.0 * neg)
             )
-        return np.where(inside, kappa, INF)
+        return np.where(off & ~np.isnan(t1), INF, kappa)
 
     domain = DomainSpec(
         interior=lambda th: th[1] < 0.0,
@@ -416,14 +416,14 @@ def _make_landau_dual():
 
     def many(th):
         mu = th[0]
-        pos = (mu > 0.0) & (mu < INF)
+        off = (mu <= 0.0) | (mu == INF)
         # mu = 1 stands in off the open half-line, where log would warn, and
         # at mu = +inf, where inf - inf would; past about 2.6e305 the product
-        # overflows to kappa = +inf, as in the scalar kernel
-        inner = np.where(pos, mu, 1.0)
+        # overflows to kappa = +inf, as in the scalar kernel.  NaN stays NaN
+        inner = np.where(off, 1.0, mu)
         with np.errstate(over="ignore"):
             kappa = inner * np.log(inner) - inner + 1.0
-        return np.where(pos, kappa, np.where(mu == 0.0, 1.0, INF))
+        return np.where(off, np.where(mu == 0.0, 1.0, INF), kappa)
 
     return GeneratingFamily(
         name="landau-dual",

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import families
 from .errors import MeanOutsideDomain, NoConvergence, NumericsError, OutsideDomain
-from .families import as_point, log_likelihood, mean_map
+from .families import as_point, mean_map
 from .intervals import Interval
 
 # the contract requires gradient norm <= 1e-10 at convergence; aiming two
@@ -94,12 +94,12 @@ def _newton_max(family, t):
     """Damped Newton ascent of l(.; t) over the domain of kappa, from the
     family's initial point.
 
-    Returns (theta, iterations).  Backtracking halves the step until the
-    strictly concave objective increases, which guarantees global
-    convergence from any interior start, or until the step's predicted
-    gain falls below the rounding floor of the objective; then the
-    flat-step path below takes the full step.  ``t`` must already be a
-    validated mean point: the iterates go to the families' trusted
+    Returns (theta, l(theta; t), iterations).  Backtracking halves the
+    step until the strictly concave objective increases, which guarantees
+    global convergence from any interior start, or until the step's
+    predicted gain falls below the rounding floor of the objective; then
+    the flat-step path below takes the full step.  ``t`` must already be
+    a validated mean point: the iterates go to the families' trusted
     kernels, and only a non-finite Newton step is checked here.
     """
     theta = np.array(family.domain.initial_point, dtype=float)
@@ -109,7 +109,7 @@ def _newton_max(family, t):
         mean, hess = families._moments(family, theta)
         grad = t - mean
         if np.max(np.abs(grad)) <= GRAD_TOL:
-            return theta, it - 1
+            return theta, val, it - 1
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -172,10 +172,10 @@ def _newton_max(family, t):
 def conjugate(family, t) -> LegendreResult:
     """kappa*(t) with its maximizer (the saturated-model MLE for data mean t)."""
     tt = _require_mean_point(family, t)
-    theta, iters = _newton_max(family, tt)
+    theta, value, iters = _newton_max(family, tt)
     return LegendreResult(
         t=tt,
-        value=log_likelihood(family, theta, tt),
+        value=value,
         argmax=theta,
         converged=True,
         iterations=iters,
@@ -247,9 +247,10 @@ def _polish(f, df, a, b):
     """
     if df is not None:
         try:
+            fb = df(b)
             root, converged = (
-                _brentq(df, a, b, 1e-14, 8.9e-16, POLISH_MAXITER)
-                if -math.inf < df(b) < 0.0 < df(a) < math.inf else (None, None))
+                _brentq(df, a, b, fa, fb, 1e-14, 8.9e-16, POLISH_MAXITER)
+                if -math.inf < fb < 0.0 < (fa := df(a)) < math.inf else (None, None))
         except (OutsideDomain, ValueError):
             root = None
         if root is not None:
@@ -278,14 +279,14 @@ def _polish(f, df, a, b):
 # taken as floats.  tests/test_polish_parity.py checks both against scipy.
 
 
-def _brentq(f, xa, xb, xtol, rtol, maxiter):
-    """(root, converged) of f on [xa, xb]: scipy's ``brentq``, Brent's
-    method as written in its C source ``Zeros/brentq.c``, with the checks
-    of its Python wrapper.  ValueError when f is NaN at an
-    iterate or when f(xa) and f(xb) have the same sign bit."""
+def _brentq(f, xa, xb, fa, fb, xtol, rtol, maxiter):
+    """(root, converged) of f on [xa, xb] from fa = f(xa) and fb = f(xb):
+    scipy's ``brentq``, Brent's method as in its C source ``Zeros/brentq.c``,
+    with the checks of its Python wrapper.  ValueError when f is NaN at an
+    end or an iterate or when fa and fb have the same sign bit."""
 
-    def value(x):
-        fx = float(f(x))
+    def checked(x, fx):
+        fx = float(fx)
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; "
                              "solver cannot continue.")
@@ -293,8 +294,8 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter):
 
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
+    fpre = checked(xpre, fa)
+    fcur = checked(xcur, fb)
     if fpre == 0.0:
         return xpre, True
     if fcur == 0.0:
@@ -339,7 +340,7 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter):
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
+        fcur = checked(xcur, f(xcur))
     return xcur, False
 
 

@@ -151,11 +151,10 @@ def log_integral_peaked(logf, a, b, peak, width):
     widths out so that the spike is never skipped at small widths.  Each
     round evaluates every pending panel in one ``logf`` call, keeps the
     panels whose error estimates fit in their share of the budget
-    epsrel * |integral|, and bisects the rest; ``QUAD_LIMIT`` caps the
+    REL_TOL * |integral|, and bisects the rest; ``QUAD_LIMIT`` caps the
     number of panels.  A final error estimate above 1e4 * ``REL_TOL`` of
     the value raises QuadratureFailure.
     """
-    epsrel = max(REL_TOL, 1e-13)
     edges = [a, b]
     for k in (-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0):
         p = peak + k * width
@@ -172,7 +171,7 @@ def log_integral_peaked(logf, a, b, peak, width):
     while True:
         total = float(np.sum(val))
         error = float(np.sum(err))
-        budget = epsrel * abs(total)
+        budget = REL_TOL * abs(total)
         if (
             error <= budget
             or lo.size >= QUAD_LIMIT

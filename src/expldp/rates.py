@@ -40,22 +40,26 @@ INF = float("inf")
 # ---------------------------------------------------------------------------
 
 
-def kl_divergence(family: GeneratingFamily, theta0, theta) -> float:
+def kl_divergence(family: GeneratingFamily, theta0, theta):
     """D(P_theta0 || P_theta) = (theta0-theta).grad_kappa(theta0)
-    - kappa(theta0) + kappa(theta); +inf when theta leaves the domain."""
+    - kappa(theta0) + kappa(theta); +inf when theta leaves the domain.
+    One point theta gives a float and an (m, d) stack of them an array.
+    Each point takes ``as_point`` and the scalar kappa kernel; theta0's
+    mean and cumulant are taken once, if some kappa(theta) is finite."""
     th0 = as_point(theta0, family.dim, "theta0")
-    th = as_point(theta, family.dim, "theta")
+    stack = np.ndim(theta) == 2
+    ths = [as_point(th, family.dim, "theta") for th in (theta if stack else [theta])]
     if not family.domain.interior(th0):
         raise OutsideDomain(f"theta0={th0} is not interior for {family.name}")
-    k_th = cumulant(family, th)
-    if k_th == INF:
-        return INF
-    grad0 = mean_map(family, th0)
-    # a product past the largest double rounds to +-inf, its correctly
-    # rounded value
-    with np.errstate(over="ignore"):
-        lin = float((th0 - th) @ grad0)
-    return lin - cumulant(family, th0) + k_th
+    ks = [families._cumulant(family, th) for th in ths]
+    if any(k < INF for k in ks):
+        grad0, k0 = families._moments(family, th0)[0], families._cumulant(family, th0)
+        # a product past the largest double rounds to +-inf, its correctly
+        # rounded value
+        with np.errstate(over="ignore"):
+            ks = [k if k == INF else float((th0 - th) @ grad0) - k0 + k
+                  for th, k in zip(ths, ks)]
+    return np.array(ks) if stack else ks[0]
 
 
 def cramer_rate(family: GeneratingFamily, theta0, t) -> float:
@@ -111,15 +115,19 @@ def posterior_rate(prior: models.Prior, mu0, grid) -> RateTable:
     values[on_support] = mle.value - legendre.curve_loglik(
         family, prior.model, mu)(grid[on_support])
     theta0 = legendre.conjugate(family, mu).argmax
-    d_nu = kl_divergence(family, theta0, mle.theta_nu)
-    for z, direct in zip(grid[on_support], values[on_support]):
-        excess = kl_divergence(family, theta0, prior.model.map(float(z))) - d_nu
-        both_inf = math.isinf(direct) and math.isinf(excess)
-        if not both_inf and abs(direct - excess) > 1e-10:
-            raise RateFormMismatch(
-                f"rate-form mismatch at z={z}: direct {float(direct)!r} vs "
-                f"excess-of-divergence {float(excess)!r}"
-            )
+    on, direct = grid[on_support], values[on_support]
+    excess = (kl_divergence(family, theta0, prior.model.map(on).T)
+              - kl_divergence(family, theta0, mle.theta_nu))
+    # two infinities agree; inf - inf is NaN, which numpy would warn on
+    with np.errstate(invalid="ignore"):
+        bad = ((np.abs(direct - excess) > 1e-10)
+               & ~(np.isinf(direct) & np.isinf(excess)))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise RateFormMismatch(
+            f"rate-form mismatch at z={on[i]}: direct {float(direct[i])!r} vs "
+            f"excess-of-divergence {float(excess[i])!r}"
+        )
     metadata = {
         "kind": "posterior",
         "model": prior.model.name,
@@ -230,25 +238,23 @@ def _fiber_minimum(model, th0, c):
 
 
 def pythagorean_residual(family: GeneratingFamily, constraint, theta0, theta,
-                         mu0) -> float:
+                         mu0):
     """D(P_theta0||P_theta) - D(P_theta0||P_theta_nu) - D(P_theta_nu||P_theta)
     with theta_nu the constrained maximizer for mu0.  Vanishes identically
-    on affine models; bounded away from zero on genuinely curved ones."""
+    on affine models; bounded away from zero on genuinely curved ones.
+    One point theta gives a float and an (m, d) stack of them an array;
+    theta_nu is solved once per call."""
     th0 = as_point(theta0, family.dim, "theta0")
     mu = as_point(mu0, family.dim, "mu0")
     grad0 = mean_map(family, th0)
     if np.max(np.abs(grad0 - mu)) > 1e-8:
-        raise ValueError(
-            f"mu0={mu} is not the mean of theta0={th0} (got {grad0})"
-        )
+        raise ValueError(f"mu0={mu} is not the mean of theta0={th0} (got {grad0})")
     res = legendre.conjugate_constrained(family, constraint, mu)
     if res.argmax is None:
         raise ValueError("constrained maximizer not attained; no decomposition")
     theta_nu = res.argmax
-    left = kl_divergence(family, th0, theta)
-    mid = kl_divergence(family, th0, theta_nu)
-    right = kl_divergence(family, theta_nu, theta)
-    return left - mid - right
+    return (kl_divergence(family, th0, theta) - kl_divergence(family, th0, theta_nu)
+            - kl_divergence(family, theta_nu, theta))
 
 
 # ---------------------------------------------------------------------------

@@ -73,14 +73,10 @@ def _build_hardy_weinberg():
     )
 
     theta0 = legendre.conjugate(family, mu0).argmax
-    constraint = legendre.ConstraintSet.curve(model)
     zs = np.linspace(-2.0, 2.0, 50)
-    rows = []
-    for z in zs:
-        res = rates.pythagorean_residual(
-            family, constraint, theta0, model.map(float(z)), mu0
-        )
-        rows.append((float(z), float(res)))
+    residuals = rates.pythagorean_residual(
+        family, legendre.ConstraintSet.curve(model), theta0, model.map(zs).T, mu0)
+    rows = list(zip(zs.tolist(), residuals.tolist()))
     table_pyta = Table(
         name="pythagoras",
         columns=("coordinate", "residual"),

@@ -503,10 +503,20 @@ def test_kernel_mesh_keeps_the_boundary_and_shifted_values():
     assert np.all(hw[-1] == inf) and np.all(np.isfinite(hw[:-1]))
 
 
+def _many_with_nan(fam, name, *args):
+    """The batched kernel on each of ``args``; Hardy–Weinberg's logaddexp
+    warns on NaN, and no other kernel may warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore" if name.startswith("hardy") else "warn"):
+            return [fam.payload.cumulant_many(arg) for arg in args]
+
+
 @pytest.mark.parametrize("name", sorted(MESH_AXES))
 def test_kernel_mesh_with_a_nan_coordinate(name):
-    # NaN raises in the strip and discrete kernels, and is passed through
-    # (or sent to +inf off a domain test) by the others, on a mesh as in rows
+    # NaN raises in the strip and discrete kernels, and stays NaN in the
+    # others, on a mesh as in rows: exactly the points with the NaN
+    # coordinate are NaN
     fam = _mesh_family(name)
     axes = [list(ax) for ax in MESH_AXES[name]]
     axes[-1].append(math.nan)
@@ -517,10 +527,31 @@ def test_kernel_mesh_with_a_nan_coordinate(name):
         with pytest.raises(NumericsError):
             cumulant_many(fam, rows)
         return
-    # Hardy–Weinberg's logaddexp warns on NaN, as it does on rows
-    with np.errstate(invalid="ignore"):
-        on_mesh, by_rows = fam.payload.cumulant_many(mesh), cumulant_many(fam, rows)
+    on_mesh, by_rows = _many_with_nan(fam, name, mesh, rows.T)
     assert np.array_equal(on_mesh.ravel(), by_rows, equal_nan=True)
+    assert np.array_equal(np.isnan(by_rows), np.isnan(rows[:, -1]))
+
+
+@pytest.mark.parametrize("name", sorted(MESH_AXES))
+def test_kernel_rows_with_a_nan_in_each_coordinate(name):
+    # every other row of the mesh gets a NaN in coordinate k: those rows are
+    # NaN (or the call raises), whatever the row's other coordinates, and
+    # the rest keep their values
+    fam = _mesh_family(name)
+    _, rows = _mesh_and_rows(MESH_AXES[name])
+    want = cumulant_many(fam, rows)
+    hit = np.arange(len(rows)) % 2 == 0
+    for k in range(fam.dim):
+        with_nan = rows.copy()
+        with_nan[hit, k] = math.nan
+        if name in ("strip-measure", "discrete"):
+            with pytest.raises(NumericsError):
+                cumulant_many(fam, with_nan)
+            continue
+        got, = _many_with_nan(fam, name, with_nan.T)
+        assert np.array_equal(np.isnan(got), hit)
+        # a NaN sends a Hardy–Weinberg call to the shifted form
+        np.testing.assert_allclose(got[~hit], want[~hit], rtol=1e-14, atol=1e-13)
 
 
 def test_strip_cumulant_many_agrees_with_scalar(rng):

@@ -16,6 +16,7 @@ from expldp import (
     conjugate_constrained,
     conjugate_grid_oracle,
     cumulant,
+    log_likelihood,
     mean_map,
 )
 from expldp.errors import NoConvergence
@@ -72,6 +73,27 @@ class TestConjugate:
             res = conjugate(HW, t)
             slack = res.value + cumulant(HW, res.argmax) - float(res.argmax @ t)
             assert abs(slack) <= 1e-8
+
+    @pytest.mark.parametrize("family, t", [
+        (HW, [0.3, 0.2]), (POISSON, [2.0]), (LANDAU, [0.7]),
+        (GAUSS_PARABOLA, [1.0, 3.0]), (GAUSS_MEAN, [-1.3]),
+    ])
+    def test_value_is_the_newton_value_at_the_argmax(self, monkeypatch, family, t):
+        # the value is the one Newton holds, bit for bit the log-likelihood at
+        # the argmax: conjugate evaluates l no more often than Newton does
+        calls = []
+        loglik = families._log_likelihood
+
+        def counted(*args):
+            calls.append(None)
+            return loglik(*args)
+
+        monkeypatch.setattr(families, "_log_likelihood", counted)
+        res = conjugate(family, t)
+        by_conjugate = len(calls)
+        legendre._newton_max(family, np.array(t, dtype=float))
+        assert by_conjugate == len(calls) - by_conjugate
+        assert res.value == log_likelihood(family, res.argmax, t)
 
     def test_json_serialization_keys(self):
         res = conjugate(POISSON, [1.0])
@@ -273,6 +295,20 @@ class TestScanMaximize:
         assert roots == [x]
         assert x == pytest.approx(0.3, abs=1e-14)
         assert value == -((x - 0.3) ** 2)
+
+    def test_root_polish_reuses_the_bracket_values(self):
+        # df(b) and df(a) test the bracket and are handed to _brentq; on a
+        # parabola its first secant step lands on the root, so df runs 3 times
+        calls = []
+
+        def df(x):
+            calls.append(x)
+            return -2.0 * (x - 0.3)
+
+        (x, _), = legendre.scan_maximize(
+            lambda x: -(x - 0.3) ** 2, -1.0, 1.0, 16, df=df)
+        assert x == pytest.approx(0.3, abs=1e-14)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("with_df", [True, False])
     def test_unconverged_polish_raises(self, monkeypatch, with_df):

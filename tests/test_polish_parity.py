@@ -43,21 +43,26 @@ def recorded(f):
 def both_brentq(f, a, b, xtol=1e-14, rtol=8.9e-16, maxiter=POLISH_MAXITER):
     """Run scipy's brentq and the port; assert the same evaluations and the
     same outcome, and return the port's (root, converged), or the
-    ValueError both raised."""
+    ValueError both raised.  scipy's first two evaluations are f(a) and
+    f(b), which the port is handed, so its own evaluations are scipy's
+    from the third on."""
     g_ref, ref_points = recorded(f)
     g_port, port_points = recorded(f)
+    ends = [bits(a), bits(b)]
     try:
         root, info = brentq(g_ref, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter,
                             full_output=True, disp=False)
     except ValueError as exc:
         with pytest.raises(ValueError):
-            _brentq(g_port, a, b, xtol, rtol, maxiter)
-        assert port_points == ref_points
+            _brentq(g_port, a, b, f(a), f(b), xtol, rtol, maxiter)
+        assert ref_points[:2] == ends[:len(ref_points)]
+        assert port_points == ref_points[2:]
         return exc
-    got = _brentq(g_port, a, b, xtol, rtol, maxiter)
-    assert port_points == ref_points
+    got = _brentq(g_port, a, b, f(a), f(b), xtol, rtol, maxiter)
+    assert ref_points[:2] == ends
+    assert port_points == ref_points[2:]
     assert (bits(got[0]), got[1]) == (bits(root), info.converged)
-    assert len(port_points) == info.function_calls
+    assert len(port_points) + 2 == info.function_calls
     return got
 
 

@@ -58,6 +58,110 @@ class TestKlDivergence:
                 assert val > 0.0
 
 
+def _discrete_trinomial():
+    from expldp import discrete_family
+
+    return discrete_family([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.5, 0.25, 0.25])
+
+
+# per family: theta0 and a stack of points, with rows where kappa is +inf
+# (Hardy–Weinberg's and the discrete kappa are finite everywhere) and rows
+# where (theta0 - theta).grad_kappa(theta0) overflows
+KL_STACKS = {
+    "hardy-weinberg-saturated": ([0.2, -0.4], [
+        [0.0, 0.0], [0.2, -0.4], [3.0, -2.0], [-700.0, 5.0], [800.0, 800.0],
+        [-1e308, -1e308]]),
+    "gauss-parabola": ([1.0, -1.0], [
+        [0.0, -0.5], [1.0, -1.0], [0.5, 0.0], [0.5, 2.0], [-3.0, -1e-300]]),
+    "poisson": ([5.0], [[0.0], [5.0], [-3.0], [710.0], [1e300], [-1e307]]),
+    "gauss-mean": ([3.0], [[0.0], [3.0], [-2.5], [-1e200], [1e154], [-1e307]]),
+    "landau-dual": ([1.5], [[1.0], [1.5], [0.0], [-0.5], [1e-300], [3e305]]),
+    "strip-measure": ([0.3, 0.2], [
+        [0.0, 0.0], [0.3, 0.2], [0.0, 1.0], [0.0, 1.5], [0.3, -1.0],
+        [-2.0, 0.999999]]),
+    "discrete": ([0.1, -0.2], [
+        [0.0, 0.0], [0.1, -0.2], [2.0, -1.0], [-1e308, 0.0], [5.0, 700.0]]),
+}
+
+
+def _kl_family(name):
+    return _discrete_trinomial() if name == "discrete" else builtin(name)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestKlDivergenceStack:
+    @pytest.mark.parametrize("name", sorted(KL_STACKS))
+    def test_stack_equals_the_rows(self, name):
+        family = _kl_family(name)
+        theta0, rows = KL_STACKS[name]
+        loop = [kl_divergence(family, theta0, row) for row in rows]
+        assert all(type(v) is float for v in loop)
+        # every stack has a zero row and a finite positive one, and a +inf
+        # row where kappa can be +inf
+        assert 0.0 in loop and any(0.0 < v < math.inf for v in loop)
+        assert (math.inf in loop) == (name not in ("hardy-weinberg-saturated",
+                                                   "discrete"))
+        stack = kl_divergence(family, theta0, np.array(rows))
+        assert isinstance(stack, np.ndarray) and stack.shape == (len(rows),)
+        assert _bits(stack) == _bits(loop)
+        assert _bits(kl_divergence(family, theta0, rows)) == _bits(loop)
+
+    def test_overflowing_linear_term_is_inf(self):
+        # (theta0 - theta).grad_kappa(theta0) = (5 + 1e307) e^5 overflows to
+        # +inf while kappa(theta) = -1 stays finite
+        got = kl_divergence(POISSON, [5.0], np.array([[-1e307], [0.0]]))
+        assert got[0] == math.inf and math.isfinite(got[1])
+
+    @pytest.mark.parametrize("name", sorted(KL_STACKS))
+    def test_empty_stack(self, name):
+        family = _kl_family(name)
+        theta0, _ = KL_STACKS[name]
+        got = kl_divergence(family, theta0, np.empty((0, family.dim)))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    def test_theta0_with_infinite_cumulant(self):
+        # e^800 overflows: with every kappa(theta) +inf the mean of theta0 is
+        # never taken, so the divergence is +inf, not OutsideDomain
+        assert kl_divergence(POISSON, [800.0], [800.0]) == math.inf
+        got = kl_divergence(POISSON, [800.0], np.array([[800.0], [900.0]]))
+        assert got.tolist() == [math.inf, math.inf]
+
+    def test_theta0_moments_once_per_call(self, monkeypatch):
+        from expldp import families
+
+        moments, cumulant = families._moments, families._cumulant
+        calls = {"moments": 0, "cumulant": 0}
+
+        def counted_moments(*args):
+            calls["moments"] += 1
+            return moments(*args)
+
+        def counted_cumulant(*args):
+            calls["cumulant"] += 1
+            return cumulant(*args)
+
+        monkeypatch.setattr(families, "_moments", counted_moments)
+        monkeypatch.setattr(families, "_cumulant", counted_cumulant)
+        rows = HW_LINE_MODEL.map(np.linspace(-2.0, 2.0, 20)).T
+        kl_divergence(HW, [0.2, -0.4], rows)
+        # one kappa per row and one for theta0
+        assert calls == {"moments": 1, "cumulant": 21}
+        calls.update(moments=0, cumulant=0)
+        kl_divergence(POISSON, [800.0], np.array([[800.0], [900.0]]))
+        assert calls == {"moments": 0, "cumulant": 2}
+
+    def test_rows_are_validated(self):
+        from expldp.errors import NumericsError
+
+        with pytest.raises(NumericsError):
+            kl_divergence(HW, [0.0, 0.0], np.array([[0.1, 0.2], [math.nan, 0.0]]))
+        with pytest.raises(ValueError):
+            kl_divergence(HW, [0.0, 0.0], np.zeros((3, 3)))
+
+
 class TestPosteriorRate:
     def test_hw_rate_at_zero_vs_binomial_kl(self):
         prior = uniform_prior(HW_LINE_MODEL, -3.0, 3.0)
@@ -114,6 +218,24 @@ class TestPosteriorRate:
         prior = uniform_prior(GAUSS_MODEL, 1e154, 1.3e154)
         table = posterior_rate(prior, [1.0, 3.0], np.array([1e154, 1.15e154, 1.3e154]))
         assert table.rates.tolist() == [0.0, math.inf, math.inf]
+
+    def test_form_mismatch_names_the_first_failing_coordinate(self, monkeypatch):
+        import dataclasses
+
+        from expldp import models
+        from expldp.errors import RateFormMismatch
+
+        original = models.limiting_mle
+
+        def shifted(prior, mu0):
+            # moves the direct rate by 1e-6 and leaves the excess form alone
+            mle = original(prior, mu0)
+            return dataclasses.replace(mle, value=mle.value + 1e-6)
+
+        monkeypatch.setattr(models, "limiting_mle", shifted)
+        prior = uniform_prior(HW_LINE_MODEL, -1.0, 1.0)
+        with pytest.raises(RateFormMismatch, match=r"at z=-0\.5: direct"):
+            posterior_rate(prior, MU0, np.array([-3.0, -0.5, 0.5, 2.0]))
 
     def test_nan_grid_point_is_named(self):
         prior = uniform_prior(HW_LINE_MODEL, -3.0, 3.0)
@@ -374,6 +496,38 @@ class TestPythagoreanResidual:
             for z in np.linspace(0.3, 3.0, 25)
         ]
         assert max(residuals) > 1e-3
+
+    @pytest.mark.parametrize("model, mu0, lo, hi", [
+        (HW_LINE_MODEL, MU0, -2.0, 2.0),
+        (GAUSS_MODEL, [1.0, 3.0], 0.3, 3.0),
+    ])
+    def test_stack_equals_the_rows(self, model, mu0, lo, hi):
+        family = model.family
+        theta0 = conjugate(family, mu0).argmax
+        constraint = ConstraintSet.curve(model)
+        zs = np.linspace(lo, hi, 25)
+        loop = [pythagorean_residual(family, constraint, theta0,
+                                     model.map(float(z)), mu0) for z in zs]
+        stack = pythagorean_residual(family, constraint, theta0,
+                                     model.map(zs).T, mu0)
+        assert stack.shape == zs.shape
+        assert _bits(stack) == _bits(loop)
+
+    def test_stack_solves_the_maximizer_once(self, monkeypatch):
+        calls = []
+        original = legendre.conjugate_constrained
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(legendre, "conjugate_constrained", counted)
+        theta0 = conjugate(HW, MU0).argmax
+        zs = np.linspace(-2.0, 2.0, 50)
+        res = pythagorean_residual(HW, ConstraintSet.curve(HW_LINE_MODEL), theta0,
+                                   HW_LINE_MODEL.map(zs).T, MU0)
+        assert res.shape == (50,) and np.all(np.abs(res) < 1e-10)
+        assert len(calls) == 1
 
     def test_mean_mismatch_rejected(self):
         constraint = ConstraintSet.curve(HW_LINE_MODEL)
