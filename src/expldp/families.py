@@ -230,10 +230,12 @@ _LOG4 = math.log(4.0)
 
 
 def _hw_lse(th):
-    """log(2 + exp(th[0]) + exp(th[1])), shifted by the largest term."""
-    top = max(_LOG2, th[0], th[1])
+    """log(2 + exp(th[0]) + exp(th[1])), shifted by the largest term; in
+    Python floats, whose overflow to -inf in a shift is quiet."""
+    t1, t2 = th.tolist()
+    top = max(_LOG2, t1, t2)
     return top + math.log(
-        math.exp(_LOG2 - top) + math.exp(th[0] - top) + math.exp(th[1] - top)
+        math.exp(_LOG2 - top) + math.exp(t1 - top) + math.exp(t2 - top)
     )
 
 
@@ -292,7 +294,8 @@ _GAUSS_PARABOLA_CONST = 2.0 * math.log(2.0) + math.log(math.pi)
 
 def _make_gauss_parabola():
     def cml(th):
-        t1, t2 = th
+        # Python floats: t1 * t1 saturates to inf without numpy's warning
+        t1, t2 = th.tolist()
         if t2 >= 0.0:
             return INF
         return -0.5 * (

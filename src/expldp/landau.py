@@ -8,9 +8,13 @@ Inverting the bilateral Laplace transform along the imaginary axis gives
 
     f(y) = (1/pi) * int_0^inf exp(-pi*v/2) * cos(v*log(v) - v*(1+y)) dv.
 
-That integral is the Landau density in Landau's own scale, so f is
-evaluated as ``scipy.stats.landau`` with location log(pi/2) and scale
-pi/2, reflected through y -> -y-1.
+That integral is the Landau density in Landau's own scale, so f is the
+standard Landau density (``scipy.stats.landau``) with location log(pi/2)
+and scale pi/2, reflected through y -> -y-1.  f and log f are
+``scipy.stats.landau.pdf`` and ``logpdf``'s arithmetic on the scipy.special
+ufunc they call, the private ``_landau_pdf``, imported on first use;
+scipy.stats itself would add about 45 MB and 0.5 s to the process.
+tests/test_stats_parity.py checks both against scipy.stats bit for bit.
 """
 
 from __future__ import annotations
@@ -30,16 +34,21 @@ _MODE = -0.7772
 _WIDTH = 4.0
 
 
+def _standard_pdf(x):
+    """The standard Landau density, ``scipy.stats.landau._pdf``; NaN at
+    +-inf and at NaN, as in scipy.stats."""
+    from scipy.special._ufuncs import _landau_pdf
+
+    return _landau_pdf(x, 0, 1)
+
+
 def landau_density(y):
     """Probability density of -X-1 for X Landau-distributed.
 
     ``y`` may be a scalar (returns a float) or an array (returns an array).
     """
-    # imported here: scipy.stats adds about 0.5 s and 20 MB to
-    # ``import expldp``, and only the Landau numerics need it
-    from scipy.stats import landau
-
-    vals = landau.pdf(-np.asarray(y, dtype=float) - 1.0, loc=_LOC, scale=_SCALE)
+    x = -np.asarray(y, dtype=float) - 1.0
+    vals = _standard_pdf((x - _LOC) / _SCALE) / _SCALE
     return float(vals) if np.ndim(vals) == 0 else vals
 
 
@@ -54,10 +63,9 @@ class NormalizationReport:
 
 
 def _log_density(y):
-    """log f(y) on an array of points."""
-    from scipy.stats import landau
-
-    return landau.logpdf(-y - 1.0, loc=_LOC, scale=_SCALE)
+    """log f(y) on an array of points; -inf where f underflows."""
+    with np.errstate(divide="ignore"):
+        return np.log(_standard_pdf((-y - 1.0 - _LOC) / _SCALE)) - np.log(_SCALE)
 
 
 def landau_normalization() -> NormalizationReport:

@@ -131,6 +131,8 @@ def _newton_max(family, t):
         for _ in range(70):
             theta_new = theta + scale * step
             val_new = families._log_likelihood(family, theta_new, t)
+            if scale == 1.0:
+                unit = theta_new, val_new
             # kappa can be finite at listed boundary points where the
             # gradient is not defined; iterates must stay interior
             if (
@@ -147,9 +149,9 @@ def _newton_max(family, t):
                 break
         if not improved:
             # the objective is flat to double precision near the optimum;
-            # full Newton steps still contract the gradient quadratically
-            theta_new = theta + step
-            val_new = families._log_likelihood(family, theta_new, t)
+            # full Newton steps still contract the gradient quadratically,
+            # and the first trial above was the full step
+            theta_new, val_new = unit
             acceptable = (
                 math.isfinite(val_new)
                 and val_new >= val - flat

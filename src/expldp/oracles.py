@@ -101,6 +101,49 @@ def _log_diff(a, b):
         return a + np.log1p(-np.exp(b - a))
 
 
+# The binomial terms below are ``scipy.stats.binom``'s arithmetic on the
+# scipy.special ufuncs it calls, imported on first use; scipy.stats itself
+# would add about 45 MB and 0.5 s to the process.  The ufuncs that give
+# the tails are private names, so tests/test_stats_parity.py checks each
+# helper against scipy.stats bit for bit.
+
+
+def _binom_logpmf(k, n, p):
+    """log P(K = k) for K ~ Bin(n, p): ``binom_gen._logpmf``; -inf off the
+    support 0..n at integer k, where ``gammaln`` has a pole."""
+    from scipy.special import gammaln, xlog1py, xlogy
+
+    k = np.floor(k)
+    combiln = gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
+    return combiln + xlogy(k, p) + xlog1py(n - k, -p)
+
+
+def _binom_log_tail(tail, k, n, p, below, beyond):
+    """log of Boost's binomial ``tail`` at floor(k) where 0 <= k < n, and
+    ``below`` for k < 0 and ``beyond`` for k >= n, where ``rv_discrete``
+    does not call the ufunc; k is an array."""
+    k = np.floor(k)
+    inside = (k >= 0) & (k < n)
+    out = np.where(k < 0, below, beyond)
+    with np.errstate(divide="ignore"):
+        np.log(tail(k, n, p, out=out, where=inside), out=out, where=inside)
+    return out
+
+
+def _binom_logsf(k, n, p):
+    """log P(K > k) for K ~ Bin(n, p): ``scipy.stats.binom.logsf``."""
+    from scipy.special._ufuncs import _binom_sf
+
+    return _binom_log_tail(_binom_sf, k, n, p, 0.0, -math.inf)
+
+
+def _binom_logcdf(k, n, p):
+    """log P(K <= k) for K ~ Bin(n, p): ``scipy.stats.binom.logcdf``."""
+    from scipy.special._ufuncs import _binom_cdf
+
+    return _binom_log_tail(_binom_cdf, k, n, p, -math.inf, 0.0)
+
+
 # scipy's binomial ``logsf`` and ``logcdf`` lose digits, and then return
 # -inf, on tails far below 1e-200: a scan of r <= 2000 and q <= 1/2 found
 # the first wrong digits at about exp(-555) (lower tail, r = 1837,
@@ -108,7 +151,7 @@ def _log_diff(a, b):
 _DEEP_LOG_TAIL = math.log(1e-200)
 
 
-def _log_window(binom, lo, hi, r, q):
+def _log_window(lo, hi, r, q):
     """log P(lo <= K <= hi) for K ~ Bin(r, q), one row per r; the window is
     already clipped to 0..r and is empty where lo > hi.
 
@@ -121,11 +164,11 @@ def _log_window(binom, lo, hi, r, q):
     below = rows & (hi < r * q)
     above = rows & ~below
     out = np.full(r.shape, -math.inf)
-    # scipy gives -inf, without a warning, for logsf(r) and logcdf(-1)
-    out[above] = _log_diff(binom.logsf(lo[above] - 1, r[above], q),
-                           binom.logsf(hi[above], r[above], q))
-    out[below] = _log_diff(binom.logcdf(hi[below], r[below], q),
-                           binom.logcdf(lo[below] - 1, r[below], q))
+    # logsf(-1) = 0, logsf(r) = -inf and logcdf(-1) = -inf, without a warning
+    out[above] = _log_diff(_binom_logsf(lo[above] - 1, r[above], q),
+                           _binom_logsf(hi[above], r[above], q))
+    out[below] = _log_diff(_binom_logcdf(hi[below], r[below], q),
+                           _binom_logcdf(lo[below] - 1, r[below], q))
     deep = np.flatnonzero(rows & ~(out >= _DEEP_LOG_TAIL))
     if deep.size:
         # all deep rows' terms in one flat array, summed row by row
@@ -133,7 +176,7 @@ def _log_window(binom, lo, hi, r, q):
         start = np.cumsum(width) - width
         row = np.repeat(deep, width)
         k = lo[row] + np.arange(width.sum()) - np.repeat(start, width)
-        terms = binom.logpmf(k, r[row], q)
+        terms = _binom_logpmf(k, r[row], q)
         top = np.maximum.reduceat(terms, start)
         out[deep] = top + np.log(
             np.add.reduceat(np.exp(terms - np.repeat(top, width)), start))
@@ -162,16 +205,12 @@ def multinomial_mle_tail(spec: TrinomialSpec) -> MultinomialTailResult:
         raise TooLarge(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    # imported here: scipy.stats adds about 0.5 s and 20 MB to
-    # ``import expldp``, and only the exact tails need it
-    from scipy.stats import binom
-
     p0, p1, p2 = spec.probabilities
     r = np.arange(n + 1)
     if p0 < p1 + p2:
-        log_marginal = binom.logpmf(n - r, n, p0)
+        log_marginal = _binom_logpmf(n - r, n, p0)
     else:
-        log_marginal = binom.logpmf(r, n, p1 + p2)
+        log_marginal = _binom_logpmf(r, n, p1 + p2)
     total = _log_sum_exp(log_marginal)
     if abs(total) > 1e-11:
         raise AssertionError(f"r-marginal mass check failed: {total!r}")
@@ -187,7 +226,7 @@ def multinomial_mle_tail(spec: TrinomialSpec) -> MultinomialTailResult:
     if d_a.size == 0:
         return MultinomialTailResult(0.0, -math.inf, math.inf, 0)
     terms = [
-        log_marginal + _log_window(binom, np.maximum(-((-a - r) // 2), 0),
+        log_marginal + _log_window(np.maximum(-((-a - r) // 2), 0),
                                    np.minimum((b + r) // 2, r), r, q)
         for a, b in zip(d_a, d_b)
     ]

@@ -118,10 +118,15 @@ def posterior_rate(prior: models.Prior, mu0, grid) -> RateTable:
     on, direct = grid[on_support], values[on_support]
     excess = (kl_divergence(family, theta0, prior.model.map(on).T)
               - kl_divergence(family, theta0, mle.theta_nu))
-    # two infinities agree; inf - inf is NaN, which numpy would warn on
+    # the tolerance is absolute up to 1 and relative beyond, where the
+    # forms' rounding grows with the rates.  Two infinities agree, and an
+    # infinity never agrees with a finite rate; inf - inf is NaN, which
+    # numpy would warn on
+    inf_d, inf_e = np.isinf(direct), np.isinf(excess)
+    tol = 1e-10 * np.maximum(1.0, np.maximum(np.abs(direct), np.abs(excess)))
     with np.errstate(invalid="ignore"):
-        bad = ((np.abs(direct - excess) > 1e-10)
-               & ~(np.isinf(direct) & np.isinf(excess)))
+        gap = np.abs(direct - excess)
+    bad = np.where(inf_d | inf_e, inf_d != inf_e, gap > tol)
     if bad.any():
         i = np.flatnonzero(bad)[0]
         raise RateFormMismatch(

@@ -337,6 +337,24 @@ def test_landau_dual_kernels_agree_at_the_extremes():
     assert many.tolist() == scalar == [math.inf, 1.0, 1.0, math.inf]
 
 
+@pytest.mark.parametrize("name, theta, want", [
+    # t1 * t1 overflows, so kappa is +inf
+    ("gauss-parabola", [1e200, -1.0], math.inf),
+    # th[0] - top overflows to -inf in the shift, and kappa is finite
+    ("hardy-weinberg-saturated", [-1.7e308, 1.7e308], 1.7e308),
+])
+def test_scalar_kernels_are_quiet_at_huge_finite_points(name, theta, want):
+    # the scalar kernels work in Python floats, which saturate without
+    # numpy's overflow warning; the batched twins are quiet too
+    fam = builtin(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = cumulant(fam, theta)
+        many = cumulant_many(fam, [theta])
+    assert scalar == want
+    assert many.tolist() == [want]
+
+
 def test_poisson_cumulant_is_inf_past_expm1_overflow():
     # e^theta - 1 is finite up to log of the largest double and +inf past
     # it, with no numpy overflow warning (pytest makes one an error)

@@ -148,14 +148,22 @@ builtin("strip-measure")
 loaded = scipy_modules()
 assert "scipy.special" in loaded, loaded
 assert "scipy.optimize" not in loaded and "scipy.stats" not in loaded, loaded
+from expldp import (TrinomialSpec, landau_density, landau_dual_numeric_cumulant,
+                    landau_normalization, multinomial_mle_tail)
+from expldp.models import event_at_least
+multinomial_mle_tail(TrinomialSpec.from_theta0(50, [0.0, 0.0], event_at_least(0.5)))
+landau_density(0.5)
+landau_normalization()
+landau_dual_numeric_cumulant(0.5)
+assert scipy_modules() == loaded, scipy_modules()
 """
 
 
 def test_import_does_not_load_scipy_stats():
     # scipy is imported by the features that use it, never by the package:
-    # scipy.stats on the first Landau evaluation or MLE tail, scipy.special
-    # with the strip family, and scipy.optimize by nothing.  Loading
+    # scipy.special with the strip family, the first Landau evaluation or
+    # MLE tail, and scipy.optimize and scipy.stats by nothing.  Loading
     # scipy.optimize and scipy.special with the package took about 0.5 s
-    # and 50 MB of every import
+    # and 50 MB of every import, and scipy.stats about 0.5 s and 45 MB more
     env = dict(os.environ, PYTHONPATH=str(Path(expldp.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT], env=env, check=True)

@@ -134,6 +134,25 @@ class TestConjugate:
         assert counts and max(counts) <= 20
 
 
+    def test_flat_step_reuses_the_unit_trial(self, monkeypatch):
+        # landau-dual at t = 0.7 ends on a line search that is flat to
+        # rounding; the flat-step path takes the full step, whose value the
+        # line search's first trial already holds: no point twice
+        points = []
+        loglik = families._log_likelihood
+
+        def recorded(family, th, t):
+            points.append(th.tolist())
+            return loglik(family, th, t)
+
+        monkeypatch.setattr(families, "_log_likelihood", recorded)
+        res = conjugate(LANDAU, [0.7])
+        assert len(points) == 6
+        assert len({tuple(p) for p in points}) == 6
+        assert res.value == 1.0137527074704764
+        assert res.argmax.tolist() == points[-1]
+
+
 class TestConstrainedAffine:
     def test_hw_line_paper_formula(self):
         res = conjugate_constrained(HW, HW_LINE, [0.3, 0.2])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,33 @@ class TestPosteriorRate:
         prior = uniform_prior(HW_LINE_MODEL, -1.0, 1.0)
         with pytest.raises(RateFormMismatch, match=r"at z=-0\.5: direct"):
             posterior_rate(prior, MU0, np.array([-3.0, -0.5, 0.5, 2.0]))
+
+    @pytest.mark.parametrize("model, mu0, support, grid, shift", [
+        # rates about 1e301, whose two forms agree to 1.7e-14 relative: a
+        # relative error of 1e-9 is still a mismatch
+        (GAUSS_MODEL, [1.0, 3.0], (1e150, 1e151), [1e150, 5.5e150, 1e151],
+         lambda value: value * (1.0 + 1e-9)),
+        # an infinite rate never agrees with a finite one
+        (HW_LINE_MODEL, MU0, (-1.0, 1.0), [-0.5, 0.5], lambda value: math.inf),
+    ], ids=["relative", "infinite"])
+    def test_form_mismatch_at_scale(self, monkeypatch, model, mu0, support, grid,
+                                    shift):
+        import dataclasses
+
+        from expldp import models
+        from expldp.errors import RateFormMismatch
+
+        original = models.limiting_mle
+
+        def shifted(prior, mu0):
+            mle = original(prior, mu0)
+            return dataclasses.replace(mle, value=shift(mle.value))
+
+        prior = uniform_prior(model, *support)
+        assert np.isfinite(posterior_rate(prior, mu0, np.array(grid)).rates).all()
+        monkeypatch.setattr(models, "limiting_mle", shifted)
+        with pytest.raises(RateFormMismatch, match=re.escape(f"at z={grid[0]!r}: direct")):
+            posterior_rate(prior, mu0, np.array(grid))
 
     def test_nan_grid_point_is_named(self):
         prior = uniform_prior(HW_LINE_MODEL, -3.0, 3.0)

@@ -368,6 +368,20 @@ class TestCli:
         else:
             assert "Error:" in huge.output
 
+    def test_rate_posterior_at_huge_rates(self):
+        # rates about 4e301: the two rate forms agree to 1.7e-14 relative,
+        # inside the cross-check's tolerance, which is relative past 1
+        result = CliRunner().invoke(
+            main,
+            ["rate", "posterior", "--model", "gauss-mean-eq-sd", "--mu0", "1,3",
+             "--support", "1e150,1e151", "--grid", "1e150,1e151,3"],
+        )
+        assert result.exit_code == 0, result.output
+        rows = result.output.strip().split("\n")[1:]
+        rates = [float(row.split(",")[1]) for row in rows]
+        assert len(rates) == 3 and all(map(math.isfinite, rates))
+        assert rates[1] == pytest.approx(4.3875e301, rel=1e-13)
+
     def test_rate_mle_at_tiny_coordinates(self):
         # eta(1e-300) = (1e-300, -0.0) lies on the domain's edge in doubles
         result = CliRunner().invoke(

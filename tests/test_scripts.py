@@ -45,3 +45,25 @@ def test_contraction_scan_runs(monkeypatch, capsys):
     assert "coordinates: 377  raised: 0" in out
     worst = float(out.split("worst gap: ")[1].split()[0])
     assert worst <= 1e-13
+
+
+def test_feature_footprint_lists_scipy_subpackages(monkeypatch, capsys):
+    # no scipy.stats anywhere: the MLE tail and the Landau functions load
+    # scipy.special as the strip family does, and the hw posterior nothing
+    assert run_script(monkeypatch, "feature_footprint.py") == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    loaded = {row[0]: row[2:] for row in rows}
+    assert loaded == {
+        "import": ["-"],
+        "hw-posterior": ["-"],
+        "mle-tail": ["scipy.special"],
+        "landau": ["scipy.special"],
+        "strip": ["scipy.special"],
+    }
+    assert all(float(row[1]) > 0.0 for row in rows)
+
+
+def test_feature_footprint_rejects_unknown_feature(monkeypatch, capsys):
+    assert run_script(monkeypatch, "feature_footprint.py", "strip", "bogus") == 2
+    err = capsys.readouterr().err
+    assert "unknown feature 'bogus'" in err and "usage:" in err
