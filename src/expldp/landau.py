@@ -14,7 +14,9 @@ and scale pi/2, reflected through y -> -y-1.  f and log f are
 ``scipy.stats.landau.pdf`` and ``logpdf``'s arithmetic on the scipy.special
 ufunc they call, the private ``_landau_pdf``, imported on first use;
 scipy.stats itself would add about 45 MB and 0.5 s to the process.
-tests/test_stats_parity.py checks both against scipy.stats bit for bit.
+tests/test_stats_parity.py checks both against scipy.stats bit for bit at
+every finite y.  At y = +-inf they are the limits 0 and -inf, where
+scipy.stats gives NaN.
 """
 
 from __future__ import annotations
@@ -35,15 +37,16 @@ _WIDTH = 4.0
 
 
 def _standard_pdf(x):
-    """The standard Landau density, ``scipy.stats.landau._pdf``; NaN at
-    +-inf and at NaN, as in scipy.stats."""
+    """The standard Landau density: ``scipy.stats.landau._pdf`` at every
+    finite x, and its limit 0 at +-inf, where that ufunc gives NaN; NaN at
+    NaN."""
     from scipy.special._ufuncs import _landau_pdf
 
-    return _landau_pdf(x, 0, 1)
+    return np.where(np.isinf(x), 0.0, _landau_pdf(x, 0, 1))
 
 
 def landau_density(y):
-    """Probability density of -X-1 for X Landau-distributed.
+    """Probability density of -X-1 for X Landau-distributed; 0 at +-inf.
 
     ``y`` may be a scalar (returns a float) or an array (returns an array).
     """
@@ -63,7 +66,8 @@ class NormalizationReport:
 
 
 def _log_density(y):
-    """log f(y) on an array of points; -inf where f underflows."""
+    """log f(y) on an array of points; -inf where f underflows and at
+    +-inf."""
     with np.errstate(divide="ignore"):
         return np.log(_standard_pdf((-y - 1.0 - _LOC) / _SCALE)) - np.log(_SCALE)
 

@@ -209,11 +209,15 @@ def scan_maximize(f, lo, hi, n, df=None):
 
     ``f`` takes the n equispaced scan points as one array in one call, and
     a float in the polish; non-finite values count as -inf.  Every scan
-    point at least as high as both neighbours is polished on its two
-    neighbouring cells: by ``_brentq`` (scipy's ``brentq``) on ``df`` when
-    ``df`` is given and its signs bracket a root there, otherwise by
-    ``_bounded_brent`` (scipy's bounded ``minimize_scalar``) on -f.  A
-    scan that is -inf everywhere gives no maxima.
+    point at least as high as both neighbours is a maximum.  At the first
+    or last scan point, where ``df`` is given and points out of the window
+    (df <= 0 at the first point, df >= 0 at the last), the maximum is
+    that end point itself, with no polish.  Every other maximum is
+    polished on its two neighbouring cells: by ``_brentq`` (scipy's
+    ``brentq``) on ``df`` when ``df`` is given and its signs bracket a
+    root there, otherwise by ``_bounded_brent`` (scipy's bounded
+    ``minimize_scalar``) on -f.  A scan that is -inf everywhere gives no
+    maxima.
     """
     xs = np.linspace(lo, hi, n)
     vals = np.asarray(f(xs), dtype=float)
@@ -222,9 +226,24 @@ def scan_maximize(f, lo, hi, n, df=None):
     peaks = np.flatnonzero(
         (vals > -math.inf) & (vals >= padded[:-2]) & (vals >= padded[2:])
     )
-    maxima = [_polish(f, df, xs[max(i - 1, 0)], xs[min(i + 1, n - 1)])
-              for i in peaks]
+    maxima = [
+        (float(xs[i]), float(vals[i]))
+        if df is not None and i in (0, n - 1) and _points_out(df, xs[i], i == 0)
+        else _polish(f, df, xs[max(i - 1, 0)], xs[min(i + 1, n - 1)])
+        for i in peaks
+    ]
     return sorted(maxima, key=lambda m: -m[1])
+
+
+def _points_out(df, x, first):
+    """Whether f rises out of the scan window at its end point x: df(x)
+    <= 0 at the first point, >= 0 at the last.  A derivative that raises
+    OutsideDomain or ValueError, or is NaN, does not."""
+    try:
+        slope = df(float(x))
+    except (OutsideDomain, ValueError):
+        return False
+    return slope <= 0.0 if first else slope >= 0.0
 
 
 def scan_inset(lo, hi):
@@ -437,8 +456,13 @@ CURVE_SCAN = 16
 def curve_loglik(family, model, t):
     """z -> l(eta(z); t) for a coordinate or an array of them, with one
     ``cumulant_many`` call on the images, whose (d, m) array holds one
-    coordinate per row."""
+    coordinate per row.  t.eta(z) is the sum of the per-coordinate
+    products t_k eta_k(z) in axis order, elementwise, so a point's value
+    does not depend on the array it is in (a BLAS product's rounding
+    does)."""
     kernel = family.payload.cumulant_many
+    # Python floats: a numpy scalar costs more per product
+    coeffs = [float(tk) for tk in t]
 
     def l_of(z):
         zs = np.asarray(z, dtype=float)
@@ -451,10 +475,25 @@ def curve_loglik(family, model, t):
         # |t.theta| past the largest double rounds to +-inf, its correctly
         # rounded value (t = (1, 3) on theta = (z, -z^2/2) at z ~ 1e154)
         with np.errstate(over="ignore"):
-            vals = t.dot(thetas) - kappas
+            vals = thetas[0] * coeffs[0]
+            for coord, tk in zip(thetas[1:], coeffs[1:]):
+                vals = vals + coord * tk
+            vals = vals - kappas
         return float(vals[0]) if zs.ndim == 0 else vals.reshape(zs.shape)
 
     return l_of
+
+
+def curve_dloglik(family, model, t):
+    """z -> dl(eta(z); t)/dz = eta'(z).(t - grad kappa(eta(z))) at one
+    coordinate: the derivative that polishes curve maxima."""
+
+    def dl_of(z):
+        z = float(z)
+        grad = t - mean_map(family, model.map(z))
+        return float(model.jacobian(z) @ grad)
+
+    return dl_of
 
 
 def _bounded_window(iv: Interval, l_of):
@@ -496,11 +535,7 @@ class _Candidate:
 
 def _maximize_on_curve(family, model, t, intervals) -> LegendreResult:
     l_of = curve_loglik(family, model, t)
-
-    def dl_of(z):
-        theta = model.map(float(z))
-        grad = t - mean_map(family, theta)
-        return float(model.jacobian(float(z)) @ grad)
+    dl_of = curve_dloglik(family, model, t)
 
     candidates: list[_Candidate] = []
     iterations = 0

@@ -8,8 +8,11 @@ posterior masses weight the support uniformly.  They are computed in the
 log domain by globally adaptive Gauss-Kronrod quadrature over the model
 coordinate, with the peak value subtracted inside the exponent, which
 keeps the n=4096 spike and the exponentially small tails representable.
-Each quadrature round evaluates n l(eta(z); xbar) at all of its nodes
-with one ``cumulant_many`` call on the stacked images eta(z).
+The integrals of every sample size that shares a sample mean run as one
+lockstep quadrature, so one round of a decay schedule covers every n:
+it evaluates l(eta(z); xbar) at all of its nodes with one
+``cumulant_many`` call on the stacked images eta(z), and scales each
+node's value by its own n.
 """
 
 from __future__ import annotations
@@ -247,17 +250,20 @@ def _sample_size(n) -> int:
     raise ValueError(f"sample size must be a whole number >= 1, got {n!r}")
 
 
-def _piece_peaks(l_of, pieces):
+def _piece_peaks(l_of, dl_of, pieces):
     """(lo, hi, peak, curvature) of l = l(eta(.); xbar) on each
     non-degenerate piece where l is finite somewhere: the part of a
-    posterior integral that does not depend on n."""
+    posterior integral that does not depend on n.  ``dl_of`` is dl/dz, so
+    an interior peak is a root of it, and where l is monotone on a piece
+    the peak is the scan's end."""
     peaks = []
     for iv in pieces:
         if iv.degenerate:
             continue
         a, b = iv.lo, iv.hi
         inset = legendre.scan_inset(a, b)
-        maxima = legendre.scan_maximize(l_of, a + inset, b - inset, PEAK_SCAN)
+        maxima = legendre.scan_maximize(l_of, a + inset, b - inset, PEAK_SCAN,
+                                        dl_of)
         if not maxima:
             continue
         peak = maxima[0][0]
@@ -267,39 +273,43 @@ def _piece_peaks(l_of, pieces):
     return peaks
 
 
-def _log_weighted_integral(l_of, n: int, peaks) -> float:
-    """log ∫ exp(n l(eta(z); xbar)) dz over the pieces of ``peaks``, with
-    per-piece max subtraction.  The peaks come from ``_piece_peaks`` and
-    serve every n; only the width and the quadrature are redone per n."""
+def _log_masses(prior: Prior, xbar, pieces_num, ns) -> list:
+    """log pi_n(A | xbar) for each sample size n of ``ns``, with A ∩
+    support given as ``pieces_num``.
 
-    def logf(z):
-        return n * l_of(z)
+    The peaks of both integrals are found once for every n.  Then one
+    lockstep ``log_integral_peaked`` call takes log ∫ exp(n l(eta(z);
+    xbar)) dz on every piece of the normalizer and of the event at every
+    n, each with its own peak value subtracted and a width that shrinks
+    like n^(-1/2)."""
+    model = prior.model
+    l_of = legendre.curve_loglik(model.family, model, xbar)
+    dl_of = legendre.curve_dloglik(model.family, model, xbar)
+    den_peaks = _piece_peaks(l_of, dl_of, prior.support)
+    num_peaks = _piece_peaks(l_of, dl_of, pieces_num)
+    # one job per sample size, integral and piece, in that order
+    jobs = np.array([
+        (a, b, peak, 1.0 / math.sqrt(max(n * curv, (2.0 / (b - a)) ** 2)), n)
+        for n in ns for a, b, peak, curv in den_peaks + num_peaks
+    ], dtype=float).reshape(-1, 5)
+    piece_logs = iter(log_integral_peaked(l_of, *jobs.T).tolist())
 
-    total = -INF
-    for a, b, peak, curv in peaks:
-        width = 1.0 / math.sqrt(max(n * curv, (2.0 / (b - a)) ** 2))
-        piece_log = log_integral_peaked(logf, a, b, peak, width)
-        total = float(np.logaddexp(total, piece_log))
-    return total
+    def log_sum(peaks):
+        total = -INF
+        for _ in peaks:
+            total = float(np.logaddexp(total, next(piece_logs)))
+        return total
 
-
-def _log_mass_at(prior: Prior, xbar, pieces_num):
-    """n -> log pi_n(A | xbar), with A ∩ support given as ``pieces_num``.
-    The peaks of both integrals are found here, once for every n."""
-    l_of = legendre.curve_loglik(prior.model.family, prior.model, xbar)
-    den_peaks = _piece_peaks(l_of, prior.support)
-    num_peaks = _piece_peaks(l_of, pieces_num)
-
-    def log_mass(n):
-        log_den = _log_weighted_integral(l_of, n, den_peaks)
+    masses = []
+    for _ in ns:
+        log_den = log_sum(den_peaks)
+        log_num = log_sum(num_peaks)
         if log_den == -INF:
             raise DegeneratePosterior(
                 "posterior normalizer underflowed: support is off the domain"
             )
-        log_num = _log_weighted_integral(l_of, n, num_peaks)
-        return min(log_num - log_den, 0.0)
-
-    return log_mass
+        masses.append(min(log_num - log_den, 0.0))
+    return masses
 
 
 def log_posterior_mass(prior: Prior, xbar, n: int, event: ModelEvent) -> float:
@@ -307,7 +317,7 @@ def log_posterior_mass(prior: Prior, xbar, n: int, event: ModelEvent) -> float:
     n = _sample_size(n)
     xb = as_point(xbar, prior.model.family.dim, "sample mean")
     pieces_num = intersect_unions(event.intervals, prior.support)
-    return _log_mass_at(prior, xb, pieces_num)(n)
+    return _log_masses(prior, xb, pieces_num, (n,))[0]
 
 
 def posterior_mass(prior: Prior, xbar, n: int, event: ModelEvent) -> float:
@@ -351,10 +361,10 @@ def decay_rate_estimate(
     """Per-n rates r_n = -(1/n) log pi_n(A | xbar_n) and their extrapolated
     limit.  The default data sequence is constant at mu0.
 
-    A ∩ support is intersected once per call.  The integrands' peaks and
-    curvatures are found again only where xbar_n differs from the previous
-    n's, so once per call for the constant sequence; each n redoes only
-    its widths and quadratures."""
+    A ∩ support is intersected once per call.  The schedule falls into
+    runs of sample sizes whose xbar_n equals the previous n's; each run
+    finds the integrands' peaks and curvatures once and takes one lockstep
+    quadrature for all its n.  The constant sequence is one run."""
     schedule = tuple(_sample_size(n) for n in schedule)
     if len(schedule) < 2:
         raise ValueError("schedule needs at least two sample sizes")
@@ -367,18 +377,22 @@ def decay_rate_estimate(
     if all(iv.degenerate for iv in pieces_num):
         rates = np.full(len(schedule), INF)
         return DecayEstimate(schedule, rates, INF)
-    rates, last = [], None
+    # the runs of equal sample means, each with its sample sizes
+    runs = []
     for n in schedule:
         xb = as_point(seq(n), dim, "sample mean")
-        if last is None or not np.array_equal(xb, last):
+        if not runs or not np.array_equal(xb, runs[-1][0]):
             # a copy, in case the sequence refills one array in place
-            log_mass, last = _log_mass_at(prior, xb, pieces_num), xb.copy()
-        lm = log_mass(n)
-        if lm == -INF:
-            raise RateUnbounded(
-                f"posterior mass is exactly zero at n={n} for a non-null event"
-            )
-        rates.append(-lm / n)
+            runs.append((xb.copy(), []))
+        runs[-1][1].append(n)
+    rates = []
+    for xb, ns in runs:
+        for n, lm in zip(ns, _log_masses(prior, xb, pieces_num, ns)):
+            if lm == -INF:
+                raise RateUnbounded(
+                    f"posterior mass is exactly zero at n={n} for a non-null event"
+                )
+            rates.append(-lm / n)
     rates = np.array(rates)
     return DecayEstimate(schedule, rates, fit_rate_limit(schedule, rates))
 

@@ -7,10 +7,15 @@ Everything here subtracts the peak value before exponentiating and
 reports results on the log scale.  The integrands take arrays: the
 peaked integral is a globally adaptive Gauss-Kronrod 10/21 rule that
 evaluates all pending panels of a round in one call, and the peak search
-evaluates each of its grids in one call.  The peaked integral's tolerance
-and panel cap are the constants ``REL_TOL`` and ``QUAD_LIMIT``.  No
-module of the package calls the peak search; ``perfbench/tracer.py``
-still looks ``locate_peak`` up by name.
+evaluates each of its grids in one call.  The peaked integral takes a
+stack of jobs, g = scale * logf on windows [a, b] with their own peaks
+and widths, that share one ``logf``: a posterior's normalizer and event
+pieces at every sample size of a schedule, with scale = n.  The jobs run
+in lockstep, one ``logf`` call per round for all of them, and each job's
+result is the float it gets alone; a single integral is a stack of one.
+The peaked integral's tolerance and panel cap are the constants
+``REL_TOL`` and ``QUAD_LIMIT``.  No module of the package calls the peak
+search; ``perfbench/tracer.py`` still looks ``locate_peak`` up by name.
 """
 
 from __future__ import annotations
@@ -116,24 +121,28 @@ QK21_GAUSS_WEIGHTS[11:20:2] = _WG[::-1]
 _EPS = np.finfo(float).eps
 
 
-def _qk21(logf, lo, hi, m):
-    """QK21 of exp(logf - m) on the panels [lo_i, hi_i], with one ``logf``
-    call over all their nodes.
+def _qk21(logf, lo, hi, m, scale):
+    """QK21 of exp(scale * logf - m) on the panels [lo_i, hi_i], with one
+    ``logf`` call over all their nodes; ``m`` and ``scale`` are per panel.
 
     Returns the panel values and error estimates.  The estimate is
     QUADPACK's: the Gauss-Kronrod difference, sharpened against the
     panel's mean absolute deviation and floored at 50 ulps of its mass.
+    The rule's sums are ``einsum`` loops, not a BLAS matrix-vector
+    product, whose rounding depends on how many panels share the call:
+    a panel's value is the same in any stack.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * QK21_NODES
-    logs = np.asarray(logf(nodes.ravel()), dtype=float)
+    logs = scale[:, None] * np.asarray(logf(nodes.ravel()), dtype=float).reshape(
+        nodes.shape)
     if np.isnan(logs).any():
         raise NumericsError("NaN encountered in the log-integrand")
-    f = np.exp(logs.reshape(nodes.shape) - m)
-    kronrod = f @ QK21_WEIGHTS
-    gauss = f @ QK21_GAUSS_WEIGHTS
-    spread = np.abs(f - 0.5 * kronrod[:, None]) @ QK21_WEIGHTS
+    f = np.exp(logs - m[:, None])
+    kronrod = np.einsum("ij,j->i", f, QK21_WEIGHTS)
+    gauss = np.einsum("ij,j->i", f, QK21_GAUSS_WEIGHTS)
+    spread = np.einsum("ij,j->i", np.abs(f - 0.5 * kronrod[:, None]), QK21_WEIGHTS)
     err = np.abs(kronrod - gauss)
     with np.errstate(divide="ignore", invalid="ignore"):
         sharpened = spread * np.minimum(1.0, (200.0 * err / spread) ** 1.5)
@@ -142,57 +151,22 @@ def _qk21(logf, lo, hi, m):
     return kronrod * half, err * half
 
 
-def log_integral_peaked(logf, a, b, peak, width):
-    """log ∫_a^b exp(logf(x)) dx with a known interior peak and width scale.
-
-    ``logf`` takes an array of nodes and returns their log-integrand
-    values.  The integral is globally adaptive Gauss-Kronrod 10/21 on the
-    scale of the peak value, from panels broken at the peak and a few
-    widths out so that the spike is never skipped at small widths.  Each
-    round evaluates every pending panel in one ``logf`` call, keeps the
-    panels whose error estimates fit in their share of the budget
-    REL_TOL * |integral|, and bisects the rest; ``QUAD_LIMIT`` caps the
-    number of panels.  A final error estimate above 1e4 * ``REL_TOL`` of
-    the value raises QuadratureFailure.
-    """
+def _initial_panels(a, b, peak, width):
+    """Panel edges of one job: its window, broken at the peak and a few
+    widths out so that the spike is never skipped at small widths."""
     edges = [a, b]
     for k in (-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0):
         p = peak + k * width
         if a < p < b:
             edges.append(p)
     edges = np.unique(edges)
-    lo, hi = edges[:-1], edges[1:]
-    m = float(logf(np.array([peak]))[0])
-    if math.isnan(m):
-        raise NumericsError("NaN encountered in peak log-integrand")
-    if m == _LOG_ZERO:
-        return _LOG_ZERO
-    val, err = _qk21(logf, lo, hi, m)
-    while True:
-        total = float(np.sum(val))
-        error = float(np.sum(err))
-        budget = REL_TOL * abs(total)
-        if (
-            error <= budget
-            or lo.size >= QUAD_LIMIT
-            or not math.isfinite(total)
-        ):
-            break
-        # keep the panels with the smallest errors while they use at most
-        # half of the budget; the other half is for the bisected ones
-        order = np.argsort(err)
-        kept = np.cumsum(err[order]) <= 0.5 * budget
-        split = order[~kept][::-1][: QUAD_LIMIT - lo.size]
-        keep = np.ones(lo.size, dtype=bool)
-        keep[split] = False
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_val, new_err = _qk21(logf, new_lo, new_hi, m)
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        val = np.concatenate([val[keep], new_val])
-        err = np.concatenate([err[keep], new_err])
+    return edges[:-1], edges[1:]
+
+
+def _log_total(m, total, error, a, b):
+    """A finished job's log integral m + log(total), or QuadratureFailure
+    where its sum overflowed or its error estimate exceeds 1e4 *
+    ``REL_TOL`` of the value."""
     if not math.isfinite(total):
         raise QuadratureFailure(
             f"peaked integral overflowed (window [{a:.3g}, {b:.3g}])"
@@ -205,3 +179,84 @@ def log_integral_peaked(logf, a, b, peak, width):
             f"(value {total:.3e}, window [{a:.3g}, {b:.3g}])"
         )
     return m + math.log(total)
+
+
+def log_integral_peaked(logf, a, b, peak, width, scale=1.0):
+    """log ∫_a^b exp(scale * logf(x)) dx with a known interior peak and
+    width scale, for one job or a stack of them.
+
+    ``a``, ``b``, ``peak``, ``width`` and ``scale`` are scalars or
+    arrays that broadcast to one shape, a job per element; scalars give a
+    float, arrays an array of that shape.  ``scale`` must be positive.
+    ``logf`` takes an array of nodes and returns their log-integrand
+    values; every job shares it.  Each job is globally adaptive
+    Gauss-Kronrod 10/21 on the scale of its own peak value, from panels
+    broken at its peak and a few widths out.  The jobs run in lockstep:
+    one ``logf`` call takes every job's peak, and each round evaluates
+    every pending panel of every job in one call.  Per job, a round keeps
+    the panels whose error estimates fit in their share of the budget
+    REL_TOL * |integral| and bisects the rest, and ``QUAD_LIMIT`` caps the
+    number of panels; a job whose peak value is -inf is -inf at once.  A
+    job's final error estimate above 1e4 * ``REL_TOL`` of its value
+    raises QuadratureFailure naming its window.  A job's result does not
+    depend on the stack it is in.
+    """
+    a, b, peak, width, scale = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a, b, peak, width, scale)))
+    shape = a.shape
+    a, b, peak, width, scale = (v.ravel() for v in (a, b, peak, width, scale))
+    results = np.full(a.size, _LOG_ZERO)
+    peak_logs = scale * np.asarray(logf(peak), dtype=float)
+    if np.isnan(peak_logs).any():
+        raise NumericsError("NaN encountered in peak log-integrand")
+    # per job: the panels it keeps, with their values and error
+    # estimates, and the panels it has yet to evaluate, each in the order
+    # that the job run alone would have them, since its sums depend on it
+    empty = np.empty(0)
+    kept = {}
+    pending = {}
+    for j in np.flatnonzero(peak_logs > _LOG_ZERO).tolist():
+        kept[j] = (empty, empty, empty, empty)
+        pending[j] = _initial_panels(float(a[j]), float(b[j]), float(peak[j]),
+                                     float(width[j]))
+    while pending:
+        counts = [lo.size for lo, _ in pending.values()]
+        owners = np.repeat(list(pending), counts)
+        new_val, new_err = _qk21(
+            logf,
+            np.concatenate([lo for lo, _ in pending.values()]),
+            np.concatenate([hi for _, hi in pending.values()]),
+            peak_logs[owners], scale[owners],
+        )
+        start = 0
+        for j, (new_lo, new_hi) in list(pending.items()):
+            stop = start + new_lo.size
+            lo, hi, val, err = (
+                np.concatenate([old, new_part]) for old, new_part in zip(
+                    kept[j], (new_lo, new_hi, new_val[start:stop],
+                              new_err[start:stop])))
+            start = stop
+            total = float(np.sum(val))
+            error = float(np.sum(err))
+            budget = REL_TOL * abs(total)
+            if (
+                error <= budget
+                or lo.size >= QUAD_LIMIT
+                or not math.isfinite(total)
+            ):
+                del pending[j]
+                results[j] = _log_total(float(peak_logs[j]), total, error,
+                                        float(a[j]), float(b[j]))
+                continue
+            # keep the panels with the smallest errors while they use at
+            # most half of the budget; the other half is for the bisected ones
+            order = np.argsort(err)
+            fits = np.cumsum(err[order]) <= 0.5 * budget
+            split = order[~fits][::-1][: QUAD_LIMIT - lo.size]
+            keep = np.ones(lo.size, dtype=bool)
+            keep[split] = False
+            mid = 0.5 * (lo[split] + hi[split])
+            kept[j] = (lo[keep], hi[keep], val[keep], err[keep])
+            pending[j] = (np.concatenate([lo[split], mid]),
+                          np.concatenate([mid, hi[split]]))
+    return float(results[0]) if shape == () else results.reshape(shape)

@@ -19,7 +19,7 @@ from expldp import (
     log_likelihood,
     mean_map,
 )
-from expldp.errors import NoConvergence
+from expldp.errors import NoConvergence, OutsideDomain
 from expldp.intervals import Interval
 
 HW = builtin("hardy-weinberg-saturated")
@@ -346,18 +346,105 @@ class TestScanMaximize:
             legendre.scan_maximize(f, -1.0, 1.0, 16, df if with_df else None)
 
     def test_edge_maximum_falls_back_to_brent(self, monkeypatch):
-        # the maximum sits at the window's edge, so df does not change sign
-        # on the last cell and the polish is bounded Brent, which stops
-        # short of the edge by its relative tolerance
+        # without df the scan-end rule does not apply: the maximum at the
+        # window's edge is polished by bounded Brent, which stops short of
+        # the edge by its relative tolerance
         def no_brentq(*args, **kwargs):
-            raise AssertionError("brentq ran without a sign change")
+            raise AssertionError("brentq ran without df")
 
         monkeypatch.setattr(legendre, "_brentq", no_brentq)
-        (x, value), = legendre.scan_maximize(
-            lambda x: x, 0.0, 1.0, 16, df=lambda x: 1.0
-        )
+        (x, value), = legendre.scan_maximize(lambda x: x, 0.0, 1.0, 16)
         assert x == pytest.approx(1.0, abs=1e-7)
+        assert x < 1.0
         assert value == x
+
+
+class TestScanEnd:
+    """A maximum at the first or last scan point where df points out of
+    the window is that point itself, with no polish."""
+
+    @pytest.fixture
+    def polishes(self, monkeypatch):
+        calls = []
+        for name in ("_brentq", "_bounded_brent"):
+            original = getattr(legendre, name)
+
+            def recording(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(legendre, name, recording)
+        return calls
+
+    @pytest.mark.parametrize("slope", [-2.0, 3.0])
+    def test_monotone_f_gives_the_scan_end(self, polishes, slope):
+        def f(x):
+            return slope * x + 1.0
+
+        lo, hi = -0.3, 0.7
+        (x, value), = legendre.scan_maximize(f, lo, hi, 16, df=lambda x: slope)
+        end = lo if slope < 0.0 else hi
+        assert (x, value) == (end, f(end))
+        assert type(x) is float and type(value) is float
+        assert polishes == []
+
+    def test_zero_slope_at_the_end_counts_as_out(self, polishes):
+        # -x^2 on [0, 1]: the maximum is the first point, where df = 0
+        (x, value), = legendre.scan_maximize(
+            lambda x: -x * x, 0.0, 1.0, 16, df=lambda x: -2.0 * x)
+        assert (x, value) == (0.0, -0.0)
+        assert polishes == []
+
+    def test_maximum_inside_the_first_cell_is_root_polished(self, polishes):
+        # the first cell of 16 points on [-1, 1] is [-1, -0.867]; the scan's
+        # best point is its first, but df > 0 there points into the window
+        def f(x):
+            return -(x + 0.95) ** 2
+
+        (x, value), = legendre.scan_maximize(
+            f, -1.0, 1.0, 16, df=lambda x: -2.0 * (x + 0.95))
+        assert x == pytest.approx(-0.95, abs=1e-14)
+        assert value == f(x)
+        assert polishes == ["_brentq"]
+
+    def test_derivative_outside_the_domain_falls_back_to_the_polish(self, polishes):
+        def df(x):
+            raise OutsideDomain("no derivative here")
+
+        (x, _), = legendre.scan_maximize(lambda x: -x, 0.0, 1.0, 16, df=df)
+        assert x == pytest.approx(0.0, abs=1e-7)
+        assert polishes == ["_bounded_brent"]
+
+    def test_misspecified_hw_mle_is_the_parents(self, polishes):
+        # the maximum over [0.5, 3] sits at the support's lower end; the scan
+        # end replaces a bounded-Brent crawl toward it, whose point was
+        # discarded as non-stationary, so the result keeps its bits
+        from expldp.models import limiting_mle, uniform_prior
+
+        mle = limiting_mle(uniform_prior(builtin_model("hw-line"), 0.5, 3.0), (0.3, 0.2))
+        assert mle.coordinate.hex() == (0.5).hex()
+        assert mle.value.hex() == "-0x1.849d989ecbae8p-7"
+        assert [v.hex() for v in mle.theta_nu.tolist()] == [(0.5).hex(), (-0.5).hex()]
+        assert "_bounded_brent" not in polishes
+
+
+@pytest.mark.parametrize("name, t, lo, hi", [
+    ("hw-line", (0.3, 0.2), -3.0, 3.0),
+    ("strip-curve", (0.3, 0.5), 1e-3, 1.0),
+    ("gauss-mean-eq-sd", (1.0, 3.0), 0.05, 5.0),
+])
+def test_curve_loglik_is_independent_of_the_batch(name, t, lo, hi):
+    # t.eta(z) is summed elementwise, not by a BLAS product, whose rounding
+    # depends on the number of columns
+    model = builtin_model(name)
+    l_of = legendre.curve_loglik(model.family, model, np.array(t))
+    zs = np.linspace(lo, hi, 1000)
+    stacked = l_of(zs)
+    assert np.all(np.isfinite(stacked))
+    alone = np.array([l_of(z) for z in zs.tolist()])
+    assert alone.tobytes() == stacked.tobytes()
+    ones = np.concatenate([l_of(zs[i:i + 1]) for i in range(zs.size)])
+    assert ones.tobytes() == stacked.tobytes()
 
 
 class TestGridOracle:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from expldp import quadrature
+from expldp import builtin_model, legendre, models, quadrature
 from expldp.errors import NumericsError, QuadratureFailure
+from expldp.intervals import Interval
 from expldp.quadrature import locate_peak
 
 
@@ -110,6 +112,117 @@ class TestLogIntegralPeaked:
             quadrature.log_integral_peaked(
                 lambda x: np.where(x > 0.5, np.nan, -x * x), -1.0, 1.0, 0.0, 0.2
             )
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _alone(logf, *jobs):
+    """Each job of a stack run alone, as a stack of one."""
+    return [quadrature.log_integral_peaked(logf, *job) for job in zip(*jobs)]
+
+
+def _hw_schedule_jobs():
+    """The jobs of a hw-line decay schedule: every piece of the normalizer
+    and of the event at every sample size, as ``models`` builds them."""
+    model = builtin_model("hw-line")
+    mu0 = np.array([0.3, 0.2])
+    l_of = legendre.curve_loglik(model.family, model, mu0)
+    dl_of = legendre.curve_dloglik(model.family, model, mu0)
+    pieces = (models._piece_peaks(l_of, dl_of, (Interval(-3.0, 3.0),))
+              + models._piece_peaks(l_of, dl_of, (Interval(0.5, 3.0),)))
+    jobs = [(a, b, peak, 1.0 / np.sqrt(max(n * curv, (2.0 / (b - a)) ** 2)), n)
+            for n in (64, 128, 256, 512, 1024, 2048, 4096)
+            for a, b, peak, curv in pieces]
+    return l_of, np.array(jobs).T
+
+
+class TestStackedJobs:
+    def test_hw_schedule_equals_each_job_alone(self):
+        l_of, jobs = _hw_schedule_jobs()
+        stacked = quadrature.log_integral_peaked(l_of, *jobs)
+        assert stacked.shape == (14,)
+        assert np.all(np.isfinite(stacked))
+        _same_bits(stacked, _alone(l_of, *jobs))
+
+    def test_gaussians_of_different_widths(self):
+        # exp(-x^2 / (2 sigma^2)) is exp(scale * logf) with logf = -x^2 / 2
+        # and scale = sigma^-2; the windows put the peak inside, off
+        # centre, and at an end
+        sigma = np.array([1e-4, 3e-3, 0.05, 0.7, 2.0, 1e-2])
+        a = np.array([-3.0, -1.0, -0.2, -5.0, -1.0, 0.0])
+        b = np.array([3.0, 0.5, 2.0, 5.0, 9.0, 1.0])
+
+        def logf(x):
+            return -0.5 * x * x
+
+        stacked = quadrature.log_integral_peaked(
+            logf, a, b, 0.0, sigma, sigma ** -2.0)
+        _same_bits(stacked, _alone(logf, a, b, np.zeros(6), sigma, sigma ** -2.0))
+        exact = np.log(np.sqrt(np.pi / 2.0) * sigma * (
+            erf(b / (np.sqrt(2.0) * sigma)) - erf(a / (np.sqrt(2.0) * sigma))))
+        np.testing.assert_allclose(stacked, exact, rtol=1e-12)
+
+    def test_scalars_give_a_float_and_arrays_their_shape(self):
+        def logf(x):
+            return -np.abs(x)
+
+        one = quadrature.log_integral_peaked(logf, -1.0, 1.0, 0.0, 0.1)
+        assert type(one) is float
+        grid = quadrature.log_integral_peaked(
+            logf, -1.0, np.array([[1.0, 2.0], [3.0, 4.0]]), 0.0, 0.1)
+        assert grid.shape == (2, 2)
+        assert grid[0, 0] == one
+        assert quadrature.log_integral_peaked(logf, [], [], [], []).shape == (0,)
+
+    def test_one_call_per_round_of_the_slowest_job(self):
+        l_of, jobs = _hw_schedule_jobs()
+        alone = []
+        for job in zip(*jobs):
+            calls = []
+            quadrature.log_integral_peaked(
+                lambda x: calls.append(x.size) or l_of(x), *job)
+            alone.append(len(calls))
+        calls = []
+        quadrature.log_integral_peaked(
+            lambda x: calls.append(x.size) or l_of(x), *jobs)
+        # the peaks of every job in one call, then one call per round
+        assert calls[0] == 14
+        assert len(calls) == max(alone) < sum(alone)
+
+    def test_panel_cap_names_the_job_that_hit_it(self, monkeypatch):
+        # the kink needs many bisections; the other job converges at once
+        def logf(x):
+            return -np.abs(x - 0.123456789)
+
+        monkeypatch.setattr(quadrature, "QUAD_LIMIT", 10)
+        with pytest.raises(QuadratureFailure, match=r"window \[-1\.5, 1\.25\]"):
+            quadrature.log_integral_peaked(
+                logf, [2.0, -1.5], [3.0, 1.25], [2.5, 0.9], [0.1, 0.01])
+
+    def test_minus_infinity_peak_leaves_the_other_jobs_running(self):
+        def logf(x):
+            return np.where(x < 0.0, -np.inf, -x)
+
+        a, b, peak, width = [-2.0, 0.0, -1.0], [-1.0, 1.0, 2.0], [-1.5, 0.5, 1.0], 0.1
+        stacked = quadrature.log_integral_peaked(logf, a, b, peak, width)
+        assert stacked[0] == -np.inf
+        assert stacked[1] == pytest.approx(np.log(1.0 - np.exp(-1.0)), rel=1e-12)
+        assert stacked[2] == pytest.approx(np.log(1.0 - np.exp(-2.0)), rel=1e-12)
+        _same_bits(stacked, _alone(logf, a, b, peak, np.full(3, width)))
+
+    @pytest.mark.parametrize("peak", [4.5, 5.5])
+    def test_nan_in_any_job_is_an_error(self, peak):
+        # NaN right of 5 reaches the second job's nodes, or its peak value
+        def logf(x):
+            return np.where(x > 5.0, np.nan, -x * x)
+
+        with pytest.raises(NumericsError):
+            quadrature.log_integral_peaked(
+                logf, [-1.0, 4.0], [1.0, 6.0], [0.0, peak], [0.2, 0.2])
 
 
 def test_locate_peak_restarts_newton_before_the_grid(monkeypatch):
