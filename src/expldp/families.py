@@ -265,13 +265,20 @@ def _top(th):
 
 def _make_hardy_weinberg():
     def many(th):
-        # kappa = log(1/2 + (e^th1 + e^th2)/4): scaling by 1/4 is exact, so a
-        # point's value is the same in any batch.  NaN, +inf or a coordinate
-        # past the bound sends the whole call to the shifted form
+        # kappa = log(1/2 + (e^th1 + e^th2)/4): scaling by 1/4 is exact.  A
+        # point with NaN, +inf or a coordinate past the bound takes the
+        # shifted form and every other point this one, so a point's value
+        # is the same in any batch
         t1, t2 = th[0], th[1]
-        if not _top(th) <= _HW_EXP_BOUND:
-            return np.logaddexp(np.logaddexp(_LOG2, t1), t2) - _LOG4
-        return np.log((np.exp(t1) + np.exp(t2)) * 0.25 + 0.5)
+        if _top(th) <= _HW_EXP_BOUND:
+            return np.log((np.exp(t1) + np.exp(t2)) * 0.25 + 0.5)
+        t1, t2 = np.broadcast_arrays(t1, t2)
+        near = np.maximum(t1, t2) <= _HW_EXP_BOUND
+        far = ~near
+        kappa = np.empty(t1.shape)
+        kappa[near] = np.log((np.exp(t1[near]) + np.exp(t2[near])) * 0.25 + 0.5)
+        kappa[far] = np.logaddexp(np.logaddexp(_LOG2, t1[far]), t2[far]) - _LOG4
+        return kappa
 
     domain = DomainSpec(
         interior=lambda th: True,

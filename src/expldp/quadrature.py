@@ -7,15 +7,19 @@ Everything here subtracts the peak value before exponentiating and
 reports results on the log scale.  The integrands take arrays: the
 peaked integral is a globally adaptive Gauss-Kronrod 10/21 rule that
 evaluates all pending panels of a round in one call, and the peak search
-evaluates each of its grids in one call.  The peaked integral takes a
-stack of jobs, g = scale * logf on windows [a, b] with their own peaks
-and widths, that share one ``logf``: a posterior's normalizer and event
-pieces at every sample size of a schedule, with scale = n.  The jobs run
-in lockstep, one ``logf`` call per round for all of them, and each job's
-result is the float it gets alone; a single integral is a stack of one.
-The peaked integral's tolerance and panel cap are the constants
-``REL_TOL`` and ``QUAD_LIMIT``.  No module of the package calls the peak
-search; ``perfbench/tracer.py`` still looks ``locate_peak`` up by name.
+evaluates each of its grids in one call.  A panel with exactly one edge
+at its window's end takes the rule on z = end ∓ s², with weight 2s: a
+square-root endpoint (the strip curve's √(1 − z³) at z = 1) is smooth
+in s, so the rule does not bisect toward it, and a smooth endpoint stays
+smooth.  The peaked integral takes a stack of jobs, g = scale * logf on
+windows [a, b] with their own peaks and widths, that share one ``logf``:
+a posterior's normalizer and event pieces at every sample size of a
+schedule, with scale = n.  The jobs run in lockstep, one ``logf`` call
+per round for all of them, and each job's result is the float it gets
+alone; a single integral is a stack of one.  The peaked integral's
+tolerance and panel cap are the constants ``REL_TOL`` and
+``QUAD_LIMIT``.  No module of the package calls the peak search;
+``perfbench/tracer.py`` still looks ``locate_peak`` up by name.
 """
 
 from __future__ import annotations
@@ -118,28 +122,37 @@ QK21_WEIGHTS = np.concatenate([_WK, _WK[-2::-1]])
 QK21_GAUSS_WEIGHTS = np.zeros(21)
 QK21_GAUSS_WEIGHTS[1:10:2] = _WG
 QK21_GAUSS_WEIGHTS[11:20:2] = _WG[::-1]
+_NODES_SQUARED = QK21_NODES * QK21_NODES
 _EPS = np.finfo(float).eps
 
 
-def _qk21(logf, lo, hi, m, scale):
+def _qk21(logf, lo, hi, side, m, scale):
     """QK21 of exp(scale * logf - m) on the panels [lo_i, hi_i], with one
-    ``logf`` call over all their nodes; ``m`` and ``scale`` are per panel.
+    ``logf`` call over all their nodes; ``side``, ``m`` and ``scale`` are
+    per panel.
 
-    Returns the panel values and error estimates.  The estimate is
-    QUADPACK's: the Gauss-Kronrod difference, sharpened against the
-    panel's mean absolute deviation and floored at 50 ulps of its mass.
-    The rule's sums are ``einsum`` loops, not a BLAS matrix-vector
-    product, whose rounding depends on how many panels share the call:
-    a panel's value is the same in any stack.
+    A panel whose ``side`` is +1 (its left edge is its job's window end)
+    or -1 (its right edge is) takes the rule in s on z = end ± s², s from
+    0 to √(hi - lo), with weight 2s: a √(end - z) or 1/√(end - z) factor
+    there is smooth in s.  On the nodes x of [-1, 1] every panel is
+    z = c + d·x + e·x² with d = (hi - lo) / 2, e = side · d / 2 and
+    c = mid - e, and Jacobian d · (1 + side · x); side 0 is the plain
+    affine map.  Returns the panel values and error estimates.  The
+    estimate is QUADPACK's: the Gauss-Kronrod difference, sharpened
+    against the panel's mean absolute deviation and floored at 50 ulps of
+    its mass.  The rule's sums are ``einsum`` loops, not a BLAS
+    matrix-vector product, whose rounding depends on how many panels
+    share the call: a panel's value is the same in any stack.
     """
-    mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * QK21_NODES
+    e = 0.5 * side * half
+    nodes = ((0.5 * (lo + hi) - e)[:, None] + half[:, None] * QK21_NODES
+             + e[:, None] * _NODES_SQUARED)
     logs = scale[:, None] * np.asarray(logf(nodes.ravel()), dtype=float).reshape(
         nodes.shape)
     if np.isnan(logs).any():
         raise NumericsError("NaN encountered in the log-integrand")
-    f = np.exp(logs - m[:, None])
+    f = np.exp(logs - m[:, None]) * (1.0 + side[:, None] * QK21_NODES)
     kronrod = np.einsum("ij,j->i", f, QK21_WEIGHTS)
     gauss = np.einsum("ij,j->i", f, QK21_GAUSS_WEIGHTS)
     spread = np.einsum("ij,j->i", np.abs(f - 0.5 * kronrod[:, None]), QK21_WEIGHTS)
@@ -151,16 +164,25 @@ def _qk21(logf, lo, hi, m, scale):
     return kronrod * half, err * half
 
 
-def _initial_panels(a, b, peak, width):
-    """Panel edges of one job: its window, broken at the peak and a few
-    widths out so that the spike is never skipped at small widths."""
-    edges = [a, b]
-    for k in (-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0):
-        p = peak + k * width
-        if a < p < b:
-            edges.append(p)
-    edges = np.unique(edges)
-    return edges[:-1], edges[1:]
+# breakpoints of a job's first panels, in widths from its peak
+_BREAKS = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0])
+
+
+def _initial_panels(jobs, a, b, peak, width):
+    """(owner, lo, hi) of the first panels of ``jobs``, grouped by job:
+    each window broken at its peak and a few widths out, so that the
+    spike is never skipped at small widths."""
+    edges = np.empty((jobs.size, _BREAKS.size + 2))
+    edges[:, 0] = a
+    edges[:, 1:-1] = peak[:, None] + _BREAKS * width[:, None]
+    edges[:, -1] = b
+    # the breakpoints increase along a row; a repeated one is dropped
+    used = np.ones(edges.shape, dtype=bool)
+    inner = edges[:, 1:-1]
+    used[:, 1:-1] = (a[:, None] < inner) & (inner < b[:, None])
+    used[:, 2:-1] &= inner[:, 1:] > inner[:, :-1]
+    owner = np.repeat(jobs, used.sum(axis=1) - 1)
+    return owner, edges[:, :-1][used[:, :-1]], edges[:, 1:][used[:, 1:]]
 
 
 def _log_total(m, total, error, a, b):
@@ -191,72 +213,70 @@ def log_integral_peaked(logf, a, b, peak, width, scale=1.0):
     ``logf`` takes an array of nodes and returns their log-integrand
     values; every job shares it.  Each job is globally adaptive
     Gauss-Kronrod 10/21 on the scale of its own peak value, from panels
-    broken at its peak and a few widths out.  The jobs run in lockstep:
-    one ``logf`` call takes every job's peak, and each round evaluates
-    every pending panel of every job in one call.  Per job, a round keeps
-    the panels whose error estimates fit in their share of the budget
-    REL_TOL * |integral| and bisects the rest, and ``QUAD_LIMIT`` caps the
-    number of panels; a job whose peak value is -inf is -inf at once.  A
-    job's final error estimate above 1e4 * ``REL_TOL`` of its value
-    raises QuadratureFailure naming its window.  A job's result does not
-    depend on the stack it is in.
+    broken at its peak and a few widths out.  A panel with exactly one
+    edge at its job's window end takes the rule on z = end ∓ s², which
+    makes a square-root endpoint smooth and keeps a smooth one smooth.
+    The jobs run in lockstep: one ``logf`` call takes every job's peak,
+    and each round evaluates every pending panel of every job in one
+    call.  Per job, a round keeps the panels whose error estimates fit in
+    their share of the budget REL_TOL * |integral| and bisects the rest,
+    and ``QUAD_LIMIT`` caps the number of panels; a job whose peak value
+    is -inf is -inf at once.  A job's final error estimate above 1e4 *
+    ``REL_TOL`` of its value raises QuadratureFailure naming its window.
+    Every per-job step, its sums included, reads only that job's panels,
+    so a job's result does not depend on the stack it is in.
     """
-    a, b, peak, width, scale = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (a, b, peak, width, scale)))
-    shape = a.shape
-    a, b, peak, width, scale = (v.ravel() for v in (a, b, peak, width, scale))
+    args = [np.asarray(v, dtype=float) for v in (a, b, peak, width, scale)]
+    if len({v.shape for v in args}) > 1:
+        args = np.broadcast_arrays(*args)
+    shape = args[0].shape
+    a, b, peak, width, scale = (v.ravel() for v in args)
     results = np.full(a.size, _LOG_ZERO)
     peak_logs = scale * np.asarray(logf(peak), dtype=float)
     if np.isnan(peak_logs).any():
         raise NumericsError("NaN encountered in peak log-integrand")
-    # per job: the panels it keeps, with their values and error
-    # estimates, and the panels it has yet to evaluate, each in the order
-    # that the job run alone would have them, since its sums depend on it
-    empty = np.empty(0)
-    kept = {}
-    pending = {}
-    for j in np.flatnonzero(peak_logs > _LOG_ZERO).tolist():
-        kept[j] = (empty, empty, empty, empty)
-        pending[j] = _initial_panels(float(a[j]), float(b[j]), float(peak[j]),
-                                     float(width[j]))
-    while pending:
-        counts = [lo.size for lo, _ in pending.values()]
-        owners = np.repeat(list(pending), counts)
-        new_val, new_err = _qk21(
-            logf,
-            np.concatenate([lo for lo, _ in pending.values()]),
-            np.concatenate([hi for _, hi in pending.values()]),
-            peak_logs[owners], scale[owners],
-        )
-        start = 0
-        for j, (new_lo, new_hi) in list(pending.items()):
-            stop = start + new_lo.size
-            lo, hi, val, err = (
-                np.concatenate([old, new_part]) for old, new_part in zip(
-                    kept[j], (new_lo, new_hi, new_val[start:stop],
-                              new_err[start:stop])))
-            start = stop
-            total = float(np.sum(val))
-            error = float(np.sum(err))
-            budget = REL_TOL * abs(total)
-            if (
-                error <= budget
-                or lo.size >= QUAD_LIMIT
-                or not math.isfinite(total)
-            ):
-                del pending[j]
-                results[j] = _log_total(float(peak_logs[j]), total, error,
-                                        float(a[j]), float(b[j]))
-                continue
-            # keep the panels with the smallest errors while they use at
-            # most half of the budget; the other half is for the bisected ones
-            order = np.argsort(err)
-            fits = np.cumsum(err[order]) <= 0.5 * budget
-            split = order[~fits][::-1][: QUAD_LIMIT - lo.size]
-            keep = np.ones(lo.size, dtype=bool)
-            keep[split] = False
-            mid = 0.5 * (lo[split] + hi[split])
-            kept[j] = (lo[keep], hi[keep], val[keep], err[keep])
-            pending[j] = (np.concatenate([lo[split], mid]),
-                          np.concatenate([mid, hi[split]]))
+    jobs = np.flatnonzero(peak_logs > _LOG_ZERO)
+    # the panels of every running job: those it keeps, with their values
+    # and error estimates, then those it has yet to evaluate.  A job's
+    # panels are in the same order in any stack, and each of its sums
+    # runs over them in that order
+    owner, lo, hi = _initial_panels(jobs, a[jobs], b[jobs], peak[jobs],
+                                    width[jobs])
+    kept = (np.empty(0, dtype=int),) + (np.empty(0),) * 4
+    while owner.size:
+        side = (lo == a[owner]).astype(float) - (hi == b[owner])
+        val, err = _qk21(logf, lo, hi, side, peak_logs[owner], scale[owner])
+        owner, lo, hi, val, err = (
+            np.concatenate(pair) for pair in zip(kept, (owner, lo, hi, val, err)))
+        # per job, indexed by the job's number
+        counts = np.bincount(owner, minlength=a.size)
+        total = np.bincount(owner, val, minlength=a.size)
+        error = np.bincount(owner, err, minlength=a.size)
+        budget = REL_TOL * np.abs(total)
+        done = (error <= budget) | (counts >= QUAD_LIMIT) | ~np.isfinite(total)
+        for j in np.flatnonzero(done & (counts > 0)).tolist():
+            results[j] = _log_total(float(peak_logs[j]), float(total[j]),
+                                    float(error[j]), float(a[j]), float(b[j]))
+        running = ~done[owner]
+        if not running.any():
+            break
+        # per running job: rank its panels by error, keep the smallest
+        # while their running sum stays within half of the budget (the
+        # other half is for the bisected ones), and bisect the rest,
+        # largest errors first, up to QUAD_LIMIT panels.  The running sums
+        # are the rows of a table, one row a job, so each is the job's own
+        by_error = np.lexsort((err, owner))
+        rank = np.empty(owner.size, dtype=int)
+        rank[by_error] = (np.arange(owner.size)
+                          - (np.cumsum(counts) - counts)[owner[by_error]])
+        table = np.full((a.size, counts.max()), np.inf)
+        table[owner, rank] = err
+        fits = (np.cumsum(table, axis=1) <= 0.5 * budget[:, None]).sum(axis=1)
+        keep = running & (rank < np.maximum(fits, 2 * counts - QUAD_LIMIT)[owner])
+        split = running & ~keep
+        kept = tuple(v[keep] for v in (owner, lo, hi, val, err))
+        mid = 0.5 * (lo[split] + hi[split])
+        owner = np.concatenate([owner[split], owner[split]])
+        lo, hi = (np.concatenate([lo[split], mid]),
+                  np.concatenate([mid, hi[split]]))
     return float(results[0]) if shape == () else results.reshape(shape)

@@ -461,6 +461,23 @@ class TestHardyWeinbergBatchedKernel:
         assert np.array_equal(many, self._many(np.asfortranarray(thetas)))
         assert np.array_equal(many, HW.payload.cumulant_many(np.ascontiguousarray(thetas.T)))
 
+    def test_a_point_past_700_leaves_the_others_alone(self):
+        # hw-line's images (z, -z) on [-3, 3], alone and with a point that
+        # takes the shifted form
+        z = np.linspace(-3.0, 3.0, 13)
+        rows = np.column_stack([z, -z])
+        alone = self._many(rows)
+        for extra in ([800.0, -800.0], [-1e4, 750.0], [math.inf, 0.0]):
+            joined = self._many(np.vstack([rows, extra]))
+            assert joined[:-1].tobytes() == alone.tobytes()
+        assert joined[-1] == math.inf
+        with np.errstate(invalid="ignore"):
+            nan = cumulant_many(HW, np.vstack([rows, [800.0, -800.0],
+                                               [math.nan, 0.0]]))
+        assert nan[:-2].tobytes() == alone.tobytes()
+        assert nan[-2] == pytest.approx(800.0 - math.log(4.0), rel=1e-15)
+        assert math.isnan(nan[-1])
+
 
 inf = math.inf
 # per family: the axes of a product grid, with points off the domain, the

@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from expldp import (
     posterior_mass,
     uniform_prior,
 )
-from expldp import models
+from expldp import legendre, models
 from expldp.intervals import Interval
 from expldp.families import cumulant
 from expldp.models import (
@@ -228,6 +230,52 @@ class TestMassAgainstClosedForm:
         den_edges = np.union1d(np.linspace(1e-3, 1.0, 2001), graded)
         den = gl_log_integral(strip_l_closed, n, den_edges)
         assert mass == pytest.approx(num - den, rel=1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def strip_l_mp(z, mu=(0.3, 0.5)):
+    """l(eta(z); mu) on the strip curve in mpmath, through the Faddeeva
+    function w(zeta) = exp(-zeta^2) erfc(-i zeta) as in ``strip_l_closed``;
+    on the curve a = 1 - t2^2 is z^3 exactly.  Cached: every sample size
+    takes the same nodes."""
+    if z == 0:
+        return mpmath.ninf
+    t1, t2, a = z, mpmath.sqrt(1 - z ** 3), z ** 3
+    root = mpmath.sqrt(a)
+    zeta = mpmath.mpc(-t1 / (2 * root), root)
+    w = mpmath.exp(-zeta * zeta) * mpmath.erfc(-1j * zeta)
+    kappa = t2 * t2 + t1 * t1 / (4 * a) + mpmath.log(mpmath.pi * w.real)
+    return mu[0] * t1 + mu[1] * t2 - kappa
+
+
+class TestStripMassAgainstMpmath:
+    """log pi_n((0, 0.12)) on strip-curve against tanh-sinh at 30 digits,
+    each integral scaled by its largest value: the event's at its right
+    end, the normalizer's at its peak near z = 0.99, where it is also
+    split, next to the infinite slope at z = 1."""
+
+    @pytest.mark.parametrize("n", [16, 128, 1024])
+    def test_wide_event(self, n):
+        prior = uniform_prior(builtin_model("strip-curve"), 0.0, 1.0)
+        model = prior.model
+        mu = np.array([0.3, 0.5])
+        l_of = legendre.curve_loglik(model.family, model, mu)
+        dl_of = legendre.curve_dloglik(model.family, model, mu)
+        (_, _, peak, _), = models._piece_peaks(l_of, dl_of, prior.support)
+        mass = models.log_posterior_mass(
+            prior, mu, n,
+            ModelEvent((Interval(0.0, 0.12, lo_closed=False, hi_closed=False),)))
+        with mpmath.workdps(30):
+            end, top = mpmath.mpf("0.12"), mpmath.mpf(peak)
+            num = mpmath.quad(
+                lambda z: mpmath.exp(n * (strip_l_mp(z) - strip_l_mp(end))),
+                [0, end])
+            den = mpmath.quad(
+                lambda z: mpmath.exp(n * (strip_l_mp(z) - strip_l_mp(top))),
+                [0, top, 1])
+            exact = float(n * (strip_l_mp(end) - strip_l_mp(top))
+                          + mpmath.log(num) - mpmath.log(den))
+        assert mass == pytest.approx(exact, rel=1e-10)
 
 
 class TestDecayRates:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -68,18 +69,22 @@ class TestLogIntegralPeaked:
         assert calls[0] == (1,)
         assert all(len(shape) == 1 and shape[0] % 21 == 0 for shape in calls[1:])
 
-    def test_endpoint_peak_and_sqrt_singularity(self):
-        # ∫_0^1 sqrt(x) e^{-x} dx = gamma(3/2) P(3/2, 1)
-        from scipy.special import gamma, gammainc
-
-        exact = gamma(1.5) * gammainc(1.5, 1.0)
-
-        def logf(x):
-            with np.errstate(divide="ignore"):
-                return 0.5 * np.log(x) - x
-
-        val = quadrature.log_integral_peaked(logf, 0.0, 1.0, 0.5, 0.5)
-        assert val == pytest.approx(np.log(exact), rel=1e-9)
+    @pytest.mark.parametrize("case", ["sqrt(x) e^-x", "x^-1/2 (1-x)^1/2"])
+    def test_endpoint_peak_and_sqrt_singularity(self, case):
+        # a square-root factor at either window end: the end panels take
+        # the rule on z = end -+ s^2, where both integrands are smooth
+        logs = {
+            "sqrt(x) e^-x": (lambda x: 0.5 * np.log(x) - x,
+                             lambda x: mpmath.sqrt(x) * mpmath.exp(-x)),
+            "x^-1/2 (1-x)^1/2": (lambda x: 0.5 * (np.log1p(-x) - np.log(x)),
+                                 lambda x: mpmath.sqrt((1 - x) / x)),
+        }
+        logf, density = logs[case]
+        with mpmath.workdps(30):
+            exact = float(mpmath.log(mpmath.quad(density, [0, 1])))
+        val, rounds = _rounds(logf, 0.0, 1.0, 0.5, 0.5)
+        assert val == pytest.approx(exact, rel=1e-12)
+        assert rounds <= 2
 
     def test_minus_infinity_regions_integrate_to_zero(self):
         def logf(x):
@@ -125,19 +130,42 @@ def _alone(logf, *jobs):
     return [quadrature.log_integral_peaked(logf, *job) for job in zip(*jobs)]
 
 
-def _hw_schedule_jobs():
-    """The jobs of a hw-line decay schedule: every piece of the normalizer
-    and of the event at every sample size, as ``models`` builds them."""
-    model = builtin_model("hw-line")
-    mu0 = np.array([0.3, 0.2])
+def _rounds(logf, *job):
+    """A job's log integral and the number of its rounds: the ``logf``
+    calls after the one that takes its peak value."""
+    calls = []
+    val = quadrature.log_integral_peaked(
+        lambda x: calls.append(x.size) or logf(x), *job)
+    return val, len(calls) - 1
+
+
+def _schedule_jobs(name, mu0, pieces, ns):
+    """The jobs of a decay schedule on model ``name``: every piece of the
+    normalizer and of the event at every sample size, as ``models`` builds
+    them."""
+    model = builtin_model(name)
+    mu0 = np.array(mu0)
     l_of = legendre.curve_loglik(model.family, model, mu0)
     dl_of = legendre.curve_dloglik(model.family, model, mu0)
-    pieces = (models._piece_peaks(l_of, dl_of, (Interval(-3.0, 3.0),))
-              + models._piece_peaks(l_of, dl_of, (Interval(0.5, 3.0),)))
+    peaks = models._piece_peaks(l_of, dl_of, pieces)
     jobs = [(a, b, peak, 1.0 / np.sqrt(max(n * curv, (2.0 / (b - a)) ** 2)), n)
-            for n in (64, 128, 256, 512, 1024, 2048, 4096)
-            for a, b, peak, curv in pieces]
+            for n in ns for a, b, peak, curv in peaks]
     return l_of, np.array(jobs).T
+
+
+def _hw_schedule_jobs():
+    return _schedule_jobs("hw-line", [0.3, 0.2],
+                          (Interval(-3.0, 3.0), Interval(0.5, 3.0)),
+                          (64, 128, 256, 512, 1024, 2048, 4096))
+
+
+def _strip_schedule_jobs(ns=(16, 64, 128, 1024)):
+    # the normalizer on (0, 1] peaks near z = 1, where sqrt(1 - z^3) has
+    # an infinite slope; the event (0, 0.05) peaks at its right end
+    return _schedule_jobs("strip-curve", [0.3, 0.5],
+                          (Interval(0.0, 1.0, lo_closed=False),
+                           Interval(0.0, 0.05, lo_closed=False, hi_closed=False)),
+                          ns)
 
 
 class TestStackedJobs:
@@ -147,6 +175,20 @@ class TestStackedJobs:
         assert stacked.shape == (14,)
         assert np.all(np.isfinite(stacked))
         _same_bits(stacked, _alone(l_of, *jobs))
+
+    def test_strip_schedule_with_end_panels_equals_each_job_alone(self):
+        l_of, jobs = _strip_schedule_jobs()
+        stacked = quadrature.log_integral_peaked(l_of, *jobs)
+        assert stacked.shape == (8,)
+        assert np.all(np.isfinite(stacked))
+        _same_bits(stacked, _alone(l_of, *jobs))
+
+    def test_strip_normalizer_is_not_bisected_toward_its_end(self):
+        # bisecting toward z = 1 took 12 rounds of plain panels at n = 128
+        l_of, jobs = _strip_schedule_jobs(ns=(128,))
+        val, rounds = _rounds(l_of, *jobs[:, 0])
+        assert np.isfinite(val)
+        assert rounds <= 3
 
     def test_gaussians_of_different_widths(self):
         # exp(-x^2 / (2 sigma^2)) is exp(scale * logf) with logf = -x^2 / 2

@@ -67,3 +67,21 @@ def test_feature_footprint_rejects_unknown_feature(monkeypatch, capsys):
     assert run_script(monkeypatch, "feature_footprint.py", "strip", "bogus") == 2
     err = capsys.readouterr().err
     assert "unknown feature 'bogus'" in err and "usage:" in err
+
+
+def test_quadrature_rounds_counts_the_strip_masses(monkeypatch, capsys):
+    assert run_script(monkeypatch, "quadrature_rounds.py", "strip") == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    # example, label, jobs, rounds, panels, nodes: the wide mass is one
+    # call of two jobs, the narrow schedule one call of four
+    assert [row[:3] for row in rows] == [["strip", "wide", "2"],
+                                         ["strip", "narrow", "4"]]
+    for row in rows:
+        rounds, panels, nodes = map(int, row[3:])
+        assert 1 <= rounds <= 3 and nodes == 21 * panels
+
+
+def test_quadrature_rounds_rejects_unknown_example(monkeypatch, capsys):
+    assert run_script(monkeypatch, "quadrature_rounds.py", "hw", "bogus") == 2
+    err = capsys.readouterr().err
+    assert "unknown example 'bogus'" in err and "usage:" in err
