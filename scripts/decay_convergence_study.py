@@ -36,7 +36,8 @@ def main():
     prior = uniform_prior(model, -3.0, 3.0)
     event = event_at_least(0.5)
     mle = limiting_mle(prior, MU0)
-    target = mle.value - log_likelihood(model.family, model.map(0.5), MU0)
+    theta_end = model.map(0.5)
+    target = mle.value - log_likelihood(model.family, theta_end, MU0)
     print(f"event infimum of the rate function: {target:.10f}")
     print(f"{'n':>7} {'r_n':>12} {'r_n - target':>14}")
     schedule = tuple(64 * 2 ** k for k in range(doublings))

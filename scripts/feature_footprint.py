@@ -51,7 +51,8 @@ landau_dual_numeric_cumulant(0.5)
 from expldp import builtin_model, cumulant, posterior_mass, uniform_prior
 from expldp.models import event_interval
 model = builtin_model("strip-curve")
-cumulant(model.family, model.map(0.5))
+theta = model.map(0.5)
+cumulant(model.family, theta)
 posterior_mass(uniform_prior(model, 0.0, 1.0), [0.3, 0.5], 64,
                event_interval(0.0, 0.12))
 """,

@@ -103,9 +103,7 @@ def legendre_cmd(family_name, t_text, constraint_name, as_json):
         if constraint_name is None:
             res = legendre.conjugate(family, t)
         else:
-            res = legendre.conjugate_constrained(
-                family, legendre.ConstraintSet.curve(model), t
-            )
+            res = legendre.conjugate_constrained(model, t)
     except ExpLdpError as exc:
         raise click.UsageError(str(exc))
     if as_json:

@@ -1,11 +1,14 @@
 """Numerical convex conjugation.
 
 The conjugate kappa*(t) = sup_theta {theta.t - kappa(theta)} is computed by
-damped Newton on the strictly concave log-likelihood over the full domain;
-the constrained variant kappa*_B restricts the supremum to a model's
-parametrized curve (a scan of the model coordinate whose local maxima are
-polished by a derivative root).  An affine subfamily is a model whose map
-is affine, such as ``hw-line``, and takes the same curve path.
+damped Newton on the strictly concave log-likelihood over the full domain,
+``conjugate(family, t)``.  The constrained variant kappa*_B,
+``conjugate_constrained(model, t, intervals=None)``, restricts the supremum
+to a model's parametrized curve in the family the model carries (a scan of
+the model coordinate whose local maxima are polished by a derivative
+root); ``curve_loglik(model, t)`` and ``curve_dloglik(model, t)`` are the
+curve's log-likelihood and its derivative.  An affine subfamily is a model
+whose map is affine, such as ``hw-line``, and takes the same curve path.
 
 ``scan_maximize``, the package's one 1-D maximizer, also serves the
 posterior peaks in ``models``.  It polishes its maxima with two routines
@@ -64,21 +67,14 @@ class LegendreResult:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Constraint B for kappa*_B: the full domain, or a model's
-    parametrized curve restricted to coordinate intervals."""
+    """Constraint B of the grid oracle: only the full domain, ``full()``.
+    A curve constraint is a model, passed to ``conjugate_constrained``."""
 
-    kind: str                         # "full" | "curve"
-    model: object | None = None              # duck-typed CurvedModel
-    intervals: tuple | None = None            # model-coordinate restriction
+    kind: str                         # "full"
 
     @staticmethod
     def full() -> "ConstraintSet":
         return ConstraintSet(kind="full")
-
-    @staticmethod
-    def curve(model, intervals=None) -> "ConstraintSet":
-        ivs = tuple(intervals) if intervals is not None else tuple(model.coord_intervals)
-        return ConstraintSet(kind="curve", model=model, intervals=ivs)
 
 
 def _require_mean_point(family, t):
@@ -184,19 +180,13 @@ def conjugate(family, t) -> LegendreResult:
     )
 
 
-def conjugate_constrained(family, constraint: ConstraintSet, t) -> LegendreResult:
-    """kappa*_B(t) = sup over the constraint set of l(.; t).  A curve
-    constraint must be a model of ``family`` itself."""
-    tt = _require_mean_point(family, t)
-    if constraint.kind == "full":
-        return conjugate(family, tt)
-    if constraint.kind == "curve":
-        model = constraint.model
-        if model.family is not family:
-            raise ValueError(f"{model.name} is a curve in {model.family.name}, "
-                             f"not in {family.name}")
-        return _maximize_on_curve(family, model, tt, constraint.intervals)
-    raise ValueError(f"unknown constraint kind {constraint.kind!r}")
+def conjugate_constrained(model, t, intervals=None) -> LegendreResult:
+    """kappa*_B(t) = sup of l(.; t) over the model's curve in its family,
+    restricted to the coordinate ``intervals`` (default: the model's
+    coordinate set)."""
+    tt = _require_mean_point(model.family, t)
+    ivs = model.coord_intervals if intervals is None else intervals
+    return _maximize_on_curve(model, tt, ivs)
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +443,14 @@ def _bounded_brent(func, x1, x2, xatol, maxiter):
 CURVE_SCAN = 16
 
 
-def curve_loglik(family, model, t):
+def curve_loglik(model, t):
     """z -> l(eta(z); t) for a coordinate or an array of them, with one
     ``cumulant_many`` call on the images, whose (d, m) array holds one
     coordinate per row.  t.eta(z) is the sum of the per-coordinate
     products t_k eta_k(z) in axis order, elementwise, so a point's value
     does not depend on the array it is in (a BLAS product's rounding
     does)."""
-    kernel = family.payload.cumulant_many
+    kernel = model.family.payload.cumulant_many
     # Python floats: a numpy scalar costs more per product
     coeffs = [float(tk) for tk in t]
 
@@ -484,14 +474,14 @@ def curve_loglik(family, model, t):
     return l_of
 
 
-def curve_dloglik(family, model, t):
+def curve_dloglik(model, t):
     """z -> dl(eta(z); t)/dz = eta'(z).(t - grad kappa(eta(z))) at one
     coordinate: the derivative that polishes curve maxima."""
 
     def dl_of(z):
         z = float(z)
-        grad = t - mean_map(family, model.map(z))
-        return float(model.jacobian(z) @ grad)
+        theta = model.map(z)
+        return float(model.jacobian(z) @ (t - mean_map(model.family, theta)))
 
     return dl_of
 
@@ -533,9 +523,9 @@ class _Candidate:
     attained: bool
 
 
-def _maximize_on_curve(family, model, t, intervals) -> LegendreResult:
-    l_of = curve_loglik(family, model, t)
-    dl_of = curve_dloglik(family, model, t)
+def _maximize_on_curve(model, t, intervals) -> LegendreResult:
+    l_of = curve_loglik(model, t)
+    dl_of = curve_dloglik(model, t)
 
     candidates: list[_Candidate] = []
     iterations = 0

@@ -283,8 +283,8 @@ def _log_masses(prior: Prior, xbar, pieces_num, ns) -> list:
     n, each with its own peak value subtracted and a width that shrinks
     like n^(-1/2)."""
     model = prior.model
-    l_of = legendre.curve_loglik(model.family, model, xbar)
-    dl_of = legendre.curve_dloglik(model.family, model, xbar)
+    l_of = legendre.curve_loglik(model, xbar)
+    dl_of = legendre.curve_dloglik(model, xbar)
     den_peaks = _piece_peaks(l_of, dl_of, prior.support)
     num_peaks = _piece_peaks(l_of, dl_of, pieces_num)
     # one job per sample size, integral and piece, in that order
@@ -411,10 +411,10 @@ class LimitingMle:
     continuity_report: dict
 
 
-def _continuity_check(family, model, z_point, z_inner):
+def _continuity_check(model, z_point, z_inner):
     """kappa at z_point against kappa along the geometric coordinate
     sequence z_point + (z_inner - z_point) 2^-j, j = 1..8."""
-    theta = model.map(z_point)
+    theta, family = model.map(z_point), model.family
     kappa_pt = float(cumulant(family, theta))
     zs = [z_point + (z_inner - z_point) * 2.0 ** -j for j in range(1, 9)]
     seq = [float(cumulant(family, model.map(z))) for z in zs]
@@ -432,19 +432,18 @@ def _continuity_check(family, model, z_point, z_inner):
 def _condition_c(model: CurvedModel):
     """Condition on T = eta(M): every boundary point of dom(kappa) that M
     reaches must be a continuity point for kappa along the curve."""
-    family = model.family
     checks = []
     for iv in model.coord_intervals:
         for z_end, closed in ((iv.lo, iv.lo_closed), (iv.hi, iv.hi_closed)):
             if not (closed and math.isfinite(z_end)):
                 continue
             theta = model.map(z_end)
-            if not family.domain.is_boundary(theta):
+            if not model.family.domain.is_boundary(theta):
                 continue
             z_inner = z_end + (0.5 if z_end == iv.lo else -0.5) * min(
                 1.0, iv.length if iv.bounded else 1.0
             )
-            checks.append(_continuity_check(family, model, z_end, z_inner))
+            checks.append(_continuity_check(model, z_end, z_inner))
     holds = all(c["is_continuity_point"] for c in checks)
     return {"holds": bool(holds), "boundary_points": checks}
 
@@ -455,9 +454,8 @@ def limiting_mle(prior: Prior, mu0) -> LimitingMle:
     model = prior.model
     family = model.family
     mu = as_point(mu0, family.dim, "limit mean")
-    constraint = legendre.ConstraintSet.curve(model, intervals=prior.support)
     # the support is closed, so the maximum over it is attained
-    res = legendre.conjugate_constrained(family, constraint, mu)
+    res = legendre.conjugate_constrained(model, mu, prior.support)
     boundary_flag = not family.domain.interior(res.argmax)
     if not boundary_flag:
         cond_b = {"holds": True, "mode": "interior-maximizer"}
@@ -469,7 +467,7 @@ def limiting_mle(prior: Prior, mu0) -> LimitingMle:
                 inner = z_nu + (0.5 if abs(z_nu - iv.lo) < abs(z_nu - iv.hi) else -0.5) \
                     * min(1.0, iv.length)
                 break
-        check = _continuity_check(family, model, z_nu, inner)
+        check = _continuity_check(model, z_nu, inner)
         cond_b = {
             "holds": bool(check["is_continuity_point"]),
             "mode": "boundary-maximizer",

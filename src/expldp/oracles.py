@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import TooLarge
 from .families import builtin, mean_map
-from .models import ModelEvent
+from .models import ModelEvent, _sample_size
 
 # the sums take O(n) time and memory, but a deep-tail row sums its O(n)
 # pmf terms (``_log_window``), so a tail whose rows are all deep costs
@@ -33,13 +33,15 @@ ENUMERATION_CAP = 2000
 class TrinomialSpec:
     """Sampling law for the three-outcome family: outcome probabilities for
     (0, e1, e2), derived from a natural parameter, plus the event on the
-    constrained-MLE coordinate."""
+    constrained-MLE coordinate.  ``n`` is a sample size: a whole number
+    >= 1, stored as an int."""
 
     n: int
     probabilities: tuple
     event: ModelEvent
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _sample_size(self.n))
         p = np.asarray(self.probabilities, dtype=float)
         if p.size != 3 or np.any(p <= 0.0):
             raise ValueError("need three strictly positive outcome probabilities")
@@ -200,11 +202,9 @@ def multinomial_mle_tail(spec: TrinomialSpec) -> MultinomialTailResult:
     A row whose window mass lies below 1e-200 sums its log pmf terms
     directly, which keeps deep tails finite and exact at O(n) per such row.
     ``outcomes`` counts the terms of the sum over r: n + 1 per run."""
-    n = int(spec.n)
+    n = spec.n
     if n > ENUMERATION_CAP:
         raise TooLarge(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     p0, p1, p2 = spec.probabilities
     r = np.arange(n + 1)
     if p0 < p1 + p2:
@@ -244,7 +244,7 @@ def enumeration_rates(theta0, event: ModelEvent, schedule):
     sum (``multinomial_mle_tail``) per n."""
     rates = []
     for n in schedule:
-        spec = TrinomialSpec.from_theta0(int(n), theta0, event)
+        spec = TrinomialSpec.from_theta0(n, theta0, event)
         rates.append(multinomial_mle_tail(spec).rate)
     return np.array(rates)
 

@@ -113,7 +113,7 @@ def posterior_rate(prior: models.Prior, mu0, grid) -> RateTable:
     )
     values = np.full(grid.shape, INF)
     values[on_support] = mle.value - legendre.curve_loglik(
-        family, prior.model, mu)(grid[on_support])
+        prior.model, mu)(grid[on_support])
     theta0 = legendre.conjugate(family, mu).argmax
     on, direct = grid[on_support], values[on_support]
     excess = (kl_divergence(family, theta0, prior.model.map(on).T)
@@ -173,13 +173,16 @@ def contraction_rate(model: models.CurvedModel, theta0, coord):
     l(eta(c); t*) by more than FIBER_TOL * (1 + |l|), UnsupportedModel is
     raised; on an affine model, whose MLE is unique, it never is.  The rate
     is +inf outside the model's coordinate set, which the MLE never takes,
-    and where kappa(theta0) is +inf.
+    and where kappa(theta0) is +inf.  A NaN coordinate raises ValueError.
     """
     family = model.family
     th0 = as_point(theta0, family.dim, "theta0")
     if not family.domain.interior(th0):
         raise OutsideDomain(f"theta0={th0} is not interior for {family.name}")
     coords = np.asarray(coord, dtype=float)
+    nan = np.flatnonzero(np.isnan(coords))
+    if nan.size:
+        raise ValueError(f"coordinate {int(nan[0])} is NaN")
     values = np.full(coords.shape, INF)
     if cumulant(family, th0) < INF:
         # Python floats: the map of a huge coordinate overflows without a warning
@@ -211,13 +214,12 @@ def _fiber_minimum(model, th0, c):
         map=lambda s: (th0 + np.multiply.outer(s, a)).T,
         jacobian=lambda s: a, coord_intervals=(s_set,))
     try:
-        dual = legendre.conjugate_constrained(
-            family, legendre.ConstraintSet.curve(line), t_c)
+        dual = legendre.conjugate_constrained(line, t_c)
     except NoConvergence as exc:
         raise NoConvergence(f"the contraction dual did not converge at "
                             f"coordinate {c} on {model.name}: {exc}") from exc
     # s = 0 is feasible and gives 0, so the supremum is never below it
-    rate = max(dual.value - legendre.curve_loglik(family, line, t_c)(0.0), 0.0)
+    rate = max(dual.value - legendre.curve_loglik(line, t_c)(0.0), 0.0)
     s = dual.coordinate
     mean, hess = families._moments(family, line.map(s))
     t_star = mean
@@ -228,8 +230,7 @@ def _fiber_minimum(model, th0, c):
         # the mean of P_theta0, which is not on H_c
         t_star = mean + (a @ (t_c - mean)) / (a @ hess @ a) * (hess @ a)
     at_c = log_likelihood(family, eta, t_star)
-    best = legendre.conjugate_constrained(
-        family, legendre.ConstraintSet.curve(model), t_star)
+    best = legendre.conjugate_constrained(model, t_star)
     if best.value > at_c + FIBER_TOL * (1.0 + abs(at_c)):
         raise UnsupportedModel(
             f"on {model.name} the MLE at the dual minimizer t*={t_star} for {c} "
@@ -242,19 +243,16 @@ def _fiber_minimum(model, th0, c):
 # ---------------------------------------------------------------------------
 
 
-def pythagorean_residual(family: GeneratingFamily, constraint, theta0, theta,
-                         mu0):
+def pythagorean_residual(model: models.CurvedModel, theta, mu0):
     """D(P_theta0||P_theta) - D(P_theta0||P_theta_nu) - D(P_theta_nu||P_theta)
-    with theta_nu the constrained maximizer for mu0.  Vanishes identically
-    on affine models; bounded away from zero on genuinely curved ones.
-    One point theta gives a float and an (m, d) stack of them an array;
-    theta_nu is solved once per call."""
-    th0 = as_point(theta0, family.dim, "theta0")
-    mu = as_point(mu0, family.dim, "mu0")
-    grad0 = mean_map(family, th0)
-    if np.max(np.abs(grad0 - mu)) > 1e-8:
-        raise ValueError(f"mu0={mu} is not the mean of theta0={th0} (got {grad0})")
-    res = legendre.conjugate_constrained(family, constraint, mu)
+    in the model's family, with theta0 = grad kappa*(mu0) and theta_nu the
+    maximizer for mu0 on the model's curve.  Vanishes identically on affine
+    models; bounded away from zero on genuinely curved ones.  One point
+    theta gives a float and an (m, d) stack of them an array; theta0 and
+    theta_nu are solved once per call."""
+    family = model.family
+    th0 = legendre.conjugate(family, mu0).argmax
+    res = legendre.conjugate_constrained(model, mu0)
     if res.argmax is None:
         raise ValueError("constrained maximizer not attained; no decomposition")
     theta_nu = res.argmax

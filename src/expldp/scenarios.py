@@ -72,10 +72,8 @@ def _build_hardy_weinberg():
         },
     )
 
-    theta0 = legendre.conjugate(family, mu0).argmax
     zs = np.linspace(-2.0, 2.0, 50)
-    residuals = rates.pythagorean_residual(
-        family, legendre.ConstraintSet.curve(model), theta0, model.map(zs).T, mu0)
+    residuals = rates.pythagorean_residual(model, model.map(zs).T, mu0)
     rows = list(zip(zs.tolist(), residuals.tolist()))
     table_pyta = Table(
         name="pythagoras",
@@ -131,8 +129,8 @@ def _build_gauss_mean_eq_sd():
     rate_at = dict(rows)
     gap_rows = []
     for c in GAUSS_GAP_COORDS:
-        tilde = rate_at[c]
-        direct = rates.kl_divergence(model.family, model.map(c), theta0)
+        tilde, theta = rate_at[c], model.map(c)
+        direct = rates.kl_divergence(model.family, theta, theta0)
         gap_rows.append((c, tilde, direct, direct - tilde))
     table_gap = Table(
         name="sanov_gap",

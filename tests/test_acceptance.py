@@ -5,11 +5,13 @@ subcommand.  The criterion tests share one full ``verify_suite`` run, so
 each scenario is built once for the whole module, as in ``expldp verify``."""
 
 import dataclasses
+import math
 from collections import Counter
 
 import pytest
 
 from expldp import acceptance, scenarios
+from expldp.tables import Table
 
 
 def _count_builds(mp):
@@ -42,6 +44,17 @@ def _run(suite, name):
 def test_criterion_1_closed_form_reproduction(suite):
     result = _run(suite, "1-closed-form-hw")
     assert result.seconds < 1.0
+
+
+@pytest.mark.parametrize("dz, drate, passed", [
+    (0.0, 0.0, True), (1e-3, 0.0, False), (0.0, 1e-6, False),
+])
+def test_criterion_1_reads_the_hw_posterior_table(dz, drate, passed):
+    # theta_nu = (z, -z) from the table's metadata, the rate from its z = 0 row
+    z, kl = math.log(11.0 / 9.0) + dz, acceptance._binomial_kl_two_trials(0.55, 0.5)
+    table = Table("posterior_rate", ("coordinate", "rate"),
+                  [(-0.5, 1.0), (0.0, kl + drate)], {"theta_nu": [z, -z]})
+    assert acceptance.check_closed_form_hw({"posterior_rate": table}).passed == passed
 
 
 def test_criterion_2_posterior_decay_convergence(suite):

@@ -29,7 +29,7 @@ GAUSS_PARABOLA = builtin("gauss-parabola")
 LANDAU = builtin("landau-dual")
 
 # the affine subfamily theta = (z, -z), solved as the curve of its model
-HW_LINE = ConstraintSet.curve(builtin_model("hw-line"))
+HW_LINE = builtin_model("hw-line")
 LOG_11_9 = math.log(11.0 / 9.0)
 
 
@@ -155,7 +155,7 @@ class TestConjugate:
 
 class TestConstrainedAffine:
     def test_hw_line_paper_formula(self):
-        res = conjugate_constrained(HW, HW_LINE, [0.3, 0.2])
+        res = conjugate_constrained(HW_LINE, [0.3, 0.2])
         assert res.argmax[0] == pytest.approx(LOG_11_9, abs=1e-9)
         assert res.argmax[1] == pytest.approx(-LOG_11_9, abs=1e-9)
         # value computed from the closed form l(theta_nu; t)
@@ -163,7 +163,7 @@ class TestConstrainedAffine:
         assert res.value == pytest.approx(expected, abs=1e-12)
 
     def test_symmetric_data_gives_zero(self):
-        res = conjugate_constrained(HW, HW_LINE, [0.27, 0.27])
+        res = conjugate_constrained(HW_LINE, [0.27, 0.27])
         assert res.argmax[0] == pytest.approx(0.0, abs=1e-11)
 
     def test_stationarity_orthogonal_to_line(self, rng):
@@ -171,7 +171,7 @@ class TestConstrainedAffine:
         for _ in range(10):
             x = rng.uniform(0.05, 0.5)
             y = rng.uniform(0.05, min(0.5, 0.95 - x))
-            res = conjugate_constrained(HW, HW_LINE, [x, y])
+            res = conjugate_constrained(HW_LINE, [x, y])
             defect = float((mean_map(HW, res.argmax) - [x, y]) @ direction)
             assert abs(defect) <= 1e-9
 
@@ -179,14 +179,14 @@ class TestConstrainedAffine:
         for _ in range(10):
             x = rng.uniform(0.05, 0.6)
             y = rng.uniform(0.05, min(0.6, 0.9 - x))
-            con = conjugate_constrained(HW, HW_LINE, [x, y]).value
+            con = conjugate_constrained(HW_LINE, [x, y]).value
             unc = conjugate(HW, [x, y]).value
             assert con <= unc + 1e-12
 
 
 class TestConstrainedCurve:
     def test_hw_line_coordinate_is_paper_root(self):
-        res = conjugate_constrained(HW, HW_LINE, [0.3, 0.2])
+        res = conjugate_constrained(HW_LINE, [0.3, 0.2])
         assert res.converged
         assert res.coordinate == pytest.approx(LOG_11_9, abs=1e-10)
 
@@ -194,16 +194,13 @@ class TestConstrainedCurve:
         # the first-order condition at data (1, 2) has unique positive
         # solution (1 + sqrt(1 + 8)) / 4 = 1
         model = builtin_model("gauss-mean-eq-sd")
-        res = conjugate_constrained(
-            GAUSS_PARABOLA, ConstraintSet.curve(model), [1.0, 2.0]
-        )
+        res = conjugate_constrained(model, [1.0, 2.0])
         assert res.coordinate == pytest.approx(1.0, abs=1e-9)
         assert not res.multiplicity_flag
 
     def test_support_restriction_hits_endpoint(self):
         model = builtin_model("hw-line")
-        constraint = ConstraintSet.curve(model, intervals=(Interval(0.5, 3.0),))
-        res = conjugate_constrained(HW, constraint, [0.3, 0.2])
+        res = conjugate_constrained(model, [0.3, 0.2], (Interval(0.5, 3.0),))
         assert res.converged
         assert res.coordinate == pytest.approx(0.5, abs=1e-12)
 
@@ -212,10 +209,9 @@ class TestConstrainedCurve:
         # the supremum is approached at the open end and must be reported
         # unattained
         model = builtin_model("hw-line")
-        constraint = ConstraintSet.curve(
-            model, intervals=(Interval(-1.0, 0.15, hi_closed=False),)
+        res = conjugate_constrained(
+            model, [0.3, 0.2], (Interval(-1.0, 0.15, hi_closed=False),)
         )
-        res = conjugate_constrained(HW, constraint, [0.3, 0.2])
         assert not res.converged
         assert res.argmax is None
         from expldp import log_likelihood
@@ -228,18 +224,9 @@ class TestConstrainedCurve:
         # support closed at z=0 maps to the listed boundary point (0, 1);
         # the candidate there is evaluated directly and loses to the interior
         model = builtin_model("strip-curve")
-        strip = builtin("strip-measure")
-        constraint = ConstraintSet.curve(model, intervals=(Interval(0.0, 1.0),))
-        res = conjugate_constrained(strip, constraint, [0.3, 0.5])
+        res = conjugate_constrained(model, [0.3, 0.5], (Interval(0.0, 1.0),))
         assert res.converged
         assert 0.9 < res.coordinate <= 1.0
-
-    def test_curve_of_another_family_rejected(self):
-        # the gauss-mean-eq-sd curve lives in gauss-parabola; read as a
-        # curve of Hardy–Weinberg it would give a meaningless supremum
-        curve = ConstraintSet.curve(builtin_model("gauss-mean-eq-sd"))
-        with pytest.raises(ValueError, match="not in hardy-weinberg-saturated"):
-            conjugate_constrained(HW, curve, [0.3, 0.2])
 
 
 class TestScanMaximize:
@@ -437,7 +424,7 @@ def test_curve_loglik_is_independent_of_the_batch(name, t, lo, hi):
     # t.eta(z) is summed elementwise, not by a BLAS product, whose rounding
     # depends on the number of columns
     model = builtin_model(name)
-    l_of = legendre.curve_loglik(model.family, model, np.array(t))
+    l_of = legendre.curve_loglik(model, np.array(t))
     zs = np.linspace(lo, hi, 1000)
     stacked = l_of(zs)
     assert np.all(np.isfinite(stacked))
@@ -497,7 +484,7 @@ class TestGridOracle:
 
     def test_curve_constraint_rejected(self):
         # the grid oracle has no curve form
-        curve = ConstraintSet.curve(builtin_model("gauss-mean-eq-sd"))
+        curve = ConstraintSet(kind="curve")
         with pytest.raises(ValueError):
             conjugate_grid_oracle(GAUSS_PARABOLA, curve, [1.0, 2.0], ((0.5, 2.0, 11),))
 
@@ -582,7 +569,7 @@ def test_constrained_continuity_modulus(rng):
     values = []
     norms = []
     for t in ts:
-        res = conjugate_constrained(HW, HW_LINE, t)
+        res = conjugate_constrained(HW_LINE, t)
         values.append(res.value)
         norms.append(np.linalg.norm(res.argmax))
     lip = max(norms) + 1e-6

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from expldp import (
-    ConstraintSet,
     ModelEvent,
     builtin_model,
     conjugate_constrained,
@@ -259,8 +258,8 @@ class TestStripMassAgainstMpmath:
         prior = uniform_prior(builtin_model("strip-curve"), 0.0, 1.0)
         model = prior.model
         mu = np.array([0.3, 0.5])
-        l_of = legendre.curve_loglik(model.family, model, mu)
-        dl_of = legendre.curve_dloglik(model.family, model, mu)
+        l_of = legendre.curve_loglik(model, mu)
+        dl_of = legendre.curve_dloglik(model, mu)
         (_, _, peak, _), = models._piece_peaks(l_of, dl_of, prior.support)
         mass = models.log_posterior_mass(
             prior, mu, n,
@@ -495,7 +494,5 @@ class TestNarrowSupport:
 
     def test_constrained_conjugate(self, narrow):
         model = narrow.model
-        res = conjugate_constrained(
-            model.family, ConstraintSet.curve(model, intervals=narrow.support), MU0
-        )
+        res = conjugate_constrained(model, MU0, narrow.support)
         assert res.converged and res.coordinate == 1.0

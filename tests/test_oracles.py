@@ -23,6 +23,23 @@ class TestTrinomialSpec:
             TrinomialSpec(n=3, probabilities=(0.5, 0.5, 0.1),
                           event=event_at_least(0.0))
 
+    @pytest.mark.parametrize("n", [2.5, 0, -3, math.nan])
+    def test_sample_size_must_be_whole_and_positive(self, n):
+        # the rule of decay schedules: 2.5 is not truncated to the n = 2 tail
+        with pytest.raises(ValueError, match="whole number >= 1"):
+            TrinomialSpec.from_theta0(n, [0.0, 0.0], event_at_least(0.5))
+        with pytest.raises(ValueError, match="whole number >= 1"):
+            enumeration_rates([0.0, 0.0], event_at_least(0.5), [4, n])
+
+    @pytest.mark.parametrize("n, whole", [(100.0, 100), (np.int64(3), 3)])
+    def test_whole_sample_sizes_are_ints(self, n, whole):
+        spec = TrinomialSpec.from_theta0(n, [0.0, 0.0], event_at_least(0.5))
+        assert type(spec.n) is int and spec.n == whole
+        tail = multinomial_mle_tail(spec)
+        assert tail.outcomes == whole + 1
+        assert tail == multinomial_mle_tail(
+            TrinomialSpec.from_theta0(whole, [0.0, 0.0], event_at_least(0.5)))
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 200])

@@ -145,8 +145,8 @@ def _schedule_jobs(name, mu0, pieces, ns):
     them."""
     model = builtin_model(name)
     mu0 = np.array(mu0)
-    l_of = legendre.curve_loglik(model.family, model, mu0)
-    dl_of = legendre.curve_dloglik(model.family, model, mu0)
+    l_of = legendre.curve_loglik(model, mu0)
+    dl_of = legendre.curve_dloglik(model, mu0)
     peaks = models._piece_peaks(l_of, dl_of, pieces)
     jobs = [(a, b, peak, 1.0 / np.sqrt(max(n * curv, (2.0 / (b - a)) ** 2)), n)
             for n in ns for a, b, peak, curv in peaks]

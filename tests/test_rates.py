@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from expldp import (
-    ConstraintSet,
     builtin,
     builtin_model,
     conjugate,
@@ -324,7 +323,8 @@ class TestContractionRate:
         coords = np.linspace(-2.0, 2.0, 9)
         got = contraction_rate(model, theta0, coords)
         for c, rate in zip(coords, got):
-            direct = kl_divergence(model.family, model.map(float(c)), theta0)
+            theta = model.map(float(c))
+            direct = kl_divergence(model.family, theta, theta0)
             assert rate == pytest.approx(direct, abs=1e-12)
 
     def test_array_matches_scalar_calls(self):
@@ -463,8 +463,7 @@ class TestMisspecifiedContraction:
         assert a @ (t_star - mean_map(family, model.map(c))) == pytest.approx(
             0.0, abs=1e-12 * np.linalg.norm(a))
         assert rate == pytest.approx(cramer_rate(family, theta0, t_star), abs=1e-9)
-        mle = legendre.conjugate_constrained(
-            family, ConstraintSet.curve(model), t_star)
+        mle = legendre.conjugate_constrained(model, t_star)
         assert mle.coordinate == pytest.approx(c, abs=1e-9)
         assert contraction_rate(model, theta0, c) == rate
 
@@ -476,8 +475,7 @@ class TestMisspecifiedContraction:
         strip = builtin_model("strip-curve")
         theta0 = [1.0, -0.3]
         mean = mean_map(strip.family, theta0)
-        mle = legendre.conjugate_constrained(
-            strip.family, ConstraintSet.curve(strip), mean)
+        mle = legendre.conjugate_constrained(strip, mean)
         assert mle.coordinate == 1.0
         assert mean[1] < -0.5
         rate_in, rate_end = contraction_rate(strip, theta0, [0.9, 1.0])
@@ -488,6 +486,15 @@ class TestMisspecifiedContraction:
             rates._fiber_minimum(strip, np.array(theta0), 1.0)[1], mean)
         assert contraction_rate(strip, strip.map(0.9), 1.0) > 0.1
 
+    @pytest.mark.parametrize("coord, index", [
+        ([0.5, math.nan], 1), ([math.nan, 0.5, math.nan], 0), (math.nan, 0),
+    ])
+    def test_nan_coordinate_is_named(self, coord, index):
+        # a NaN coordinate is an error, as a NaN grid point of posterior_rate
+        # is, not the rate +inf of a coordinate outside the model
+        with pytest.raises(ValueError, match=f"coordinate {index} is NaN"):
+            contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), coord)
+
     def test_infinite_cumulant_at_theta0_gives_inf(self):
         # e^800 overflows: kappa(theta0) is +inf, and so is every rate, not NaN
         model = builtin_model("poisson-line")
@@ -497,30 +504,18 @@ class TestMisspecifiedContraction:
 
 class TestPythagoreanResidual:
     def test_exact_zero_at_theta_nu(self):
-        theta0 = conjugate(HW, MU0).argmax
-        constraint = ConstraintSet.curve(HW_LINE_MODEL)
-        res = pythagorean_residual(
-            HW, constraint, theta0, [LOG_11_9, -LOG_11_9], MU0
-        )
+        res = pythagorean_residual(HW_LINE_MODEL, [LOG_11_9, -LOG_11_9], MU0)
         assert res == pytest.approx(0.0, abs=1e-12)
 
     def test_affine_identity_on_grid(self):
-        theta0 = conjugate(HW, MU0).argmax
-        constraint = ConstraintSet.curve(HW_LINE_MODEL)
         for z in np.linspace(-2.0, 2.0, 50):
-            res = pythagorean_residual(
-                HW, constraint, theta0, HW_LINE_MODEL.map(float(z)), MU0
-            )
+            res = pythagorean_residual(HW_LINE_MODEL, HW_LINE_MODEL.map(float(z)), MU0)
             assert abs(res) < 1e-10
 
     def test_curved_constraint_breaks_identity(self):
         mu0 = np.array([1.0, 3.0])
-        theta0 = conjugate(GAUSS_PARABOLA, mu0).argmax
-        constraint = ConstraintSet.curve(GAUSS_MODEL)
         residuals = [
-            abs(pythagorean_residual(
-                GAUSS_PARABOLA, constraint, theta0, GAUSS_MODEL.map(float(z)), mu0
-            ))
+            abs(pythagorean_residual(GAUSS_MODEL, GAUSS_MODEL.map(float(z)), mu0))
             for z in np.linspace(0.3, 3.0, 25)
         ]
         assert max(residuals) > 1e-3
@@ -530,37 +525,30 @@ class TestPythagoreanResidual:
         (GAUSS_MODEL, [1.0, 3.0], 0.3, 3.0),
     ])
     def test_stack_equals_the_rows(self, model, mu0, lo, hi):
-        family = model.family
-        theta0 = conjugate(family, mu0).argmax
-        constraint = ConstraintSet.curve(model)
         zs = np.linspace(lo, hi, 25)
-        loop = [pythagorean_residual(family, constraint, theta0,
-                                     model.map(float(z)), mu0) for z in zs]
-        stack = pythagorean_residual(family, constraint, theta0,
-                                     model.map(zs).T, mu0)
+        loop = [pythagorean_residual(model, model.map(float(z)), mu0) for z in zs]
+        stack = pythagorean_residual(model, model.map(zs).T, mu0)
         assert stack.shape == zs.shape
         assert _bits(stack) == _bits(loop)
 
     def test_stack_solves_the_maximizer_once(self, monkeypatch):
         calls = []
-        original = legendre.conjugate_constrained
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return original(*args, **kwargs)
+        def counted(name):
+            original = getattr(legendre, name)
 
-        monkeypatch.setattr(legendre, "conjugate_constrained", counted)
-        theta0 = conjugate(HW, MU0).argmax
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("conjugate", "conjugate_constrained"):
+            monkeypatch.setattr(legendre, name, counted(name))
         zs = np.linspace(-2.0, 2.0, 50)
-        res = pythagorean_residual(HW, ConstraintSet.curve(HW_LINE_MODEL), theta0,
-                                   HW_LINE_MODEL.map(zs).T, MU0)
+        res = pythagorean_residual(HW_LINE_MODEL, HW_LINE_MODEL.map(zs).T, MU0)
         assert res.shape == (50,) and np.all(np.abs(res) < 1e-10)
-        assert len(calls) == 1
-
-    def test_mean_mismatch_rejected(self):
-        constraint = ConstraintSet.curve(HW_LINE_MODEL)
-        with pytest.raises(ValueError):
-            pythagorean_residual(HW, constraint, [0.0, 0.0], [0.1, -0.1], MU0)
+        # theta0 = grad kappa*(mu0) and theta_nu, each once
+        assert sorted(calls) == ["conjugate", "conjugate_constrained"]
 
 
 class TestDuality:

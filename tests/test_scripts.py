@@ -20,6 +20,17 @@ def run_script(monkeypatch, name, *args):
     return 0
 
 
+def test_run_all_scenarios_writes_the_golden_files(monkeypatch, capsys, tmp_path):
+    assert run_script(monkeypatch, "run_all_scenarios.py", str(tmp_path)) == 0
+    golden = Path(__file__).resolve().parent / "golden"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in golden.iterdir())
+    for scenario in golden.iterdir():
+        assert sorted(p.name for p in (tmp_path / scenario.name).iterdir()) == sorted(
+            p.name for p in scenario.iterdir())
+    assert capsys.readouterr().out.count(" files in ") == 4
+
+
 def test_decay_convergence_study_runs(monkeypatch, capsys):
     assert run_script(monkeypatch, "decay_convergence_study.py", "2") == 0
     assert "extrapolated:" in capsys.readouterr().out
