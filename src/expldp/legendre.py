@@ -4,19 +4,21 @@ The conjugate kappa*(t) = sup_theta {theta.t - kappa(theta)} is computed by
 damped Newton on the strictly concave log-likelihood over the full domain,
 ``conjugate(family, t)``.  The constrained variant kappa*_B,
 ``conjugate_constrained(model, t, intervals=None)``, restricts the supremum
-to a model's parametrized curve in the family the model carries (a scan of
-the model coordinate whose local maxima are polished by a derivative
-root); ``curve_loglik(model, t)`` and ``curve_dloglik(model, t)`` are the
+to a model's parametrized curve in the family the model carries;
+``curve_loglik(model, t)`` and ``curve_dloglik(model, t)`` are the
 curve's log-likelihood and its derivative.  An affine subfamily is a model
 whose map is affine, such as ``hw-line``, and takes the same curve path.
 
-``scan_maximize``, the package's one 1-D maximizer, also serves the
-posterior peaks in ``models``.  It polishes its maxima with two routines
-ported from scipy 1.17 operation for operation, which give the same
-floats without importing scipy's optimize subpackage: ``_brentq`` is
-scipy's ``brentq`` (its C source ``Zeros/brentq.c``), and
-``_bounded_brent`` is scipy's ``minimize_scalar(method="bounded")`` (the
-Python function ``_minimize_scalar_bounded``).
+``scan_window``, the package's one 1-D maximizer, also serves the
+posterior peaks in ``models``: one scan per coordinate window tried, and
+one polish (``scan_maximize``) of the window it accepts.  A curve
+conjugate leaves maxima at the scan's ends to its endpoint candidates.
+The polish uses two routines ported from scipy 1.17 operation for
+operation, which give the same floats without importing scipy's optimize
+subpackage: ``_brentq`` is scipy's ``brentq`` (its C source
+``Zeros/brentq.c``), and ``_bounded_brent`` is scipy's
+``minimize_scalar(method="bounded")`` (the Python function
+``_minimize_scalar_bounded``).
 
 When the supremum over a non-closed constraint set is approached but not
 attained, the result reports the supremum with ``converged=False`` and no
@@ -33,7 +35,6 @@ import numpy as np
 from . import families
 from .errors import MeanOutsideDomain, NoConvergence, NumericsError, OutsideDomain
 from .families import as_point, mean_map
-from .intervals import Interval
 
 # the contract requires gradient norm <= 1e-10 at convergence; aiming two
 # orders tighter keeps directional stationarity residuals below 1e-10 even
@@ -194,31 +195,71 @@ def conjugate_constrained(model, t, intervals=None) -> LegendreResult:
 # ---------------------------------------------------------------------------
 
 
-def scan_maximize(f, lo, hi, n, df=None):
+def scan_window(iv, f, df, n):
+    """(maxima, lo, hi): the maxima of f on the scan window [lo, hi] of
+    the non-degenerate coordinate interval ``iv``, as ``scan_maximize``
+    gives them, from one scan of n points per window tried.
+
+    A bounded interval is its own window.  An unbounded one starts at
+    width 2 around its finite end, or around 0, so its finite end stays
+    in every window, and doubles until the best scan point is finite and
+    is not a window end that can still move out; NoConvergence after 64
+    windows.  Both ends of a window move in by 1e-12 of its endpoints'
+    scale, but at most a quarter of its width, so an open end is never
+    scanned.  Only the accepted window's maxima are polished.
+    """
+    center = (iv.lo + 1.0 if math.isfinite(iv.lo)
+              else iv.hi - 1.0 if math.isfinite(iv.hi) else 0.0)
+    for k in range(64):
+        a = iv.lo if iv.bounded else max(iv.lo, center - 2.0 ** k)
+        b = iv.hi if iv.bounded else min(iv.hi, center + 2.0 ** k)
+        inset = min(1e-12 * max(1.0, abs(a), abs(b)), 0.25 * (b - a))
+        lo, hi = a + inset, b - inset
+        xs, vals = _scan(f, lo, hi, n)
+        best = int(np.argmax(vals))
+        if iv.bounded or (vals[best] > -math.inf and not (
+                best == 0 and a > iv.lo or best == n - 1 and b < iv.hi)):
+            return _maxima(f, df, xs, vals), lo, hi
+    raise NoConvergence(
+        "could not bracket the constrained maximum on an unbounded window"
+    )
+
+
+def scan_maximize(f, lo, hi, n, df):
     """Polished local maxima of f on [lo, hi] as (x, f(x)) pairs, best first.
 
     ``f`` takes the n equispaced scan points as one array in one call, and
     a float in the polish; non-finite values count as -inf.  Every scan
     point at least as high as both neighbours is a maximum.  At the first
-    or last scan point, where ``df`` is given and points out of the window
-    (df <= 0 at the first point, df >= 0 at the last), the maximum is
-    that end point itself, with no polish.  Every other maximum is
-    polished on its two neighbouring cells: by ``_brentq`` (scipy's
-    ``brentq``) on ``df`` when ``df`` is given and its signs bracket a
-    root there, otherwise by ``_bounded_brent`` (scipy's bounded
-    ``minimize_scalar``) on -f.  A scan that is -inf everywhere gives no
-    maxima.
+    or last scan point, where ``df`` points out of the window (df <= 0 at
+    the first point, df >= 0 at the last), the maximum is that end point
+    itself, with no polish.  Every other maximum is polished on its two
+    neighbouring cells: by ``_brentq`` (scipy's ``brentq``) on ``df``
+    where its signs bracket a root there, otherwise by ``_bounded_brent``
+    (scipy's bounded ``minimize_scalar``) on -f.  A scan that is -inf
+    everywhere gives no maxima.
     """
+    return _maxima(f, df, *_scan(f, lo, hi, n))
+
+
+def _scan(f, lo, hi, n):
+    """The n equispaced points of [lo, hi] and f on them, with every
+    non-finite value as -inf."""
     xs = np.linspace(lo, hi, n)
     vals = np.asarray(f(xs), dtype=float)
-    vals = np.where(np.isfinite(vals), vals, -math.inf)
+    return xs, np.where(np.isfinite(vals), vals, -math.inf)
+
+
+def _maxima(f, df, xs, vals):
+    """``scan_maximize``'s maxima from its scan points and values."""
+    n = len(xs)
     padded = np.concatenate(([-math.inf], vals, [-math.inf]))
     peaks = np.flatnonzero(
         (vals > -math.inf) & (vals >= padded[:-2]) & (vals >= padded[2:])
     )
     maxima = [
         (float(xs[i]), float(vals[i]))
-        if df is not None and i in (0, n - 1) and _points_out(df, xs[i], i == 0)
+        if i in (0, n - 1) and _points_out(df, xs[i], i == 0)
         else _polish(f, df, xs[max(i - 1, 0)], xs[min(i + 1, n - 1)])
         for i in peaks
     ]
@@ -236,12 +277,6 @@ def _points_out(df, x, first):
     return slope <= 0.0 if first else slope >= 0.0
 
 
-def scan_inset(lo, hi):
-    """How far inside [lo, hi] a scan of an interval starts and ends:
-    1e-12 of the endpoints' scale, but at most a quarter of the width."""
-    return min(1e-12 * max(1.0, abs(lo), abs(hi)), 0.25 * (hi - lo))
-
-
 # iterations of a polish: on a window of width 2e300, brentq takes about
 # 1050 steps to its tolerances and the bounded Brent about 1300
 POLISH_MAXITER = 4000
@@ -256,18 +291,17 @@ def _polish(f, df, a, b):
     ``_bounded_brent`` with xatol = 1e-12.  Both stop after
     ``POLISH_MAXITER`` iterations.
     """
-    if df is not None:
-        try:
-            fb = df(b)
-            root, converged = (
-                _brentq(df, a, b, fa, fb, 1e-14, 8.9e-16, POLISH_MAXITER)
-                if -math.inf < fb < 0.0 < (fa := df(a)) < math.inf else (None, None))
-        except (OutsideDomain, ValueError):
-            root = None
-        if root is not None:
-            if not converged:
-                raise NoConvergence(f"root polish on [{a}, {b}]: convergence error")
-            return root, float(f(root))
+    try:
+        fb = df(b)
+        root, converged = (
+            _brentq(df, a, b, fa, fb, 1e-14, 8.9e-16, POLISH_MAXITER)
+            if -math.inf < fb < 0.0 < (fa := df(a)) < math.inf else (None, None))
+    except (OutsideDomain, ValueError):
+        root = None
+    if root is not None:
+        if not converged:
+            raise NoConvergence(f"root polish on [{a}, {b}]: convergence error")
+        return root, float(f(root))
 
     def negated(x):
         v = f(x)
@@ -460,7 +494,8 @@ def curve_loglik(model, t):
         kappas = kernel(thetas)
         # np.maximum propagates NaN, and its reduce costs less than
         # isnan(...).any() on the one-point calls of a polish
-        if math.isnan(np.maximum.reduce(kappas, axis=None, initial=-math.inf)):
+        top = np.maximum.reduce(kappas, axis=None, initial=-math.inf)
+        if math.isnan(top):
             raise NumericsError(f"cumulant NaN on {model.name}")
         # |t.theta| past the largest double rounds to +-inf, its correctly
         # rounded value (t = (1, 3) on theta = (z, -z^2/2) at z ~ 1e154)
@@ -468,7 +503,10 @@ def curve_loglik(model, t):
             vals = thetas[0] * coeffs[0]
             for coord, tk in zip(thetas[1:], coeffs[1:]):
                 vals = vals + coord * tk
-            vals = vals - kappas
+            # l is -inf where kappa is +inf, also where t.theta is +inf
+            vals = vals - kappas if top < math.inf else np.subtract(
+                vals, kappas, out=np.full_like(vals, -math.inf),
+                where=kappas < math.inf)
         return float(vals[0]) if zs.ndim == 0 else vals.reshape(zs.shape)
 
     return l_of
@@ -484,36 +522,6 @@ def curve_dloglik(model, t):
         return float(model.jacobian(z) @ (t - mean_map(model.family, theta)))
 
     return dl_of
-
-
-def _bounded_window(iv: Interval, l_of):
-    """Finite scan window for one coordinate interval, expanding
-    geometrically for unbounded intervals until the maximum brackets."""
-    if iv.bounded:
-        return iv.lo, iv.hi
-    span = 1.0
-    center = 0.0
-    if math.isfinite(iv.lo):
-        center = iv.lo + 1.0
-    elif math.isfinite(iv.hi):
-        center = iv.hi - 1.0
-    for _ in range(64):
-        lo = max(iv.lo, center - span)
-        hi = min(iv.hi, center + span)
-        vals = l_of(np.linspace(lo, hi, CURVE_SCAN))
-        if np.all(np.isneginf(vals)):
-            span *= 2.0
-            continue
-        # the window brackets the maximum unless its best point is a window
-        # edge that can still move outwards
-        best = int(np.nanargmax(vals))
-        if not ((best == 0 and lo > iv.lo)
-                or (best == CURVE_SCAN - 1 and hi < iv.hi)):
-            return lo, hi
-        span *= 2.0
-    raise NoConvergence(
-        "could not bracket the constrained maximum on an unbounded window"
-    )
 
 
 @dataclass
@@ -533,34 +541,21 @@ def _maximize_on_curve(model, t, intervals) -> LegendreResult:
         if iv.degenerate:
             candidates.append(_Candidate(iv.lo, l_of(iv.lo), True))
             continue
-        lo, hi = _bounded_window(iv, l_of)
-        inset = scan_inset(lo, hi)
-        maxima = scan_maximize(l_of, lo + inset, hi - inset, CURVE_SCAN, dl_of)
+        maxima, lo, hi = scan_window(iv, l_of, dl_of, CURVE_SCAN)
         iterations += len(maxima)
-        for z_star, value in maxima:
-            # only genuinely stationary points count as interior
-            # maximizers; a polish clamped against a window edge is just a
-            # monotone approach to an endpoint, which the endpoint
-            # candidates below handle
-            try:
-                stationary = abs(dl_of(z_star)) <= 1e-6 * (
-                    1.0 + float(np.max(np.abs(t)))
-                )
-            except OutsideDomain:
-                stationary = False
-            if stationary:
-                candidates.append(_Candidate(z_star, value, True))
+        # a maximum at a scan end is a monotone approach to that end of
+        # the window, which the endpoint candidates below stand for
+        candidates += [_Candidate(z, value, True) for z, value in maxima
+                       if lo < z < hi]
         # endpoint candidates: closed endpoints are evaluated exactly (the
         # natural image may be a listed boundary point with finite kappa);
-        # open endpoints contribute only a supremum estimate from inside
-        for z_end, closed in ((iv.lo, iv.lo_closed), (iv.hi, iv.hi_closed)):
-            if not math.isfinite(z_end):
-                continue
-            if closed:
-                candidates.append(_Candidate(z_end, l_of(z_end), True))
-            else:
-                z_in = z_end + inset if z_end == iv.lo else z_end - inset
-                candidates.append(_Candidate(z_in, l_of(z_in), False))
+        # an open endpoint contributes only a supremum estimate at the
+        # scan end beside it
+        for z_end, closed, z_in in ((iv.lo, iv.lo_closed, lo),
+                                    (iv.hi, iv.hi_closed, hi)):
+            if math.isfinite(z_end):
+                z = z_end if closed else z_in
+                candidates.append(_Candidate(z, l_of(z), closed))
     candidates = [c for c in candidates if math.isfinite(c.value)]
     if not candidates:
         raise NoConvergence("constrained likelihood is -inf on the whole set")

@@ -253,17 +253,16 @@ def _sample_size(n) -> int:
 def _piece_peaks(l_of, dl_of, pieces):
     """(lo, hi, peak, curvature) of l = l(eta(.); xbar) on each
     non-degenerate piece where l is finite somewhere: the part of a
-    posterior integral that does not depend on n.  ``dl_of`` is dl/dz, so
-    an interior peak is a root of it, and where l is monotone on a piece
-    the peak is the scan's end."""
+    posterior integral that does not depend on n.  A piece is its own
+    ``legendre.scan_window``, scanned once.  ``dl_of`` is dl/dz, so an
+    interior peak is a root of it, and where l is monotone on a piece the
+    peak is the scan's end."""
     peaks = []
     for iv in pieces:
         if iv.degenerate:
             continue
         a, b = iv.lo, iv.hi
-        inset = legendre.scan_inset(a, b)
-        maxima = legendre.scan_maximize(l_of, a + inset, b - inset, PEAK_SCAN,
-                                        dl_of)
+        maxima, _, _ = legendre.scan_window(iv, l_of, dl_of, PEAK_SCAN)
         if not maxima:
             continue
         peak = maxima[0][0]

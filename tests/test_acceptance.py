@@ -57,6 +57,15 @@ def test_criterion_1_reads_the_hw_posterior_table(dz, drate, passed):
     assert acceptance.check_closed_form_hw({"posterior_rate": table}).passed == passed
 
 
+@pytest.mark.parametrize("affine_max, passed", [(0.0, True), (2e-10, False)])
+def test_criterion_3_reads_the_hw_pythagoras_table(affine_max, passed):
+    # the affine half is the table's max_abs_residual; the curved half is
+    # computed and passes on its own
+    table = Table("pythagoras", ("coordinate", "residual"), [(0.0, affine_max)],
+                  {"max_abs_residual": affine_max})
+    assert acceptance.check_pythagoras({"pythagoras": table}).passed == passed
+
+
 def test_criterion_2_posterior_decay_convergence(suite):
     result = _run(suite, "2-posterior-decay")
     assert result.seconds < 30.0

@@ -228,6 +228,51 @@ class TestConstrainedCurve:
         assert res.converged
         assert 0.9 < res.coordinate <= 1.0
 
+    def test_one_scan_per_window(self, monkeypatch):
+        # the first window of the unbounded hw-line set, [-1, 1], brackets
+        # the maximizer log(11/9): its one scan both accepts the window and
+        # gives the maxima to polish
+        sizes = []
+        curve_loglik = legendre.curve_loglik
+
+        def counted(model, t):
+            l_of = curve_loglik(model, t)
+
+            def counted_l(z):
+                sizes.append(np.size(z) if np.ndim(z) else 0)
+                return l_of(z)
+
+            return counted_l
+
+        monkeypatch.setattr(legendre, "curve_loglik", counted)
+        res = conjugate_constrained(HW_LINE, [0.3, 0.2])
+        assert res.coordinate == pytest.approx(LOG_11_9, abs=1e-10)
+        assert [n for n in sizes if n] == [legendre.CURVE_SCAN]
+
+    def test_maximum_at_the_open_ends_scan_end_is_not_attained(self):
+        # at t = (1e150, 1e301) l falls from the open end z = 0 across the
+        # whole scan window, whose first point is 2e-12 (the MLE, near
+        # 3.7e-151, lies inside that inset): the first point stands for the
+        # supremum approached at the open end, which is not attained
+        res = conjugate_constrained(builtin_model("gauss-mean-eq-sd"), [1e150, 1e301])
+        assert res.value == float.fromhex("-0x1.20d4c2fa8a031p+921")
+        assert not res.converged
+        assert res.argmax is None and res.coordinate is None
+
+    def test_curve_loglik_is_minus_inf_where_kappa_is_inf(self):
+        # kappa(1000) = e^1000 overflows to +inf on the Poisson line, and so
+        # does t.theta = 1e309; the other points keep the family's values
+        zs = [1000.0, 1.0, 2.0, -5.0, 700.0]
+        l_of = legendre.curve_loglik(builtin_model("poisson-line"), [1e306])
+        expected = [log_likelihood(POISSON, [z], [1e306]) for z in zs]
+        assert expected[0] == -math.inf
+        assert l_of(1000.0) == -math.inf
+        assert l_of(np.array(zs)).tolist() == expected
+
+
+def no_slope(x):
+    raise OutsideDomain("no derivative here")
+
 
 class TestScanMaximize:
     def test_evaluates_each_point_once(self, monkeypatch):
@@ -251,7 +296,9 @@ class TestScanMaximize:
             )
             return float(vals) if np.ndim(z) == 0 else vals
 
-        (peak, value), = legendre.scan_maximize(l_of, -3.0, 3.0, 33)
+        # a derivative with no value anywhere leaves the polish to
+        # bounded Brent, whose evaluations are counted
+        (peak, value), = legendre.scan_maximize(l_of, -3.0, 3.0, 33, no_slope)
         assert peak == pytest.approx(LOG_11_9, abs=1e-6)
         assert len(results) == 1
         assert calls.count(33) == 1
@@ -269,7 +316,7 @@ class TestScanMaximize:
         def df(x):
             return -4.0 * x * (x * x - 1.0) + 0.1
 
-        maxima = legendre.scan_maximize(f, -2.0, 2.0, 33)
+        maxima = legendre.scan_maximize(f, -2.0, 2.0, 33, df)
         assert len(maxima) == 2
         (x_hi, v_hi), (x_lo, v_lo) = maxima
         assert 0.9 < x_hi < 1.1 and -1.1 < x_lo < -0.9
@@ -278,7 +325,8 @@ class TestScanMaximize:
 
     @pytest.mark.parametrize("bad", [-math.inf, math.nan])
     def test_scan_that_is_minus_inf_everywhere_gives_nothing(self, bad):
-        maxima = legendre.scan_maximize(lambda x: np.full_like(x, bad), 0.0, 1.0, 16)
+        maxima = legendre.scan_maximize(
+            lambda x: np.full_like(x, bad), 0.0, 1.0, 16, lambda x: 0.0)
         assert maxima == []
 
     def test_bracketing_derivative_polishes_with_brentq(self, monkeypatch):
@@ -316,34 +364,24 @@ class TestScanMaximize:
         assert x == pytest.approx(0.3, abs=1e-14)
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("with_df", [True, False])
-    def test_unconverged_polish_raises(self, monkeypatch, with_df):
+    @pytest.mark.parametrize("brackets", [True, False])
+    def test_unconverged_polish_raises(self, monkeypatch, brackets):
         # a polish cut short of its tolerance raises instead of returning a
-        # rough point (a window of width 2e300 needs about 1000 bisections)
+        # rough point (a window of width 2e300 needs about 1000 bisections);
+        # the root polish runs where df brackets a root, bounded Brent where
+        # df has no value
         def f(x):
             return -np.abs(x - 0.3)
 
         def df(x):
             return -float(np.sign(x - 0.3))
 
-        (x, _), = legendre.scan_maximize(f, -1.0, 1.0, 16, df if with_df else None)
+        slope = df if brackets else no_slope
+        (x, _), = legendre.scan_maximize(f, -1.0, 1.0, 16, slope)
         assert x == pytest.approx(0.3, abs=1e-8)
         monkeypatch.setattr(legendre, "POLISH_MAXITER", 3)
         with pytest.raises(NoConvergence):
-            legendre.scan_maximize(f, -1.0, 1.0, 16, df if with_df else None)
-
-    def test_edge_maximum_falls_back_to_brent(self, monkeypatch):
-        # without df the scan-end rule does not apply: the maximum at the
-        # window's edge is polished by bounded Brent, which stops short of
-        # the edge by its relative tolerance
-        def no_brentq(*args, **kwargs):
-            raise AssertionError("brentq ran without df")
-
-        monkeypatch.setattr(legendre, "_brentq", no_brentq)
-        (x, value), = legendre.scan_maximize(lambda x: x, 0.0, 1.0, 16)
-        assert x == pytest.approx(1.0, abs=1e-7)
-        assert x < 1.0
-        assert value == x
+            legendre.scan_maximize(f, -1.0, 1.0, 16, slope)
 
 
 class TestScanEnd:
@@ -395,10 +433,7 @@ class TestScanEnd:
         assert polishes == ["_brentq"]
 
     def test_derivative_outside_the_domain_falls_back_to_the_polish(self, polishes):
-        def df(x):
-            raise OutsideDomain("no derivative here")
-
-        (x, _), = legendre.scan_maximize(lambda x: -x, 0.0, 1.0, 16, df=df)
+        (x, _), = legendre.scan_maximize(lambda x: -x, 0.0, 1.0, 16, no_slope)
         assert x == pytest.approx(0.0, abs=1e-7)
         assert polishes == ["_bounded_brent"]
 

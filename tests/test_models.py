@@ -358,13 +358,13 @@ class TestSharedPeaks:
     @pytest.fixture
     def scans(self, monkeypatch):
         calls = []
-        scan = models.legendre.scan_maximize
+        scan = models.legendre.scan_window
 
         def counted(*args, **kwargs):
             calls.append(args)
             return scan(*args, **kwargs)
 
-        monkeypatch.setattr(models.legendre, "scan_maximize", counted)
+        monkeypatch.setattr(models.legendre, "scan_window", counted)
         return calls
 
     def test_constant_sequence_scans_each_piece_once(self, hw_prior, scans):

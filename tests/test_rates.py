@@ -327,6 +327,15 @@ class TestContractionRate:
             direct = kl_divergence(model.family, theta, theta0)
             assert rate == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("c", [610.0, 650.0, 700.0])
+    def test_poisson_line_up_to_the_cumulant_overflow(self, c):
+        # with theta0 = eta(1) the rate at c is kappa*(e^c) - l(1; e^c) =
+        # e^c (c - 2) + e; the dual's line reaches past 709.78, where e^s
+        # overflows, so its polish can fall back to bounded Brent
+        model = builtin_model("poisson-line")
+        rate = contraction_rate(model, model.map(1.0), c)
+        assert rate == pytest.approx(math.exp(c) * (c - 2.0) + math.e, rel=1e-12)
+
     def test_array_matches_scalar_calls(self):
         coords = np.array([[-1.0, 0.5], [2.0, 0.0]])
         got = contraction_rate(GAUSS_MODEL, GAUSS_MODEL.map(1.0), coords)
