@@ -1,20 +1,21 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, which
+includes every package error (``ExpLdpError``) a subcommand raises.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 
 import click
 import numpy as np
 
 from . import acceptance, legendre, rates, scenarios
-from .errors import ExpLdpError, UnknownScenario
+from .errors import ExpLdpError
 from .families import builtin, builtin_names
+from .intervals import grid_axis
 from .models import builtin_model, model_names, uniform_prior
 from .tables import Table
 
@@ -36,19 +37,30 @@ def _parse_vector(text: str, size: int | None = None) -> np.ndarray:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """'lo,hi,count' as an equispaced grid; the endpoints must be finite
-    and a finite distance apart, the count a whole number, at least 0."""
-    lo, hi, count = _parse_vector(text, 3)
-    if not math.isfinite(float(hi) - float(lo)):
-        raise click.UsageError(
-            f"--grid endpoints must be finite and a finite distance apart: {text!r}"
-        )
-    if count < 0 or not float(count).is_integer():
-        raise click.UsageError(f"grid count must be a whole number >= 0: {text!r}")
-    return np.linspace(lo, hi, int(count))
+    """'lo,hi,count' as an equispaced grid, checked by ``grid_axis``."""
+    lo, hi, count = _parse_vector(text, 3).tolist()
+    try:
+        return grid_axis("--grid", lo, hi, count)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
 
 
-@click.group()
+class _Command(click.Command):
+    """A subcommand whose package errors are usage errors, with its usage."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ExpLdpError as exc:
+            raise click.UsageError(str(exc), ctx) from None
+
+
+class _Group(click.Group):
+    command_class = _Command
+    group_class = type          # subgroups are _Groups too
+
+
+@click.group(cls=_Group)
 def main():
     """Rate functions for posteriors and constrained MLEs in curved
     exponential families."""
@@ -73,8 +85,6 @@ def scenario_list():
 def scenario_run(name, outdir, fmt):
     try:
         written = scenarios.scenario_run(name, outdir, fmt)
-    except UnknownScenario as exc:
-        raise click.UsageError(str(exc))
     except OSError as exc:
         raise click.ClickException(f"could not write outputs: {exc}")
     for path in written:
@@ -99,13 +109,10 @@ def legendre_cmd(family_name, t_text, constraint_name, as_json):
         if model.family is not family:
             raise click.UsageError(f"constraint {constraint_name} is a curve in "
                                    f"{model.family.name}, not in {family_name}")
-    try:
-        if constraint_name is None:
-            res = legendre.conjugate(family, t)
-        else:
-            res = legendre.conjugate_constrained(model, t)
-    except ExpLdpError as exc:
-        raise click.UsageError(str(exc))
+    if constraint_name is None:
+        res = legendre.conjugate(family, t)
+    else:
+        res = legendre.conjugate_constrained(model, t)
     if as_json:
         click.echo(json.dumps(res.to_json(), sort_keys=True))
     else:
@@ -138,10 +145,7 @@ def rate_posterior(model_name, mu0_text, support_text, grid_text, out_path):
         prior = uniform_prior(model, float(lo), float(hi))
     except ValueError as exc:
         raise click.UsageError(f"support {support_text!r}: {exc}")
-    try:
-        table = rates.posterior_rate(prior, mu0, grid).to_table("posterior_rate")
-    except ExpLdpError as exc:
-        raise click.UsageError(str(exc))
+    table = rates.posterior_rate(prior, mu0, grid).to_table("posterior_rate")
     _emit_table(table, out_path)
 
 
@@ -156,10 +160,7 @@ def rate_mle(model_name, theta0_coord, grid_text, out_path):
     model = builtin_model(model_name)
     theta0 = model.map(theta0_coord)
     grid = _parse_grid(grid_text)
-    try:
-        values = rates.contraction_rate(model, theta0, grid)
-    except ExpLdpError as exc:
-        raise click.UsageError(str(exc))
+    values = rates.contraction_rate(model, theta0, grid)
     rows = list(zip(grid.tolist(), values.tolist()))
     table = Table("mle_rate", ("coordinate", "rate"), rows,
                   {"kind": "mle", "theta0_coordinate": theta0_coord})
@@ -173,13 +174,10 @@ def rate_mle(model_name, theta0_coord, grid_text, out_path):
 @click.option("--t", "t_text", required=True)
 def rate_cramer(family_name, theta0_text, t_text):
     family = builtin(family_name)
-    try:
-        value = rates.cramer_rate(
-            family, _parse_vector(theta0_text, family.dim),
-            _parse_vector(t_text, family.dim),
-        )
-    except ExpLdpError as exc:
-        raise click.UsageError(str(exc))
+    value = rates.cramer_rate(
+        family, _parse_vector(theta0_text, family.dim),
+        _parse_vector(t_text, family.dim),
+    )
     click.echo(f"{value:.12g}")
 
 

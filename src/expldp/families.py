@@ -31,8 +31,8 @@ domain, the log-likelihood is -inf there, and NaN is never a value.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -213,11 +213,51 @@ def log_likelihood(family: GeneratingFamily, theta, t) -> float:
 
 
 def _log_likelihood(family, th, tt) -> float:
-    k = _cumulant(family, th)
+    # the kernel itself, not _cumulant: a NaN kappa makes v NaN, and the
+    # rare path raises on it, so the common path pays for one NaN test only
+    k = float(family.payload.cumulant(th))
     if k == INF:
         return -INF
     # Python floats overflow to inf without numpy's RuntimeWarning
-    return sum(map(operator.mul, th.tolist(), tt.tolist())) - k
+    v = sum(map(mul, th.tolist(), tt.tolist())) - k
+    if v != v:
+        where = f"{family.name} at theta={th}"
+        return float(_nan_loglik(v, th[:, None], tt, k, where)[0])
+    return v
+
+
+def _nan_loglik(vals, thetas, t, kappas, name):
+    """theta.t - kappa at the points where the plain ``vals`` came out NaN:
+    the rare path of every log-likelihood.  ``thetas`` holds the d
+    coordinates of the points, ``t`` the mean point and ``kappas`` kappa at
+    each point.  A NaN kappa raises NumericsError, and l is -inf where kappa
+    is +inf.  Where two products overflowed with opposite signs, the
+    products are summed as mantissas scaled by 2^-e, e the largest
+    product's binary exponent; scaling by a power of two is exact, so the
+    sum rounds as the plain one would with no overflow, and then to +-inf
+    only where it is past the largest double."""
+    vals = np.array(vals, dtype=float, ndmin=1)
+    kappas = np.broadcast_to(np.asarray(kappas, dtype=float), vals.shape)
+    if np.isnan(kappas).any():
+        raise NumericsError(f"cumulant NaN on {name}")
+    bad = np.isnan(vals)
+    off = bad & (kappas == INF)
+    vals[off] = -INF
+    bad &= ~off
+    if bad.any():
+        mant, exps = np.frexp(np.asarray(thetas, dtype=float)[:, bad])
+        mt, et = np.frexp(np.asarray(t, dtype=float))
+        exps = exps + et[:, None]
+        top = exps.max(axis=0)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            parts = np.ldexp(mant * mt[:, None], exps - top)
+            dot = parts[0]
+            for part in parts[1:]:
+                dot = dot + part
+            vals[bad] = np.ldexp(dot, top) - kappas[bad]
+        if np.isnan(vals[bad]).any():
+            raise NumericsError(f"log-likelihood NaN on {name}")
+    return vals
 
 
 # ---------------------------------------------------------------------------

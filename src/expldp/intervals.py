@@ -10,7 +10,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 INF = float("inf")
+
+
+def grid_axis(what, lo, hi, count=0):
+    """``count`` equispaced points from lo to hi: finite endpoints a finite
+    distance apart and a whole count >= 0, else ValueError naming ``what``.
+    A support interval's check is the empty axis on its endpoints."""
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ValueError(f"{what} endpoints must be finite and a finite "
+                         f"distance apart: ({lo}, {hi})")
+    if not (float(count).is_integer() and count >= 0):
+        raise ValueError(f"{what} count must be a whole number >= 0: {count}")
+    return np.linspace(lo, hi, int(count))
 
 
 @dataclass(frozen=True)

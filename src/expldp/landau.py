@@ -12,11 +12,12 @@ That integral is the Landau density in Landau's own scale, so f is the
 standard Landau density (``scipy.stats.landau``) with location log(pi/2)
 and scale pi/2, reflected through y -> -y-1.  f and log f are
 ``scipy.stats.landau.pdf`` and ``logpdf``'s arithmetic on the scipy.special
-ufunc they call, the private ``_landau_pdf``, imported on first use;
-scipy.stats itself would add about 45 MB and 0.5 s to the process.
-tests/test_stats_parity.py checks both against scipy.stats bit for bit at
-every finite y.  At y = +-inf they are the limits 0 and -inf, where
-scipy.stats gives NaN.
+ufunc they call, the private ``_landau_pdf``, imported on first use; the
+normalization's far-tail mass is ``landau.sf``'s, on the private
+``_landau_sf``.  scipy.stats itself would add about 45 MB and 0.5 s to the
+process.  tests/test_stats_parity.py checks all three against scipy.stats
+bit for bit, f and log f at every finite y.  At y = +-inf they are the
+limits 0 and -inf, where scipy.stats gives NaN.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ def _standard_pdf(x):
     from scipy.special._ufuncs import _landau_pdf
 
     return np.where(np.isinf(x), 0.0, _landau_pdf(x, 0, 1))
+
+
+def _standard_sf(x):
+    """The standard Landau survival function: ``scipy.stats.landau._sf``."""
+    from scipy.special._ufuncs import _landau_sf
+
+    return _landau_sf(x, 0, 1)
 
 
 def landau_density(y):
@@ -75,16 +83,16 @@ def _log_density(y):
 def landau_normalization() -> NormalizationReport:
     """Integrate the density over the real line.
 
-    The left tail decays like 1/y^2 (the Landau 1/x^2 tail), so beyond
-    ``TAIL_EDGE`` the integral is completed analytically with the locally
-    matched A/y^2 coefficient; the body is the peaked integral over
-    [``TAIL_EDGE``, 8], past which the density is double-exponentially
-    small.
+    The body is the peaked integral over [``TAIL_EDGE``, 8], past which the
+    density is double-exponentially small.  The left tail decays like 1/y^2
+    (the Landau 1/x^2 tail); its mass beyond ``TAIL_EDGE`` is the Landau
+    survival function at the transformed edge, in closed form.
     """
     body = math.exp(
         log_integral_peaked(_log_density, TAIL_EDGE, 8.0, _MODE, _WIDTH)
     )
-    tail = (TAIL_EDGE * TAIL_EDGE * landau_density(TAIL_EDGE)) / abs(TAIL_EDGE)
+    # y < TAIL_EDGE is x = -y - 1 > -TAIL_EDGE - 1 for the Landau variable x
+    tail = float(_standard_sf((-TAIL_EDGE - 1.0 - _LOC) / _SCALE))
     return NormalizationReport(
         value=body + tail, body=body, tail_correction=tail, tail_edge=TAIL_EDGE
     )

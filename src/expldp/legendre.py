@@ -35,6 +35,7 @@ import numpy as np
 from . import families
 from .errors import MeanOutsideDomain, NoConvergence, NumericsError, OutsideDomain
 from .families import as_point, mean_map
+from .intervals import grid_axis
 
 # the contract requires gradient norm <= 1e-10 at convergence; aiming two
 # orders tighter keeps directional stationarity residuals below 1e-10 even
@@ -492,21 +493,18 @@ def curve_loglik(model, t):
         zs = np.asarray(z, dtype=float)
         thetas = model.map(zs.ravel())
         kappas = kernel(thetas)
-        # np.maximum propagates NaN, and its reduce costs less than
-        # isnan(...).any() on the one-point calls of a polish
-        top = np.maximum.reduce(kappas, axis=None, initial=-math.inf)
-        if math.isnan(top):
-            raise NumericsError(f"cumulant NaN on {model.name}")
         # |t.theta| past the largest double rounds to +-inf, its correctly
-        # rounded value (t = (1, 3) on theta = (z, -z^2/2) at z ~ 1e154)
-        with np.errstate(over="ignore"):
+        # rounded value (t = (1, 3) on theta = (z, -z^2/2) at z ~ 1e154);
+        # where that or kappa makes a NaN, the rare path takes over
+        with np.errstate(over="ignore", invalid="ignore"):
             vals = thetas[0] * coeffs[0]
             for coord, tk in zip(thetas[1:], coeffs[1:]):
                 vals = vals + coord * tk
-            # l is -inf where kappa is +inf, also where t.theta is +inf
-            vals = vals - kappas if top < math.inf else np.subtract(
-                vals, kappas, out=np.full_like(vals, -math.inf),
-                where=kappas < math.inf)
+            vals = vals - kappas
+        # np.maximum propagates NaN, and its reduce costs less than
+        # isnan(...).any() on the one-point calls of a polish
+        if math.isnan(np.maximum.reduce(vals, axis=None, initial=-math.inf)):
+            vals = families._nan_loglik(vals, thetas, coeffs, kappas, model.name)
         return float(vals[0]) if zs.ndim == 0 else vals.reshape(zs.shape)
 
     return l_of
@@ -600,23 +598,6 @@ def _maximize_on_curve(model, t, intervals) -> LegendreResult:
 GRID_BLOCK_POINTS = 1 << 15
 
 
-def _grid_axes(grid_spec, dim):
-    """The axes of a full-domain grid: ``dim`` (lo, hi, count) triples,
-    each with finite endpoints a finite distance apart and a whole count,
-    at least 0; anything else raises ValueError naming the axis."""
-    if len(grid_spec) != dim:
-        raise ValueError(f"grid_spec has {len(grid_spec)} axes; the family has {dim}")
-    axes = []
-    for k, (lo, hi, n) in enumerate(grid_spec):
-        if not math.isfinite(float(hi) - float(lo)):
-            raise ValueError(f"grid axis {k} endpoints must be finite and a "
-                             f"finite distance apart: ({lo}, {hi})")
-        if not (float(n).is_integer() and n >= 0):
-            raise ValueError(f"grid axis {k} count must be a whole number >= 0: {n}")
-        axes.append(np.linspace(lo, hi, int(n)))
-    return axes
-
-
 def _full_grid_blocks(axes):
     """The full-domain grid on ``axes`` in C order, as blocks of whole rows
     along the leading axis.  A block is an open mesh: the block's slice of
@@ -634,8 +615,7 @@ def conjugate_grid_oracle(family, constraint, t, grid_spec):
     """Exhaustive maximization of l(.; t) on an explicit grid.
 
     grid_spec: ``dim`` per-axis (lo, hi, count) triples over the full
-    domain, checked before any work: finite endpoints a finite distance
-    apart and a whole count >= 0, else ValueError naming the axis.  Other
+    domain, each checked by ``intervals.grid_axis`` before any work.  Other
     constraint kinds raise ValueError, and so does a grid with no points.
     Degenerate grids of a single point are allowed.  ``t`` is one mean
     point, giving (value, argmax), or an (m, dim) stack of them, giving
@@ -648,7 +628,11 @@ def conjugate_grid_oracle(family, constraint, t, grid_spec):
     """
     if constraint.kind != "full":
         raise ValueError(f"the grid oracle has no {constraint.kind} form")
-    axes = _grid_axes(grid_spec, family.dim)
+    if len(grid_spec) != family.dim:
+        raise ValueError(f"grid_spec has {len(grid_spec)} axes; the family has "
+                         f"{family.dim}")
+    axes = [grid_axis(f"grid axis {k}", lo, hi, n)
+            for k, (lo, hi, n) in enumerate(grid_spec)]
     stack = np.ndim(t) == 2
     ts = [as_point(row, family.dim, "mean point") for row in (t if stack else [t])]
     values = np.full(len(ts), -np.inf)

@@ -27,7 +27,7 @@ import numpy as np
 from . import legendre
 from .errors import DegeneratePosterior, RateUnbounded
 from .families import GeneratingFamily, as_point, builtin, cumulant
-from .intervals import Interval, complement, intersect_unions, normalize_union
+from .intervals import Interval, complement, grid_axis, intersect_unions, normalize_union
 from .quadrature import log_integral_peaked
 
 INF = float("inf")
@@ -209,10 +209,7 @@ class Prior:
             iv.closure() for iv in self.model.coord_intervals
         )
         for iv in ivs:
-            if not math.isfinite(iv.length):
-                raise ValueError(
-                    f"prior support interval [{iv.lo}, {iv.hi}] must have finite "
-                    f"endpoints a finite distance apart")
+            grid_axis("prior support interval", iv.lo, iv.hi)
             if not any(
                 m.lo <= iv.lo and iv.hi <= m.hi for m in closure_m
             ):

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, legendre, models
-from .errors import NoConvergence, OutsideDomain, RateFormMismatch, UnsupportedModel
+from .errors import (
+    MeanOutsideDomain, NoConvergence, OutsideDomain, RateFormMismatch, UnsupportedModel,
+)
 from .families import (
     GeneratingFamily,
     as_point,
@@ -40,17 +42,32 @@ INF = float("inf")
 # ---------------------------------------------------------------------------
 
 
+def _interior_point(family, theta, what="theta0"):
+    """``as_point``, then OutsideDomain naming ``what`` off the interior."""
+    th = as_point(theta, family.dim, what)
+    if not family.domain.interior(th):
+        raise OutsideDomain(f"{what}={th} is not interior for {family.name}")
+    return th
+
+
+def _no_nan(values, noun):
+    """A float array; its first NaN raises ValueError as "<noun> i is NaN"."""
+    arr = np.asarray(values, dtype=float)
+    nan = np.flatnonzero(np.isnan(arr))
+    if nan.size:
+        raise ValueError(f"{noun} {int(nan[0])} is NaN")
+    return arr
+
+
 def kl_divergence(family: GeneratingFamily, theta0, theta):
     """D(P_theta0 || P_theta) = (theta0-theta).grad_kappa(theta0)
     - kappa(theta0) + kappa(theta); +inf when theta leaves the domain.
     One point theta gives a float and an (m, d) stack of them an array.
     Each point takes ``as_point`` and the scalar kappa kernel; theta0's
     mean and cumulant are taken once, if some kappa(theta) is finite."""
-    th0 = as_point(theta0, family.dim, "theta0")
+    th0 = _interior_point(family, theta0)
     stack = np.ndim(theta) == 2
     ths = [as_point(th, family.dim, "theta") for th in (theta if stack else [theta])]
-    if not family.domain.interior(th0):
-        raise OutsideDomain(f"theta0={th0} is not interior for {family.name}")
     ks = [families._cumulant(family, th) for th in ths]
     if any(k < INF for k in ks):
         grad0, k0 = families._moments(family, th0)[0], families._cumulant(family, th0)
@@ -65,9 +82,7 @@ def kl_divergence(family: GeneratingFamily, theta0, theta):
 def cramer_rate(family: GeneratingFamily, theta0, t) -> float:
     """Rate for sample means from P_theta0 evaluated at t:
     kappa*(t) - l(theta0; t), which equals D(P_{grad kappa*(t)} || P_theta0)."""
-    th0 = as_point(theta0, family.dim, "theta0")
-    if not family.domain.interior(th0):
-        raise OutsideDomain(f"theta0={th0} is not interior for {family.name}")
+    th0 = _interior_point(family, theta0)
     res = legendre.conjugate(family, t)
     return res.value - log_likelihood(family, th0, res.t)
 
@@ -102,10 +117,7 @@ def posterior_rate(prior: models.Prior, mu0, grid) -> RateTable:
     A NaN grid point raises ValueError."""
     family = prior.model.family
     mu = as_point(mu0, family.dim, "limit mean")
-    grid = np.asarray(grid, dtype=float)
-    nan = np.flatnonzero(np.isnan(grid))
-    if nan.size:
-        raise ValueError(f"grid point {int(nan[0])} is NaN")
+    grid = _no_nan(grid, "grid point")
     mle = models.limiting_mle(prior, mu)
     on_support = np.array(
         [any(iv.contains(z) for iv in prior.support) for z in grid.tolist()],
@@ -176,13 +188,8 @@ def contraction_rate(model: models.CurvedModel, theta0, coord):
     and where kappa(theta0) is +inf.  A NaN coordinate raises ValueError.
     """
     family = model.family
-    th0 = as_point(theta0, family.dim, "theta0")
-    if not family.domain.interior(th0):
-        raise OutsideDomain(f"theta0={th0} is not interior for {family.name}")
-    coords = np.asarray(coord, dtype=float)
-    nan = np.flatnonzero(np.isnan(coords))
-    if nan.size:
-        raise ValueError(f"coordinate {int(nan[0])} is NaN")
+    th0 = _interior_point(family, theta0)
+    coords = _no_nan(coord, "coordinate")
     values = np.full(coords.shape, INF)
     if cumulant(family, th0) < INF:
         # Python floats: the map of a huge coordinate overflows without a warning
@@ -218,6 +225,10 @@ def _fiber_minimum(model, th0, c):
     except NoConvergence as exc:
         raise NoConvergence(f"the contraction dual did not converge at "
                             f"coordinate {c} on {model.name}: {exc}") from exc
+    except MeanOutsideDomain as exc:
+        # t_c rounds onto the mean domain's edge (hw-line from eta(0) past c = 33)
+        raise MeanOutsideDomain(f"the contraction dual's mean point t_c at "
+                                f"coordinate {c} on {model.name}: {exc}") from exc
     # s = 0 is feasible and gives 0, so the supremum is never below it
     rate = max(dual.value - legendre.curve_loglik(line, t_c)(0.0), 0.0)
     s = dual.coordinate
@@ -285,10 +296,8 @@ def dual_rate_gap(pair: DualPair, theta0, theta) -> float:
     """|D(P_theta0 || P_theta) - D(Q_mu || Q_mu0)| with mu = grad kappa(theta)
     and mu0 = grad kappa(theta0), the dual-side divergence evaluated from
     the dual cumulant machinery."""
-    th0 = as_point(theta0, pair.primal.dim, "theta0")
-    th = as_point(theta, pair.primal.dim, "theta")
-    if not (pair.primal.domain.interior(th0) and pair.primal.domain.interior(th)):
-        raise OutsideDomain("both parameters must be interior to the primal domain")
+    th0 = _interior_point(pair.primal, theta0)
+    th = _interior_point(pair.primal, theta, "theta")
     mu0 = mean_map(pair.primal, th0)
     mu = mean_map(pair.primal, th)
     d_primal = kl_divergence(pair.primal, th0, th)

@@ -20,6 +20,7 @@ from expldp import (
     log_likelihood,
     mean_map,
 )
+from expldp import families, legendre
 from expldp.families import cumulant_many
 from expldp.models import builtin_model
 
@@ -186,6 +187,58 @@ class TestLogLikelihood:
 
     def test_minus_infinity_off_domain(self):
         assert log_likelihood(STRIP, [0.0, 1.5], [1.0, 1.0]) == -math.inf
+
+
+def _exact_loglik(family, theta, t):
+    # theta.t in exact arithmetic, minus the package's kappa(theta)
+    with mpmath.workprec(400):
+        dot = mpmath.fsum(mpmath.mpf(a) * mpmath.mpf(b) for a, b in zip(theta, t))
+        return dot - mpmath.mpf(cumulant(family, theta)), mpmath.fsum(
+            abs(mpmath.mpf(a) * mpmath.mpf(b)) for a, b in zip(theta, t))
+
+
+class TestLogLikelihoodPastOverflow:
+    # t.theta sums two products that overflow to +inf and -inf; the plain sum
+    # is NaN, and mpmath decides the value: -inf where the exact sum is past
+    # the largest double, else the exact value to the rounding of its
+    # products (2^-52 of the sum of their magnitudes)
+    CASES = [
+        ([1e10, -5e19], [1e300, 1e300]),         # exact -5e319
+        ([2e10, -2e20], [1e300, 1e300]),         # exact -2e320
+        ([1e10, -5e19], [1e300, 1.98e290]),      # exact 1e308, finite
+        ([1e10, -5e19], [1e300, 1.9999e290]),    # exact 5e304, finite
+    ]
+
+    @pytest.mark.parametrize("theta, t", CASES)
+    def test_point(self, theta, t):
+        exact, size = _exact_loglik(GAUSS_PARABOLA, theta, t)
+        got, want = log_likelihood(GAUSS_PARABOLA, theta, t), float(exact)
+        if math.isinf(want):
+            assert got == want == -math.inf
+        else:
+            assert abs(got - exact) <= size * 2.0 ** -52
+
+    @pytest.mark.parametrize("t", sorted({tuple(t) for _, t in CASES}))
+    def test_curve(self, t):
+        # gauss-mean-eq-sd maps z to (z, -z^2/2), so z = 1e10 and 2e10 are
+        # the cases' points; each curve value is its point's
+        model = builtin_model("gauss-mean-eq-sd")
+        zs = np.array([1e10, 2e10, 1.0])
+        got = legendre.curve_loglik(model, np.array(t))(zs)
+        want = [log_likelihood(GAUSS_PARABOLA, model.map(z), t) for z in zs]
+        assert got.tolist() == want
+        assert not np.isnan(got).any()
+
+    def test_nan_kappa_raises(self):
+        with pytest.raises(NumericsError, match="cumulant NaN on gp"):
+            families._nan_loglik([math.nan], [[1.0]], [1.0], [math.nan], "gp")
+
+    def test_nan_product_raises(self):
+        # -inf * 0 at a finite kappa, as a user's curve into Hardy-Weinberg
+        # can make; NaN is never a value
+        with pytest.raises(NumericsError, match="log-likelihood NaN on hw"):
+            families._nan_loglik([math.nan], [[-math.inf], [0.0]], [0.0, 0.5],
+                                 [0.1], "hw")
 
 
 class TestStripCurveBlowup:

@@ -90,6 +90,12 @@ def test_normalization_within_tolerance():
     assert report.tail_correction > 0.0
 
 
+def test_normalization_to_rounding():
+    # the body by quadrature and the far tail by the Landau survival
+    # function: 1 + 5.1e-15; a first-order A/|y| tail gave 1 + 8.5e-5
+    assert abs(landau_normalization().value - 1.0) <= 1e-12
+
+
 def test_numeric_cumulant_matches_closed_form():
     for mu in (0.5, 1.0, 2.0):
         measured = landau_dual_numeric_cumulant(mu)

@@ -20,7 +20,7 @@ from expldp import (
     uniform_prior,
 )
 from expldp import legendre, oracles, rates
-from expldp.errors import UnsupportedModel
+from expldp.errors import MeanOutsideDomain, OutsideDomain, UnsupportedModel
 from expldp.models import event_at_least, fit_rate_limit
 from expldp.oracles import constant_mle_stationary_points, enumeration_rates
 
@@ -282,6 +282,41 @@ class TestPosteriorRate:
         )
 
 
+class TestInputChecks:
+    # theta2 > 0 is off gauss-parabola's domain; the pair's dual side is
+    # never reached
+    OFF = [0.0, 1.0]
+    ENTRY_POINTS = {
+        "kl_divergence": lambda th0: kl_divergence(GAUSS_PARABOLA, th0, [0.0, -1.0]),
+        "cramer_rate": lambda th0: cramer_rate(GAUSS_PARABOLA, th0, [0.0, 1.0]),
+        "contraction_rate": lambda th0: contraction_rate(GAUSS_MODEL, th0, 1.0),
+        "dual_rate_gap": lambda th0: dual_rate_gap(
+            rates.DualPair(GAUSS_PARABOLA, GAUSS_PARABOLA), th0, [0.0, -1.0]),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_theta0_off_the_interior_is_named(self, entry):
+        with pytest.raises(OutsideDomain, match=re.escape(
+                "theta0=[0. 1.] is not interior for gauss-parabola")):
+            self.ENTRY_POINTS[entry](self.OFF)
+
+    def test_dual_rate_gap_names_theta(self):
+        pair = rates.DualPair(GAUSS_PARABOLA, GAUSS_PARABOLA)
+        with pytest.raises(OutsideDomain, match=re.escape(
+                "theta=[0. 1.] is not interior for gauss-parabola")):
+            dual_rate_gap(pair, [0.0, -1.0], self.OFF)
+
+    @pytest.mark.parametrize("entry, noun", [
+        (lambda grid: posterior_rate(uniform_prior(HW_LINE_MODEL, -3.0, 3.0),
+                                     MU0, grid), "grid point"),
+        (lambda grid: contraction_rate(HW_LINE_MODEL, HW_LINE_MODEL.map(0.0), grid),
+         "coordinate"),
+    ], ids=["posterior_rate", "contraction_rate"])
+    def test_nan_coordinate_is_named(self, entry, noun):
+        with pytest.raises(ValueError, match=f"^{noun} 1 is NaN$"):
+            entry(np.array([0.5, math.nan, 0.7, math.nan]))
+
+
 class TestCramerRate:
     def test_zero_at_the_model_mean(self):
         th0 = np.array([0.4, -0.3])
@@ -394,6 +429,15 @@ class TestContractionRate:
         strip = builtin_model("strip-curve")
         with pytest.raises(UnsupportedModel, match="0.58"):
             contraction_rate(strip, strip.map(0.9), 0.2)
+
+    def test_mean_domain_edge_names_the_coordinate(self):
+        # from eta(0) on hw-line t_c rounds to (1.0, 2.9e-30) at c = 34, on
+        # the mean domain's edge; the error names the coordinate and the model
+        # and keeps the inner text
+        with pytest.raises(MeanOutsideDomain, match=re.escape(
+                "t_c at coordinate 34.0 on hw-line: t=[1.00000000e+00 "
+                "2.93748211e-30] is outside the interior of the mean domain")):
+            contraction_rate(HW_LINE_MODEL, HW_LINE_MODEL.map(0.0), 34.0)
 
     def test_mle_line_window_stays_in_mean_domain(self):
         for coord in (0.5, 1.0, 2.5):

@@ -584,3 +584,99 @@ class TestVerifySensitivity:
 def test_seed_env_override(monkeypatch):
     monkeypatch.setenv("EXPLDP_SEED", "98765")
     assert acceptance._seed() == 98765
+
+
+# each subcommand, and the package function it calls, made to raise
+SUBCOMMANDS = [
+    (["scenario", "list"], "scenario_names"),
+    (["scenario", "run", "hardy-weinberg"], "builder"),
+    (["legendre", "--family", "poisson", "--t", "2"], "conjugate"),
+    (["rate", "posterior", "--model", "hw-line", "--mu0", "0.3,0.2",
+      "--support", "-3,3", "--grid", "0,1,3"], "posterior_rate"),
+    (["rate", "mle", "--model", "hw-line", "--theta0-coord", "0",
+      "--grid", "0,1,3"], "contraction_rate"),
+    (["rate", "cramer", "--family", "poisson", "--theta0", "0", "--t", "2"],
+     "cramer_rate"),
+    (["verify"], "verify_suite"),
+]
+
+
+@pytest.mark.parametrize("args, target", SUBCOMMANDS,
+                         ids=[" ".join(args[:2]) for args, _ in SUBCOMMANDS])
+def test_package_error_is_a_usage_error(args, target, monkeypatch, tmp_path):
+    # every subcommand turns a package error into exit 2 with the message and
+    # its own usage line, not a traceback
+    import dataclasses
+
+    from expldp import legendre, rates, scenarios
+    from expldp.errors import NumericsError
+
+    def boom(*args, **kwargs):
+        raise NumericsError("injected package error")
+
+    if target == "builder":
+        spec = scenarios.get_scenario("hardy-weinberg")
+        monkeypatch.setitem(scenarios._SCENARIOS, "hardy-weinberg",
+                            dataclasses.replace(spec, builder=boom))
+        args = args + ["--outdir", str(tmp_path)]
+    else:
+        owner = next(m for m in (scenarios, legendre, rates, acceptance)
+                     if hasattr(m, target))
+        monkeypatch.setattr(owner, target, boom)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: injected package error" in result.output
+    sub = " ".join(a for a in args[:2] if not a.startswith("-"))
+    assert re.search(rf"^Usage: \S+ {sub} \[OPTIONS\]", result.output, re.M)
+
+
+GRID_SITES = {
+    "--grid": lambda lo, hi, n: CliRunner().invoke(main, [
+        "rate", "mle", "--model", "hw-line", "--theta0-coord", "0",
+        f"--grid={lo!r},{hi!r},{n!r}"]),
+    "grid_spec": lambda lo, hi, n: _grid_oracle((lo, hi, n)),
+    "Prior": lambda lo, hi, n: _hw_prior(lo, hi),
+}
+
+
+def _grid_oracle(axis):
+    from expldp import builtin
+    from expldp.legendre import ConstraintSet, conjugate_grid_oracle
+
+    return conjugate_grid_oracle(builtin("hardy-weinberg-saturated"),
+                                 ConstraintSet.full(), [0.3, 0.2], (axis, (0.0, 1.0, 3)))
+
+
+def _hw_prior(lo, hi):
+    from expldp import builtin_model, uniform_prior
+
+    return uniform_prior(builtin_model("hw-line"), lo, hi)
+
+
+def _grid_rule_error(site, lo, hi, n):
+    # the CLI's usage error, or the ValueError a function raises
+    try:
+        result = GRID_SITES[site](lo, hi, n)
+    except ValueError as exc:
+        return str(exc)
+    assert result.exit_code == 2, result.output
+    return result.output
+
+
+# the same (lo, hi, count) triples at every site that checks a grid axis
+# or, for a prior's support, its span alone
+@pytest.mark.parametrize("site", sorted(GRID_SITES))
+@pytest.mark.parametrize("lo, hi, n", [
+    (-math.inf, 1.0, 3.0), (-1e308, 1e308, 3.0), (0.0, math.inf, 0.0),
+])
+def test_one_grid_rule_for_the_span(site, lo, hi, n):
+    assert "endpoints must be finite and a finite distance apart" in (
+        _grid_rule_error(site, lo, hi, n))
+
+
+@pytest.mark.parametrize("site", ["--grid", "grid_spec"])
+@pytest.mark.parametrize("lo, hi, n", [(0.0, 1.0, -1.0), (0.0, 1.0, 2.5)])
+def test_one_grid_rule_for_the_count(site, lo, hi, n):
+    assert f"count must be a whole number >= 0: {n}" in (
+        _grid_rule_error(site, lo, hi, n))

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 from scipy.stats import binom, landau
 
-from expldp.landau import _LOC, _SCALE, _log_density, landau_density
+from expldp.landau import (
+    _LOC, _SCALE, TAIL_EDGE, _log_density, _standard_sf, landau_density,
+    landau_normalization,
+)
 from expldp.oracles import _binom_logcdf, _binom_logpmf, _binom_logsf
 
 ROWS = (0, 1, 2, 3, 10, 57, 200, 999, 1837, 2000)
@@ -92,3 +95,12 @@ def test_landau_limits_at_infinity():
     assert np.isnan(landau_density(math.nan))
     mixed = np.array([math.inf, 0.123, -math.inf])
     _same_bits(landau_density(mixed)[1], landau_density(0.123))
+
+
+def test_landau_survival_function():
+    # the standard sf on both tails and the normalization's far-tail mass,
+    # the sf of -y - 1 at y = TAIL_EDGE under the density's location and scale
+    x = np.concatenate([np.linspace(-5.0, 500.0, 5051), [1e6, 1e300]])
+    _same_bits(_standard_sf(x), landau.sf(x))
+    want = landau.sf(-TAIL_EDGE - 1.0, loc=_LOC, scale=_SCALE)
+    _same_bits(landau_normalization().tail_correction, want)
