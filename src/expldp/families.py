@@ -25,7 +25,10 @@ Natural points and mean points are plain float vectors; ``as_point``
 enforces finiteness and dimension at the API boundary.
 
 Values follow extended-real conventions: kappa is +inf off its essential
-domain, the log-likelihood is -inf there, and NaN is never a value.
+domain, the log-likelihood is -inf there, and NaN is never a value.  l is
+evaluated here only: ``log_likelihood`` at one point, ``_stacked_loglik``
+on a stack of them.  dom kappa's boundary is read off the kernels: a point
+off the ``DomainSpec`` interior is in dom kappa where kappa is finite.
 """
 
 from __future__ import annotations
@@ -54,21 +57,13 @@ def as_point(x, dim, what="point"):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Essential domain of kappa, its listed boundary points, and the
-    interior of the convex support C(lambda) in mean coordinates.
-
-    Boundary points where kappa stays finite are enumerated explicitly;
-    finiteness at isolated boundary points is measure-specific and not
-    discoverable numerically.
-    """
+    """Interiors of dom kappa and, in mean coordinates, of the convex
+    support C(lambda), and Newton's start point.  A point off the interior
+    is in dom kappa exactly where its cumulant is finite."""
 
     interior: Callable[[np.ndarray], bool]
     mean_domain: Callable[[np.ndarray], bool]
     initial_point: np.ndarray        # interior; Newton conjugation starts here
-    boundary_points: tuple = ()
-
-    def is_boundary(self, theta) -> bool:
-        return any(np.array_equal(theta, b) for b in self.boundary_points)
 
 
 @dataclass(frozen=True)
@@ -226,16 +221,38 @@ def _log_likelihood(family, th, tt) -> float:
     return v
 
 
+def _stacked_loglik(thetas, t, kappas, name):
+    """theta.t - kappa on a stack of points, and the flat index of its first
+    largest value (-1 on an empty stack).  ``thetas`` holds d broadcastable
+    coordinate arrays (a curve's (d, m) images or a grid block's open mesh),
+    ``t`` Python floats.  The products are summed in axis order, elementwise,
+    so a value does not depend on its stack (a BLAS product's would).  The
+    caller sets np.errstate(over="ignore", invalid="ignore"): a product past
+    the largest double is +-inf, and a NaN, which argmax finds first, takes
+    the rare path."""
+    vals = thetas[0] * t[0]
+    for coord, tk in zip(thetas[1:], t[1:]):
+        vals = vals + coord * tk
+    vals -= kappas      # in place: no second block-sized array
+    if vals.size == 0:
+        return vals, -1
+    idx = int(vals.argmax())    # a fifth of np.argmax's cost on one point
+    if math.isnan(vals.item(idx)):
+        vals = _nan_loglik(vals, thetas, t, kappas, name)
+        idx = int(vals.argmax())
+    return vals, idx
+
+
 def _nan_loglik(vals, thetas, t, kappas, name):
     """theta.t - kappa at the points where the plain ``vals`` came out NaN:
     the rare path of every log-likelihood.  ``thetas`` holds the d
-    coordinates of the points, ``t`` the mean point and ``kappas`` kappa at
-    each point.  A NaN kappa raises NumericsError, and l is -inf where kappa
-    is +inf.  Where two products overflowed with opposite signs, the
-    products are summed as mantissas scaled by 2^-e, e the largest
-    product's binary exponent; scaling by a power of two is exact, so the
-    sum rounds as the plain one would with no overflow, and then to +-inf
-    only where it is past the largest double."""
+    coordinates of the points, broadcastable, ``t`` the mean point and
+    ``kappas`` kappa at each point.  A NaN kappa raises NumericsError, and
+    l is -inf where kappa is +inf.  Where two products overflowed with
+    opposite signs, the products are summed as mantissas scaled by 2^-e, e
+    the largest product's binary exponent; scaling by a power of two is
+    exact, so the sum rounds as the plain one would with no overflow, and
+    then to +-inf only where it is past the largest double."""
     vals = np.array(vals, dtype=float, ndmin=1)
     kappas = np.broadcast_to(np.asarray(kappas, dtype=float), vals.shape)
     if np.isnan(kappas).any():
@@ -245,7 +262,7 @@ def _nan_loglik(vals, thetas, t, kappas, name):
     vals[off] = -INF
     bad &= ~off
     if bad.any():
-        mant, exps = np.frexp(np.asarray(thetas, dtype=float)[:, bad])
+        mant, exps = np.frexp(np.stack([c[bad] for c in np.broadcast_arrays(*thetas)]))
         mt, et = np.frexp(np.asarray(t, dtype=float))
         exps = exps + et[:, None]
         top = exps.max(axis=0)
@@ -352,8 +369,8 @@ def _make_gauss_parabola():
     def moments(th):
         # through E[x] = -t1/(2 t2) and Var x = -1/(2 t2), which stay finite
         # wherever the moments are; t2^2 and t2^3 overflow from |t2| = 1.4e154
-        # and 5.7e102 on
-        t1, t2 = th
+        # and 5.7e102 on.  Python floats saturate to inf without a warning
+        t1, t2 = th.tolist()
         m1 = -t1 / (2.0 * t2)
         h11 = -0.5 / t2
         h12 = -m1 / t2
@@ -453,7 +470,8 @@ def _landau_dual_cumulant(th):
 
 
 def _landau_dual_moments(th):
-    return np.array([math.log(th[0])]), np.array([[1.0 / th[0]]])
+    mu = float(th[0])     # 1/mu overflows to inf without numpy's warning
+    return np.array([math.log(mu)]), np.array([[1.0 / mu]])
 
 
 def _make_landau_dual():
@@ -461,7 +479,6 @@ def _make_landau_dual():
         interior=lambda th: th[0] > 0.0,
         mean_domain=lambda t: True,
         initial_point=np.ones(1),
-        boundary_points=(np.zeros(1),),
     )
 
     def many(th):
@@ -527,18 +544,18 @@ def _faddeeva_derivatives_far(z):
     return -1j * u * s1 / _SQRT_PI, 1j * u * s2 / (_SQRT_PI * z)
 
 
-def _strip_zeta(t1, t2):
+def _strip_zeta(t1, t2, sqrt=np.sqrt):
     # (1 - t2)(1 + t2) keeps a to an ulp where 1 - t2*t2 would lose digits
     a = (1.0 - t2) * (1.0 + t2)
-    root = np.sqrt(a)
+    root = sqrt(a)
     return a, root, -t1 / (2.0 * root) + 1j * root
 
 
 def _strip_cumulant(th):
-    t1, t2 = th
+    t1, t2 = th.tolist()    # Python floats, whose overflow to inf is quiet
     if abs(t2) >= 1.0:
         return _STRIP_BOUNDARY_KAPPA if t1 == 0.0 and abs(t2) == 1.0 else INF
-    a, _, zeta = _strip_zeta(t1, t2)
+    a, _, zeta = _strip_zeta(t1, t2, math.sqrt)
     re_w = wofz(zeta).real
     # Re w > 0 in the upper half-plane; it underflows only where
     # t1^2 / (4a) has already overflowed
@@ -610,12 +627,10 @@ def _make_strip_measure():
     global wofz
     from scipy.special import wofz
 
-    boundary = (np.array([0.0, 1.0]), np.array([0.0, -1.0]))
     domain = DomainSpec(
         interior=lambda th: abs(th[1]) < 1.0,
         mean_domain=lambda t: True,
         initial_point=np.zeros(2),
-        boundary_points=boundary,
     )
     return GeneratingFamily(
         name="strip-measure",

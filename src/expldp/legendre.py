@@ -481,10 +481,8 @@ CURVE_SCAN = 16
 def curve_loglik(model, t):
     """z -> l(eta(z); t) for a coordinate or an array of them, with one
     ``cumulant_many`` call on the images, whose (d, m) array holds one
-    coordinate per row.  t.eta(z) is the sum of the per-coordinate
-    products t_k eta_k(z) in axis order, elementwise, so a point's value
-    does not depend on the array it is in (a BLAS product's rounding
-    does)."""
+    coordinate per row, and ``families._stacked_loglik`` on them: a
+    point's value does not depend on the array it is in."""
     kernel = model.family.payload.cumulant_many
     # Python floats: a numpy scalar costs more per product
     coeffs = [float(tk) for tk in t]
@@ -493,18 +491,8 @@ def curve_loglik(model, t):
         zs = np.asarray(z, dtype=float)
         thetas = model.map(zs.ravel())
         kappas = kernel(thetas)
-        # |t.theta| past the largest double rounds to +-inf, its correctly
-        # rounded value (t = (1, 3) on theta = (z, -z^2/2) at z ~ 1e154);
-        # where that or kappa makes a NaN, the rare path takes over
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = thetas[0] * coeffs[0]
-            for coord, tk in zip(thetas[1:], coeffs[1:]):
-                vals = vals + coord * tk
-            vals = vals - kappas
-        # np.maximum propagates NaN, and its reduce costs less than
-        # isnan(...).any() on the one-point calls of a polish
-        if math.isnan(np.maximum.reduce(vals, axis=None, initial=-math.inf)):
-            vals = families._nan_loglik(vals, thetas, coeffs, kappas, model.name)
+            vals = families._stacked_loglik(thetas, coeffs, kappas, model.name)[0]
         return float(vals[0]) if zs.ndim == 0 else vals.reshape(zs.shape)
 
     return l_of
@@ -621,10 +609,10 @@ def conjugate_grid_oracle(family, constraint, t, grid_spec):
     point, giving (value, argmax), or an (m, dim) stack of them, giving
     arrays of the m values and argmaxes.  The full-domain grid is walked in
     blocks of ``GRID_BLOCK_POINTS`` points, open meshes on which the
-    family's kernel gives kappa once for the whole stack; theta.t is the
-    outer sum of the per-axis products theta_k t_k, in axis order.  A later
-    block replaces a running maximum only when it is strictly larger, so
-    ties go to the first grid point in C order.
+    family's kernel gives kappa once for the whole stack, and
+    ``families._stacked_loglik`` l, NaN rare path included.  A later block
+    replaces a running maximum only when it is strictly larger, so ties go
+    to the first grid point in C order.
     """
     if constraint.kind != "full":
         raise ValueError(f"the grid oracle has no {constraint.kind} form")
@@ -634,24 +622,22 @@ def conjugate_grid_oracle(family, constraint, t, grid_spec):
     axes = [grid_axis(f"grid axis {k}", lo, hi, n)
             for k, (lo, hi, n) in enumerate(grid_spec)]
     stack = np.ndim(t) == 2
-    ts = [as_point(row, family.dim, "mean point") for row in (t if stack else [t])]
+    ts = [as_point(row, family.dim, "mean point").tolist()
+          for row in (t if stack else [t])]
     values = np.full(len(ts), -np.inf)
     argmaxes = None     # set by the first block: a grid that is -inf
                         # everywhere gives its first point, as argmax does
-    for mesh in _full_grid_blocks(axes):
-        kappas = family.payload.cumulant_many(mesh)
-        if argmaxes is None:
-            argmaxes = np.array([[coord.flat[0] for coord in mesh]] * len(ts))
-        for j, tt in enumerate(ts):
-            vals = mesh[0] * tt[0]
-            for coord, tk in zip(mesh[1:], tt[1:]):
-                vals = vals + coord * tk
-            vals -= kappas
-            idx = int(np.argmax(vals))
-            if vals.flat[idx] > values[j]:
-                values[j] = vals.flat[idx]
-                pos = np.unravel_index(idx, vals.shape)
-                argmaxes[j] = [coord.flat[p] for coord, p in zip(mesh, pos)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mesh in _full_grid_blocks(axes):
+            kappas = family.payload.cumulant_many(mesh)
+            if argmaxes is None:
+                argmaxes = np.array([[coord.flat[0] for coord in mesh]] * len(ts))
+            for j, tt in enumerate(ts):
+                vals, idx = families._stacked_loglik(mesh, tt, kappas, family.name)
+                if vals.item(idx) > values[j]:
+                    values[j] = vals.item(idx)
+                    pos = np.unravel_index(idx, vals.shape)
+                    argmaxes[j] = [coord.flat[p] for coord, p in zip(mesh, pos)]
     if argmaxes is None:
         raise ValueError("the grid has no points")
     if not stack:

@@ -407,17 +407,20 @@ class LimitingMle:
     continuity_report: dict
 
 
-def _continuity_check(model, z_point, z_inner):
-    """kappa at z_point against kappa along the geometric coordinate
-    sequence z_point + (z_inner - z_point) 2^-j, j = 1..8."""
-    theta, family = model.map(z_point), model.family
+def _continuity_check(model, z, iv):
+    """kappa at eta(z) against kappa along the geometric coordinate
+    sequence z + (z_inner - z) 2^-j, j = 1..8, where z_inner is half a unit,
+    but at most half of ``iv``, from z toward the far end of ``iv``."""
+    step = 0.5 * min(1.0, iv.length)
+    z_inner = z + step if abs(z - iv.lo) < abs(z - iv.hi) else z - step
+    theta, family = model.map(z), model.family
     kappa_pt = float(cumulant(family, theta))
-    zs = [z_point + (z_inner - z_point) * 2.0 ** -j for j in range(1, 9)]
-    seq = [float(cumulant(family, model.map(z))) for z in zs]
+    zs = [z + (z_inner - z) * 2.0 ** -j for j in range(1, 9)]
+    seq = [float(cumulant(family, model.map(zj))) for zj in zs]
     gap = abs(seq[-1] - kappa_pt)
     is_cont = math.isfinite(kappa_pt) and gap <= 0.05 * max(1.0, abs(kappa_pt))
     return {
-        "coordinate": z_point,
+        "coordinate": z,
         "theta": [float(v) for v in theta],
         "kappa_at_point": kappa_pt,
         "kappa_sequence": seq,
@@ -427,19 +430,18 @@ def _continuity_check(model, z_point, z_inner):
 
 def _condition_c(model: CurvedModel):
     """Condition on T = eta(M): every boundary point of dom(kappa) that M
-    reaches must be a continuity point for kappa along the curve."""
+    reaches must be a continuity point for kappa along the curve: the
+    finite image of a closed, finite end of M, off the interior, with
+    finite kappa."""
     checks = []
     for iv in model.coord_intervals:
         for z_end, closed in ((iv.lo, iv.lo_closed), (iv.hi, iv.hi_closed)):
             if not (closed and math.isfinite(z_end)):
                 continue
             theta = model.map(z_end)
-            if not model.family.domain.is_boundary(theta):
-                continue
-            z_inner = z_end + (0.5 if z_end == iv.lo else -0.5) * min(
-                1.0, iv.length if iv.bounded else 1.0
-            )
-            checks.append(_continuity_check(model, z_end, z_inner))
+            if (np.isfinite(theta).all() and not model.family.domain.interior(theta)
+                    and math.isfinite(cumulant(model.family, theta))):
+                checks.append(_continuity_check(model, z_end, iv))
     holds = all(c["is_continuity_point"] for c in checks)
     return {"holds": bool(holds), "boundary_points": checks}
 
@@ -457,13 +459,8 @@ def limiting_mle(prior: Prior, mu0) -> LimitingMle:
         cond_b = {"holds": True, "mode": "interior-maximizer"}
     else:
         z_nu = res.coordinate
-        inner = None
-        for iv in prior.support:
-            if iv.contains(z_nu):
-                inner = z_nu + (0.5 if abs(z_nu - iv.lo) < abs(z_nu - iv.hi) else -0.5) \
-                    * min(1.0, iv.length)
-                break
-        check = _continuity_check(model, z_nu, inner)
+        iv = next(iv for iv in prior.support if iv.contains(z_nu))
+        check = _continuity_check(model, z_nu, iv)
         cond_b = {
             "holds": bool(check["is_continuity_point"]),
             "mode": "boundary-maximizer",

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import families, legendre, models
 from .errors import (
-    MeanOutsideDomain, NoConvergence, OutsideDomain, RateFormMismatch, UnsupportedModel,
+    MeanOutsideDomain, NoConvergence, NumericsError, OutsideDomain, RateFormMismatch,
+    UnsupportedModel,
 )
 from .families import (
     GeneratingFamily,
@@ -64,7 +65,9 @@ def kl_divergence(family: GeneratingFamily, theta0, theta):
     - kappa(theta0) + kappa(theta); +inf when theta leaves the domain.
     One point theta gives a float and an (m, d) stack of them an array.
     Each point takes ``as_point`` and the scalar kappa kernel; theta0's
-    mean and cumulant are taken once, if some kappa(theta) is finite."""
+    mean and cumulant are taken once, if some kappa(theta) is finite.  A
+    row whose terms overflowed into inf - inf or 0 * inf has no value in
+    doubles and raises NumericsError."""
     th0 = _interior_point(family, theta0)
     stack = np.ndim(theta) == 2
     ths = [as_point(th, family.dim, "theta") for th in (theta if stack else [theta])]
@@ -72,10 +75,16 @@ def kl_divergence(family: GeneratingFamily, theta0, theta):
     if any(k < INF for k in ks):
         grad0, k0 = families._moments(family, th0)[0], families._cumulant(family, th0)
         # a product past the largest double rounds to +-inf, its correctly
-        # rounded value
-        with np.errstate(over="ignore"):
+        # rounded value; inf - inf and 0 * inf are NaN, raised on below
+        with np.errstate(over="ignore", invalid="ignore"):
             ks = [k if k == INF else float((th0 - th) @ grad0) - k0 + k
                   for th, k in zip(ths, ks)]
+        for th, k in zip(ths, ks):
+            if k != k:
+                raise NumericsError(
+                    f"KL divergence from theta0={th0} to theta={th} on "
+                    f"{family.name} has no value in doubles: its terms "
+                    "overflowed")
     return np.array(ks) if stack else ks[0]
 
 

@@ -13,7 +13,6 @@ from expldp import (
     NumericsError,
     OutsideDomain,
     builtin,
-    builtin_names,
     cumulant,
     discrete_family,
     hessian,
@@ -229,6 +228,15 @@ class TestLogLikelihoodPastOverflow:
         assert got.tolist() == want
         assert not np.isnan(got).any()
 
+    @pytest.mark.parametrize("theta, t", CASES)
+    def test_grid(self, theta, t):
+        # a one-point grid at theta takes the grid oracle's stacked path
+        spec = tuple((c, c, 1) for c in theta)
+        value, argmax = legendre.conjugate_grid_oracle(
+            GAUSS_PARABOLA, legendre.ConstraintSet.full(), t, spec)
+        assert value == log_likelihood(GAUSS_PARABOLA, theta, t)
+        assert argmax.tolist() == theta
+
     def test_nan_kappa_raises(self):
         with pytest.raises(NumericsError, match="cumulant NaN on gp"):
             families._nan_loglik([math.nan], [[1.0]], [1.0], [math.nan], "gp")
@@ -326,11 +334,22 @@ class TestDiscreteFamilies:
 
 
 class TestDomainSpec:
-    def test_boundary_points_have_finite_cumulant(self):
-        for name in builtin_names():
-            fam = builtin(name)
-            for b in fam.domain.boundary_points:
-                assert math.isfinite(cumulant(fam, b))
+    @pytest.mark.parametrize("name, theta, kappa", [
+        # off the interior with a finite cumulant: points of dom kappa's
+        # boundary, pi e for the strip's integral and 1 for the Landau dual
+        ("strip-measure", [0.0, 1.0], 1.0 + math.log(math.pi)),
+        ("strip-measure", [0.0, -1.0], 1.0 + math.log(math.pi)),
+        ("landau-dual", [0.0], 1.0),
+        # off the interior and off dom kappa
+        ("strip-measure", [0.3, 1.0], math.inf),
+        ("strip-measure", [0.0, 1.5], math.inf),
+        ("gauss-parabola", [0.0, 0.0], math.inf),
+        ("landau-dual", [-1e-300], math.inf),
+    ])
+    def test_boundary_is_read_off_the_kernels(self, name, theta, kappa):
+        fam = builtin(name)
+        assert not fam.domain.interior(np.array(theta))
+        assert cumulant(fam, theta) == kappa
 
     def test_interior_points_have_finite_cumulant(self, rng):
         boxes = {
@@ -406,6 +425,24 @@ def test_scalar_kernels_are_quiet_at_huge_finite_points(name, theta, want):
         many = cumulant_many(fam, [theta])
     assert scalar == want
     assert many.tolist() == [want]
+
+
+@pytest.mark.parametrize("name, kernel, theta, want", [
+    # 1/mu overflows
+    ("landau-dual", mean_map, [5e-324], [math.log(5e-324)]),
+    ("landau-dual", hessian, [5e-324], [[math.inf]]),
+    # t1^2 / (4a) overflows, so kappa is +inf
+    ("strip-measure", cumulant, [1e150, -0.999999999999], math.inf),
+    # E[x^2] = m1^2 + Var x and the Hessian's m1 / t2 overflow
+    ("gauss-parabola", mean_map, [1.0, -1e-300], [0.5 / 1e-300, math.inf]),
+    ("gauss-parabola", hessian, [1.0, -1e-300],
+     [[0.5 / 1e-300, math.inf], [math.inf, math.inf]]),
+])
+def test_python_float_kernels_are_quiet_at_extreme_points(name, kernel, theta, want):
+    # in Python floats, as the scalar cumulants; pytest turns numpy's
+    # RuntimeWarning into an error
+    got = kernel(builtin(name), theta)
+    assert np.asarray(got).tolist() == want
 
 
 def test_poisson_cumulant_is_inf_past_expm1_overflow():

@@ -517,6 +517,18 @@ class TestGridOracle:
         newton = conjugate(POISSON, [2.0])
         assert abs(value - newton.value) <= 1e-4
 
+    def test_nan_theta_dot_t_takes_the_rare_path(self):
+        # theta.t = 1e310 - 1.188e310 and 1e310 - 9.9e309 sum products that
+        # overflow to +inf and -inf, so the block's plain values are NaN; the
+        # rare path finds the maximum, l at (1e10, -5e19) = 1e308, and not
+        # -inf at the first point
+        t = [1e300, 1.98e290]
+        spec = ((1e10, 1e10, 1), (-6e19, -5e19, 2))
+        value, argmax = conjugate_grid_oracle(GAUSS_PARABOLA, ConstraintSet.full(), t, spec)
+        assert value == 1.0000000000000064e+308
+        assert value == log_likelihood(GAUSS_PARABOLA, [1e10, -5e19], t)
+        assert argmax.tolist() == [1e10, -5e19]
+
     def test_curve_constraint_rejected(self):
         # the grid oracle has no curve form
         curve = ConstraintSet(kind="curve")

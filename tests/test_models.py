@@ -437,6 +437,18 @@ class TestLimitingMle:
         assert seq[-1] > 10.0 > check["kappa_at_point"]
         assert seq[-1] > seq[0]
 
+    def test_adjoined_origin_off_dom_kappa_is_no_boundary_point(self):
+        # eta(0) = (0, -0) is off the interior, but kappa is +inf there, so
+        # it is no point of dom kappa and condition C has nothing to check
+        model = with_adjoined_origin(builtin_model("gauss-mean-eq-sd"))
+        assert model.coord_intervals[0].lo_closed
+        theta = model.map(0.0)
+        assert not model.family.domain.interior(theta)
+        assert cumulant(model.family, theta) == math.inf
+        mle = limiting_mle(uniform_prior(model, 0.0, 2.0), np.array([0.5, 1.5]))
+        report = mle.continuity_report["condition_c"]
+        assert report == {"holds": True, "boundary_points": []}
+
     def test_strip_adjoined_origin_boundary_maximizer_fails_condition_b(self):
         # kappa along the curve blows up as z -> 0+ but is finite at the
         # adjoined boundary point eta(0) = (0, 1), so on [0, 0.05] the

@@ -153,6 +153,23 @@ class TestKlDivergenceStack:
         kl_divergence(POISSON, [800.0], np.array([[800.0], [900.0]]))
         assert calls == {"moments": 0, "cumulant": 2}
 
+    @pytest.mark.parametrize("name, theta0, theta", [
+        # (theta0 - theta).grad kappa(theta0) and kappa(theta0) both
+        # overflow to +inf; the exact value 1e400 / 2 is past the largest
+        # double too
+        ("gauss-mean", [1e200], [0.0]),
+        # grad kappa(theta0) = (5e299, inf), and D(P||P) = 0 takes 0 * inf
+        ("gauss-parabola", [1.0, -1e-300], [1.0, -1e-300]),
+    ])
+    def test_terms_overflowing_into_nan_raise(self, name, theta0, theta):
+        from expldp.errors import NumericsError
+
+        # pytest turns a RuntimeWarning into an error
+        with pytest.raises(NumericsError, match=f"theta0=.* on {name} has no value"):
+            kl_divergence(builtin(name), theta0, theta)
+        with pytest.raises(NumericsError, match="no value in doubles"):
+            kl_divergence(builtin(name), theta0, np.array([theta0, theta]))
+
     def test_rows_are_validated(self):
         from expldp.errors import NumericsError
 

@@ -96,3 +96,21 @@ def test_quadrature_rounds_rejects_unknown_example(monkeypatch, capsys):
     assert run_script(monkeypatch, "quadrature_rounds.py", "hw", "bogus") == 2
     err = capsys.readouterr().err
     assert "unknown example 'bogus'" in err and "usage:" in err
+
+
+def test_layer_timings_times_the_curve_loglik(monkeypatch, capsys):
+    assert run_script(monkeypatch, "layer_timings.py", "curve-loglik") == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    # label, size, repeats, median and IQR in µs
+    assert [row[:3] for row in rows] == [["curve-loglik", "1", "21"],
+                                         ["curve-loglik", "16", "21"]]
+    for row in rows:
+        median, iqr = map(float, row[3:])
+        assert median > 0.0 and iqr >= 0.0
+
+
+def test_layer_timings_rejects_unknown_layer(monkeypatch, capsys):
+    assert run_script(monkeypatch, "layer_timings.py", "grid-oracle", "bogus") == 2
+    out = capsys.readouterr()
+    assert "unknown layer 'bogus'" in out.err and "usage:" in out.err
+    assert out.out == ""
